@@ -83,16 +83,9 @@ def find_unsourced_info(model: Model) -> list[Finding]:
 
 
 def _effective_channel_count(model: Model, channels: tuple[str, ...]) -> int:
-    if len(channels) != 1:
-        return len(channels)
-    only = channels[0]
-    chan = model.channel_by_id(only)
-    has_partner = any(
-        other.id != only and (other.backup_of == only
-                              or (chan is not None and chan.backup_of == other.id))
-        for other in model.channels
-    )
-    return 2 if has_partner else 1
+    if len(channels) == 1 and channels[0] in model.channels_with_backup:
+        return 2
+    return len(channels)
 
 
 def find_single_channel(model: Model) -> list[Finding]:

@@ -100,8 +100,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(path: Path) -> str:
+    """Text of an input file.  Bytes that are not UTF-8 are reported like an
+    unreadable file, naming the path, rather than as a decoder traceback."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise OSError(f"{path}: line {line}: not valid UTF-8 "
+                      f"({exc.reason})") from None
+
+
 def _load(path: Path) -> Model:
-    return load_model(path)
+    return load_model(_read(path), str(path))
 
 
 def _emit(text: str, output: Optional[Path], stdout: TextIO) -> None:
@@ -145,6 +156,10 @@ def _dispatch(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> int:
         return 0
 
     if args.command == "analyze":
+        if args.load_threshold < 1:
+            stderr.write(f"error: --load-threshold must be at least 1, "
+                         f"got {args.load_threshold}\n")
+            return 2
         model = _load(args.file)
         findings = analysis.run_all(model, load_threshold=args.load_threshold)
         stdout.write(reporting.findings_report(findings, args.format))
@@ -159,8 +174,7 @@ def _dispatch(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> int:
 
     if args.command == "ingest":
         model = _load(args.file)
-        records = parse_answers(args.answers.read_text(encoding="utf-8"),
-                                str(args.answers))
+        records = parse_answers(_read(args.answers), str(args.answers))
         merged = ingest_all(model, records, strict=args.strict)
         _emit(print_model(merged), args.output, stdout)
         return 0
@@ -199,8 +213,7 @@ def _dispatch(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> int:
 
     if args.command == "requirements":
         model = _load(args.file)
-        records = parse_requirements(args.reqs.read_text(encoding="utf-8"),
-                                     str(args.reqs))
+        records = parse_requirements(_read(args.reqs), str(args.reqs))
         if args.report:
             stdout.write(reporting.requirements_report(model, records))
         else:

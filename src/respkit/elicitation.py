@@ -199,17 +199,9 @@ class _Resolver:
         return slug
 
 
-def ingest(model: Model, record: ElicitationRecord, strict: bool = False) -> Model:
-    """Merge one answer record into the model, returning a new model.
-
-    Merging is monotone and idempotent: answers accumulate, nothing already
-    recorded is removed, and applying the same record twice equals applying
-    it once.  Strict mode refuses references the model cannot resolve;
-    otherwise they are declared implicitly.
-    """
-    resp = _require(model, record.responsibility)
-    resolver = _Resolver(model, strict)
-
+def _merge(resp: Responsibility, record: ElicitationRecord,
+           resolver: _Resolver) -> Responsibility:
+    """Fold one answer record into one responsibility."""
     needs = list(resp.needs)
     for answer in record.needs:
         resource = resolver.information(answer.resource)
@@ -252,21 +244,39 @@ def ingest(model: Model, record: ElicitationRecord, strict: bool = False) -> Mod
         else:
             hazards.append(entry)
 
-    updated = replace(resp, needs=tuple(needs), products=tuple(products),
-                      hazards=tuple(hazards))
-    return replace(
-        model.with_responsibility(updated),
-        agents=canonical_elements(resolver.agents.values()),
-        resources=canonical_elements(resolver.resources.values()),
-        channels=canonical_elements(resolver.channels.values()),
-    )
+    return replace(resp, needs=tuple(needs), products=tuple(products),
+                   hazards=tuple(hazards))
 
 
 def ingest_all(model: Model, records: list[ElicitationRecord],
                strict: bool = False) -> Model:
+    """Merge answer records into the model in order, returning a new model.
+
+    Merging is monotone and idempotent: answers accumulate, nothing already
+    recorded is removed, and applying the same records twice equals
+    applying them once.  Strict mode refuses references the model cannot
+    resolve; otherwise they are declared implicitly.  All records share one
+    resolver and the new model is built once, at the end.
+    """
+    if not records:
+        return model
+    resolver = _Resolver(model, strict)
+    merged: dict[str, Responsibility] = {}
     for record in records:
-        model = ingest(model, record, strict)
-    return model
+        resp = _require(model, record.responsibility)
+        merged[resp.id] = _merge(merged.get(resp.id, resp), record, resolver)
+    return replace(
+        model,
+        agents=canonical_elements(resolver.agents.values()),
+        resources=canonical_elements(resolver.resources.values()),
+        channels=canonical_elements(resolver.channels.values()),
+        responsibilities=tuple(merged.get(r.id, r) for r in model.responsibilities),
+    )
+
+
+def ingest(model: Model, record: ElicitationRecord, strict: bool = False) -> Model:
+    """Merge one answer record into the model; see ``ingest_all``."""
+    return ingest_all(model, [record], strict)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,17 @@ elements of the same kind may not have names that collapse to the same
 slug.  Top-level collections are kept in canonical order (lexicographic by
 display name); clause-level collections (sources, channels, needs, ...)
 keep their authored first-mention order, which rendering code may re-sort.
+
+Lookups by id or name go through maps that each model builds on first use
+and caches on the instance.  The maps are not fields: equality, hashing and
+``dataclasses.replace`` see only the collections they are built from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
+from functools import cached_property
 from typing import Iterable, Optional
 
 
@@ -285,45 +290,98 @@ class Model:
     sequence_links: tuple[tuple[str, str], ...] = ()
 
     # -- lookups ------------------------------------------------------------
+    #
+    # Each map is built on first use and cached in the instance __dict__,
+    # which the dataclass __eq__, __hash__ and __repr__ never read.  A model
+    # made with dataclasses.replace starts with no maps.  The first element
+    # wins on a duplicate id or name, as a scan from the front would.
+
+    @cached_property
+    def _agents_by_id(self) -> dict[str, Agent]:
+        return _first_by(self.agents, "id")
+
+    @cached_property
+    def _resources_by_id(self) -> dict[str, Resource]:
+        return _first_by(self.resources, "id")
+
+    @cached_property
+    def _channels_by_id(self) -> dict[str, Channel]:
+        return _first_by(self.channels, "id")
+
+    @cached_property
+    def _responsibilities_by_id(self) -> dict[str, Responsibility]:
+        return _first_by(self.responsibilities, "id")
+
+    @cached_property
+    def _agents_by_name(self) -> dict[str, Agent]:
+        return _first_by(self.agents, "name")
+
+    @cached_property
+    def _resources_by_name(self) -> dict[str, Resource]:
+        return _first_by(self.resources, "name")
+
+    @cached_property
+    def _channels_by_name(self) -> dict[str, Channel]:
+        return _first_by(self.channels, "name")
+
+    @cached_property
+    def _responsibilities_by_name(self) -> dict[str, Responsibility]:
+        return _first_by(self.responsibilities, "name")
+
+    @cached_property
+    def required_or_produced(self) -> frozenset[str]:
+        """Ids of the resources some responsibility requires or produces."""
+        return frozenset(
+            [n.resource for r in self.responsibilities for n in r.needs]
+            + [p.resource for r in self.responsibilities for p in r.products])
+
+    @cached_property
+    def channels_with_backup(self) -> frozenset[str]:
+        """Ids of channels that have a declared backup partner.
+
+        A channel has a partner when another declared channel is its
+        backup, or when it is the backup of another declared channel.
+        """
+        backed_up = {c.backup_of for c in self.channels
+                     if c.backup_of is not None and c.backup_of != c.id}
+        backups = {c.id for c in self._channels_by_id.values()
+                   if c.backup_of in self._channels_by_id and c.backup_of != c.id}
+        return frozenset(backed_up | backups)
 
     def agent_by_id(self, agent_id: str) -> Optional[Agent]:
-        return next((a for a in self.agents if a.id == agent_id), None)
+        return self._agents_by_id.get(agent_id)
 
     def resource_by_id(self, resource_id: str) -> Optional[Resource]:
-        return next((r for r in self.resources if r.id == resource_id), None)
+        return self._resources_by_id.get(resource_id)
 
     def channel_by_id(self, channel_id: str) -> Optional[Channel]:
-        return next((c for c in self.channels if c.id == channel_id), None)
+        return self._channels_by_id.get(channel_id)
 
     def responsibility_by_id(self, resp_id: str) -> Optional[Responsibility]:
-        return next((r for r in self.responsibilities if r.id == resp_id), None)
+        return self._responsibilities_by_id.get(resp_id)
 
     def responsibility_named(self, name: str) -> Optional[Responsibility]:
-        wanted = name.strip()
-        return next((r for r in self.responsibilities if r.name == wanted), None)
+        return self._responsibilities_by_name.get(name.strip())
 
     def agent_named(self, name: str) -> Optional[Agent]:
-        wanted = name.strip()
-        return next((a for a in self.agents if a.name == wanted), None)
+        return self._agents_by_name.get(name.strip())
 
     def resource_named(self, name: str) -> Optional[Resource]:
-        wanted = name.strip()
-        return next((r for r in self.resources if r.name == wanted), None)
+        return self._resources_by_name.get(name.strip())
 
     def channel_named(self, name: str) -> Optional[Channel]:
-        wanted = name.strip()
-        return next((c for c in self.channels if c.name == wanted), None)
+        return self._channels_by_name.get(name.strip())
 
     def agent_name(self, agent_id: str) -> str:
-        agent = self.agent_by_id(agent_id)
+        agent = self._agents_by_id.get(agent_id)
         return agent.name if agent else agent_id
 
     def resource_name(self, resource_id: str) -> str:
-        resource = self.resource_by_id(resource_id)
+        resource = self._resources_by_id.get(resource_id)
         return resource.name if resource else resource_id
 
     def channel_name(self, channel_id: str) -> str:
-        channel = self.channel_by_id(channel_id)
+        channel = self._channels_by_id.get(channel_id)
         return channel.name if channel else channel_id
 
     def with_responsibility(self, updated: Responsibility) -> "Model":
@@ -331,6 +389,11 @@ class Model:
         resps = tuple(updated if r.id == updated.id else r
                       for r in self.responsibilities)
         return replace(self, responsibilities=resps)
+
+
+def _first_by(elements: tuple, attr: str) -> dict:
+    """Map each value of ``attr`` to the first element that has it."""
+    return {getattr(e, attr): e for e in reversed(elements)}
 
 
 def canonical_elements(elements: Iterable) -> tuple:

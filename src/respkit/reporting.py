@@ -57,13 +57,12 @@ def to_dot(model: Model) -> str:
         out.append(f"  {_dot_quote(resp.id)} "
                    f"[shape=box, style=rounded, label={_dot_quote(resp.name)}];")
 
-    edges: list[str] = []
+    # Insertion-ordered set: an edge keeps the place of its first mention.
+    edges: dict[str, None] = {}
 
     def edge(source: str, target: str, attrs: str = "") -> None:
         suffix = f" [{attrs}]" if attrs else ""
-        line = f"  {_dot_quote(source)} -> {_dot_quote(target)}{suffix};"
-        if line not in edges:
-            edges.append(line)
+        edges.setdefault(f"  {_dot_quote(source)} -> {_dot_quote(target)}{suffix};")
 
     for resp in model.responsibilities:
         for agent_id in resp.assigned_to:
@@ -164,10 +163,7 @@ def resolve_trace(model: Model, ref: TraceRef) -> bool:
         resource = model.resource_named(ref.name)
         if resource is None or resource.kind is not ResourceKind.INFORMATION:
             return False
-        return any(
-            resp.need_for(resource.id) or resp.product_for(resource.id)
-            for resp in model.responsibilities
-        )
+        return resource.id in model.required_or_produced
     return False
 
 

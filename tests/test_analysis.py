@@ -16,7 +16,7 @@ from respkit.analysis import (
     find_unused_resources,
 )
 from respkit.dsl import parse_model
-from respkit.model import Severity
+from respkit.model import Channel, InfoNeed, Model, Responsibility, Severity
 
 from strategies import model_pairs, models
 
@@ -98,6 +98,18 @@ class TestFindSingleChannel:
                       'responsibility "R" { requires |Facts| via "Email" }')
         (finding,) = find_single_channel(model)
         assert finding.severity is Severity.MEDIUM
+
+    def test_backup_of_an_undeclared_channel_is_no_partner(self):
+        # Only hand-built models can point backup_of at a missing channel;
+        # the builder rejects it.
+        need = InfoNeed("facts", channels=("radio",))
+        model = Model(
+            channels=(Channel("radio", "Radio", backup_of="ghost"),
+                      Channel("email", "Email", backup_of="ghost")),
+            responsibilities=(Responsibility("r", "R", needs=(need,)),))
+        (finding,) = find_single_channel(model)
+        assert finding.subject == "r/facts"
+        assert "ghost" in model.channels_with_backup
 
     def test_zero_channels_not_flagged_here(self):
         model = build('responsibility "R" { requires |Facts| from <A> }')

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from respkit import build_model, load_model
 from respkit.dsl import parse_model, parse_requirements
 
@@ -36,6 +38,15 @@ class TestCheck:
         assert status == 2
         assert "error" in err
 
+    def test_undecodable_model_is_status_2(self, run_cli, resp_path, tmp_path):
+        bad = tmp_path / "latin1.resp"
+        bad.write_bytes("# évacuation\n".encode("latin-1") + resp_path.read_bytes())
+        status, out, err = run_cli("check", str(bad))
+        assert status == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: {bad}: line 1: not valid UTF-8 (invalid continuation byte)"]
+
 
 class TestAnalyze:
     def test_corpus_reports_and_fails(self, run_cli, resp_path):
@@ -68,6 +79,15 @@ class TestAnalyze:
         status, out, _ = run_cli("analyze", str(model), "--load-threshold", "2")
         assert status == 1
         assert "AGENT_OVERLOAD" in out
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_load_threshold_below_one_is_status_2(self, run_cli, resp_path, value):
+        status, out, err = run_cli("analyze", str(resp_path),
+                                   "--load-threshold", value)
+        assert status == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: --load-threshold must be at least 1, got {value}"]
 
 
 class TestElicit:
@@ -119,6 +139,18 @@ class TestIngest:
         status, out, _ = run_cli("ingest", str(once), str(answers_path))
         assert status == 0
         assert out == once.read_text(encoding="utf-8")
+
+    def test_undecodable_answers_is_status_2(self, run_cli, resp_path,
+                                             answers_path, tmp_path):
+        bad = tmp_path / "latin1.answers"
+        bad.write_bytes(answers_path.read_bytes()
+                        + "# fin\n# réponse\n".encode("latin-1"))
+        lines = bad.read_bytes().count(b"\n")
+        status, out, err = run_cli("ingest", str(resp_path), str(bad))
+        assert status == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: {bad}: line {lines}: not valid UTF-8 (invalid continuation byte)"]
 
     def test_bad_reference_is_status_2(self, run_cli, resp_path, tmp_path):
         answers = tmp_path / "a.answers"
@@ -270,6 +302,17 @@ class TestRequirements:
         assert status == 2
         assert out == ""
         assert "|No such thing|" in err
+
+    def test_undecodable_requirements_is_status_2(self, run_cli, resp_path,
+                                                  tmp_path):
+        bad = tmp_path / "bad.reqs"
+        bad.write_bytes(b"requirement R1 {\n  text \"\xff\"\n}\n")
+        status, out, err = run_cli("requirements", str(resp_path), str(bad),
+                                   "--report")
+        assert status == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: {bad}: line 2: not valid UTF-8 (invalid start byte)"]
 
 
 class TestDot:

@@ -1,3 +1,6 @@
+from functools import reduce
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 
@@ -13,7 +16,13 @@ from respkit import (
 )
 from respkit.dsl import parse_answers, parse_model
 from respkit.elicitation import AnswerSlot, IngestError
-from respkit.model import ElicitationRecord, NeedAnswer, UnknownResponsibility
+from respkit.model import (
+    ElicitationRecord,
+    GuideWord,
+    NeedAnswer,
+    Severity,
+    UnknownResponsibility,
+)
 
 from strategies import models
 
@@ -66,6 +75,89 @@ class TestQuestionnaire:
         blocks = [line for line in skeleton.splitlines()
                   if line.startswith("  hazards |")]
         assert len(blocks) == 8
+
+
+# Sessions that exercise every merge rule: a duty answered twice, items,
+# agents and channels the model never declared, a hazard on a product, and
+# the same (item, guide word) assessed twice.
+CRAFTED_SESSIONS = """
+elicitation "Collect evacuee information" {
+  needs {
+    |Evacuee register| from <Red Cross> via "Pager"
+  }
+  records {
+    |Head count| via "Pager", "Radio from Silver Command" rationale "Audit trail."
+  }
+  hazards |Evacuee register| {
+    late "Register is stale." severity high
+  }
+  hazards |Head count| {
+    inaccurate "Wrong totals." severity medium
+  }
+}
+
+elicitation "Evacuate area" {
+  needs {
+    |Area map| from <Red Cross> via "Pager"
+  }
+  hazards |Area map| {
+    unavailable "Routes unknown." severity critical
+  }
+}
+
+elicitation "Collect evacuee information" {
+  needs {
+    |Evacuee register| from <Police> via "Satellite phone"
+  }
+  hazards |Evacuee register| {
+    late "Another reading." severity critical
+    early "No consequence." severity none
+  }
+}
+"""
+
+
+def _sessions(evacuation_answers):
+    return list(evacuation_answers) + parse_answers(CRAFTED_SESSIONS)
+
+
+class TestIngestAll:
+    # repr also shows the implicit flags, which equality ignores.
+
+    def test_fold_equals_one_session_at_a_time(self, evacuation,
+                                               evacuation_answers):
+        sessions = _sessions(evacuation_answers)
+        one_by_one = reduce(ingest, sessions, evacuation)
+        assert repr(ingest_all(evacuation, sessions)) == repr(one_by_one)
+
+    def test_every_pair_of_sessions(self, evacuation, evacuation_answers):
+        for a, b in permutations(_sessions(evacuation_answers), 2):
+            assert (repr(ingest_all(evacuation, [a, b]))
+                    == repr(ingest(ingest(evacuation, a), b)))
+
+    def test_idempotent(self, evacuation, evacuation_answers):
+        sessions = _sessions(evacuation_answers)
+        once = ingest_all(evacuation, sessions)
+        assert repr(ingest_all(once, sessions)) == repr(once)
+
+    def test_merged_content(self, evacuation, evacuation_answers):
+        merged = ingest_all(evacuation, _sessions(evacuation_answers))
+        resp = merged.responsibility_named("Collect evacuee information")
+        (need,) = resp.needs
+        assert need.sources == ("red-cross", "police")
+        assert need.channels == ("pager", "satellite-phone")
+        late = resp.hazard_for("evacuee-register", GuideWord.LATE)
+        assert late.consequence == "Register is stale."
+        assert late.severity is Severity.CRITICAL
+        assert merged.agent_named("Red Cross").implicit
+        assert merged.channel_named("Satellite phone").implicit
+
+    def test_unknown_duty_in_a_later_session(self, evacuation,
+                                            evacuation_answers):
+        sessions = _sessions(evacuation_answers)
+        sessions.insert(2, ElicitationRecord(responsibility="Ghost duty"))
+        with pytest.raises(UnknownResponsibility, match="Ghost duty"):
+            ingest_all(evacuation, sessions)
 
 
 class TestIngest:

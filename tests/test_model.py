@@ -2,14 +2,21 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from respkit import build_model, slugify, validate
+from dataclasses import replace
+
+from respkit import build_model, load_model, slugify, validate
 from respkit.build import ModelBuildError
 from respkit.dsl import parse_model
 from respkit.model import (
+    Agent,
     AgentKind,
+    Channel,
     GuideWord,
     InfoNeed,
+    Model,
+    Resource,
     ResourceKind,
+    Responsibility,
     Severity,
 )
 
@@ -173,6 +180,79 @@ class TestBuildModel:
     def test_conflicting_agent_kind(self):
         with pytest.raises(ModelBuildError, match="conflicting agent kind"):
             build("agent <A> kind person\nagent <A> kind system")
+
+
+def _use_every_map(model: Model) -> None:
+    for agent in model.agents:
+        model.agent_by_id(agent.id), model.agent_named(agent.name)
+    for resource in model.resources:
+        model.resource_by_id(resource.id), model.resource_named(resource.name)
+    for channel in model.channels:
+        model.channel_by_id(channel.id), model.channel_named(channel.name)
+    for resp in model.responsibilities:
+        model.responsibility_by_id(resp.id), model.responsibility_named(resp.name)
+    model.required_or_produced, model.channels_with_backup
+
+
+class TestLookupMaps:
+    def test_every_helper_finds_every_element(self, evacuation):
+        for agent in evacuation.agents:
+            assert evacuation.agent_by_id(agent.id) is agent
+            assert evacuation.agent_named(agent.name) is agent
+            assert evacuation.agent_name(agent.id) == agent.name
+        for resource in evacuation.resources:
+            assert evacuation.resource_by_id(resource.id) is resource
+            assert evacuation.resource_named(resource.name) is resource
+            assert evacuation.resource_name(resource.id) == resource.name
+        for channel in evacuation.channels:
+            assert evacuation.channel_by_id(channel.id) is channel
+            assert evacuation.channel_named(channel.name) is channel
+            assert evacuation.channel_name(channel.id) == channel.name
+        for resp in evacuation.responsibilities:
+            assert evacuation.responsibility_by_id(resp.id) is resp
+            assert evacuation.responsibility_named(f" {resp.name} ") is resp
+
+    def test_misses_fall_back_as_before(self, evacuation):
+        assert evacuation.agent_by_id("ghost") is None
+        assert evacuation.responsibility_named("Ghost") is None
+        assert evacuation.agent_name("ghost") == "ghost"
+        assert evacuation.resource_name("ghost") == "ghost"
+        assert evacuation.channel_name("ghost") == "ghost"
+
+    def test_replaced_model_sees_new_elements(self, resp_path):
+        model = load_model(resp_path)
+        _use_every_map(model)
+        coastguard = Agent.of("Coastguard")
+        flares = Resource.of("Flares", ResourceKind.PHYSICAL)
+        pager = Channel.of("Pager", backup_of="radio-from-silver-command")
+        grown = replace(model, agents=model.agents + (coastguard,),
+                        resources=model.resources + (flares,),
+                        channels=model.channels + (pager,))
+        assert grown.agent_named("Coastguard") is coastguard
+        assert grown.resource_by_id("flares") is flares
+        assert grown.channel_name("pager") == "Pager"
+        assert "radio-from-silver-command" in grown.channels_with_backup
+        assert model.agent_named("Coastguard") is None
+        assert "radio-from-silver-command" not in model.channels_with_backup
+
+    def test_maps_leave_equality_and_hash_alone(self, resp_path):
+        used, fresh = load_model(resp_path), load_model(resp_path)
+        hash_before, repr_before = hash(used), repr(used)
+        _use_every_map(used)
+        assert used == fresh
+        assert hash(used) == hash_before == hash(fresh)
+        assert repr(used) == repr_before
+
+    def test_first_element_wins_on_duplicates(self):
+        first = Agent("ops", "Ops", AgentKind.PERSON)
+        second = Agent("ops", "Ops", AgentKind.SYSTEM)
+        early = Responsibility("a", "Duty")
+        late = Responsibility("b", "Duty")
+        model = Model(agents=(first, second), responsibilities=(early, late))
+        assert model.agent_by_id("ops") is first
+        assert model.agent_named("Ops") is first
+        assert model.responsibility_named("Duty") is early
+        assert model.responsibility_by_id("b") is late
 
 
 class TestValidate:

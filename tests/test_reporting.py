@@ -83,6 +83,22 @@ class TestToDot:
         check_dot(text)
         assert 'label="say \\"when\\""' in text
 
+    def test_repeated_edges_are_emitted_once(self):
+        model = build('responsibility "A" {\n'
+                      '  assigned to <Ops>\n  requires |Map| from <Ops>\n'
+                      '  uses [Van]\n  precedes "B"\n}\n'
+                      'responsibility "B" {\n'
+                      '  requires |Map| from <Ops>\n  produces |Log|\n}')
+        edges = [line for line in to_dot(model).splitlines() if " -> " in line]
+        assert len(edges) == len(set(edges))
+        assert edges.count('  "agent-ops" -> "resource-map";') == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(models())
+    def test_random_models_repeat_no_edge(self, model):
+        edges = [line for line in to_dot(model).splitlines() if " -> " in line]
+        assert len(edges) == len(set(edges))
+
     def test_every_element_name_appears_verbatim(self, evacuation):
         text = to_dot(evacuation)
         for agent in evacuation.agents:

@@ -1,0 +1,149 @@
+"""Scaling gate: every timed layer must stay close to linear.
+
+Each layer runs on a seeded synthetic model of N and of 10 x N duties, best
+of three runs each.  A layer fails when the larger input costs more than 20
+times the smaller one; linear code measures about 10, quadratic code about
+100.  The models use every clause kind the layers read: assignments,
+sources, channels with backups, products, uses, hazards and sequence links.
+"""
+
+from __future__ import annotations
+
+import gc
+import random
+import time
+from dataclasses import is_dataclass, replace
+
+import pytest
+
+from respkit import (
+    build_model,
+    diff_models,
+    ingest_all,
+    print_model,
+    requirements_report,
+    run_all,
+    to_dot,
+)
+from respkit.dsl import parse_answers, parse_model, parse_requirements
+
+SMALL = 100
+FACTOR = 10
+MAX_RATIO = 20
+REPEATS = 3
+
+
+def _model_text(rng: random.Random, n: int) -> str:
+    agents = [f"Agent {i:05d}" for i in range(max(2, n // 5))]
+    items = [f"Item {i:05d}" for i in range(n)]
+    channels = [f"Channel {i:05d}" for i in range(max(2, n // 4))]
+    lines = ['model "scaling"']
+    lines += [f"agent <{a}> kind organization" for a in agents]
+    lines += [f"resource |{i}|" for i in items]
+    lines += [f"resource [Kit {i:05d}]" for i in range(max(1, n // 10))]
+    for k, channel in enumerate(channels):
+        backup = f' backup_of "{channels[k - 1]}"' if k % 3 == 1 else ""
+        lines.append(f'channel "{channel}" medium radio{backup}')
+    for d in range(n):
+        lines.append(f'responsibility "Duty {d:05d}" {{')
+        if d % 7:
+            held = rng.sample(agents, rng.randint(1, 2))
+            lines.append("  assigned to " + ", ".join(f"<{a}>" for a in held))
+        needed = rng.sample(items, rng.randint(1, 3))
+        for item in needed:
+            clause = f"  requires |{item}|"
+            if rng.random() < 0.8:
+                clause += " from " + ", ".join(
+                    f"<{a}>" for a in rng.sample(agents, rng.randint(1, 2)))
+            clause += " via " + ", ".join(
+                f'"{c}"' for c in rng.sample(channels, rng.randint(1, 2)))
+            lines.append(clause)
+        lines.append(f'  produces |{rng.choice(items)}| via "{rng.choice(channels)}"')
+        if d % 5 == 0:
+            lines.append(f"  uses [Kit {rng.randrange(max(1, n // 10)):05d}]")
+        lines.append(f'  hazard |{needed[0]}| late "Delay {d}." severity high')
+        lines.append(f'  precedes "Duty {rng.randrange(n):05d}"')
+        lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _answers_text(rng: random.Random, n: int) -> str:
+    blocks = []
+    for d in range(n):
+        item = f"Answered {d:05d}"
+        blocks.append(
+            f'elicitation "Duty {d:05d}" {{\n'
+            f"  needs {{\n"
+            f'    |{item}| from <Agent {rng.randrange(n // 5):05d}> via "Desk {d % 50}"\n'
+            f"  }}\n"
+            f"  hazards |{item}| {{\n"
+            f'    unavailable "Blind {d}." severity critical\n'
+            f"  }}\n"
+            f"}}\n")
+    return "\n".join(blocks)
+
+
+def _requirements_text(rng: random.Random, n: int) -> str:
+    blocks = []
+    for d in range(n):
+        blocks.append(
+            f"requirement REQ-{d:05d} {{\n"
+            f'  text "Requirement {d}."\n'
+            f'  rationale "Because {d}."\n'
+            f"  traces <Agent {rng.randrange(n // 5):05d}>\n"
+            f'  traces responsibility "Duty {d:05d}"\n'
+            f"  traces |Item {rng.randrange(n):05d}|\n"
+            f"}}\n")
+    return "\n".join(blocks)
+
+
+def _inputs(n: int) -> dict:
+    rng = random.Random(n)
+    model = build_model(parse_model(_model_text(rng, n)))
+    other = build_model(parse_model(_model_text(rng, n)))
+    records = parse_requirements(_requirements_text(rng, n))
+    # Hazard traces resolve only against items some duty requires or produces.
+    records += parse_requirements("".join(
+        f"requirement HAZ-{r.id} {{\n"
+        f'  text "Cope."\n  rationale "Hazard."\n'
+        f"  traces hazard |{model.resource_name(r.needs[0].resource)}| late\n"
+        f"}}\n"
+        for r in model.responsibilities))
+    answers = parse_answers(_answers_text(rng, n))
+    return {
+        "to_dot": (to_dot, model),
+        "print_model": (print_model, model),
+        "diff_models": (diff_models, model, other),
+        "requirements_report": (requirements_report, model, records),
+        "run_all": (run_all, model),
+        "ingest_all": (ingest_all, model, answers),
+    }
+
+
+def _fresh(value):
+    # A copy of a model starts without the lookup maps an earlier call
+    # cached, so every timed call pays for building them.
+    return replace(value) if is_dataclass(value) else value
+
+
+def _timed(fn, args) -> float:
+    fresh = [_fresh(a) for a in args]
+    gc.collect()
+    start = time.perf_counter()
+    fn(*fresh)
+    return time.perf_counter() - start
+
+
+@pytest.mark.slow
+def test_ten_times_the_input_costs_at_most_twenty_times_the_time():
+    small, large = _inputs(SMALL), _inputs(SMALL * FACTOR)
+    ratios = {}
+    for layer, (fn, *small_args) in small.items():
+        _, *large_args = large[layer]
+        # Small and large runs alternate, so a drift in machine speed
+        # lands on both; the best of each is kept.
+        times = [(_timed(fn, small_args), _timed(fn, large_args))
+                 for _ in range(REPEATS)]
+        ratios[layer] = min(t for _, t in times) / min(t for t, _ in times)
+    slow = {layer: round(r, 1) for layer, r in ratios.items() if r > MAX_RATIO}
+    assert not slow, f"super-linear layers (time ratio at {FACTOR}x input): {slow}"
