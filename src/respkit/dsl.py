@@ -14,6 +14,15 @@ leading/trailing whitespace; there is no escape mechanism inside them, so
 ``|`` in an information resource name.  Strings are double-quoted with
 ``\\"`` and ``\\\\`` as the only escapes.
 
+The tokenizer is one compiled master regex, as in the "Writing a
+Tokenizer" recipe of the ``re`` documentation.  No token spans a line, so
+it runs ``match(line, pos)`` over ``text.split("\\n")``: the line number
+comes from that loop and each column is the token's offset plus one.  Only
+``\\n`` ends a line; ``\\r``, ``\\x0b`` and ``\\u2028`` are ordinary
+characters.  Each scan error (a bad escape, an unterminated string or
+reference, an empty reference name, a run of characters that starts no
+token) is its own alternative of the regex.
+
 Parsers recover at top-level declaration boundaries, so at least the first
 error of each declaration is reported rather than only the first error of
 the file.
@@ -21,8 +30,9 @@ the file.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .model import (
     AgentKind,
@@ -186,11 +196,38 @@ RBRACE = "'}'"
 COMMA = "','"
 EOF = "end of file"
 
-_REF_KINDS = {"<": (AGENT_REF, ">"), "[": (PHYS_REF, "]"), "|": (INFO_REF, "|")}
+_KINDS = {"ident": IDENT, "lbrace": LBRACE, "rbrace": RBRACE, "comma": COMMA,
+          "string": STRING, "agent": AGENT_REF, "phys": PHYS_REF, "info": INFO_REF}
+_CLOSERS = {"<": ">", "[": "]", "|": "|"}
+
+# A run of characters that starts no token, up to the next delimiter.
+_RUN = re.compile(r'[^ \t\r#{},"<\[|]+')
+# Group 1 holds the blanks before the token.  Then one alternative per token
+# kind and per scan error, tried in order.  Lines hold no "\n", so ".*" runs
+# to the end of the line.  \w is str.isalnum() plus "_" and \s is
+# str.isspace(), so reference names come out stripped.  [^\W\d] also admits
+# numerals such as "²" and "Ⅻ", which _scan rejects with isalpha().
+_TOKEN = re.compile(r"""
+    ([ \t\r]*)
+    (?:
+      (?P<end>\#|\Z)
+    | (?P<ident>[^\W\d][\w-]*)
+    | (?P<lbrace>\{) | (?P<rbrace>\}) | (?P<comma>,)
+    | "(?P<string>[^"\\]*(?:\\["\\][^"\\]*)*)"
+    | "(?P<bad_escape>[^"\\]*(?:\\.[^"\\]*)*)"
+    | "(?P<open_string>.*)
+    | <\s*(?P<agent>[^>]*[^\s>])\s*>
+    | \[\s*(?P<phys>[^\]]*[^\s\]])\s*]
+    | \|\s*(?P<info>[^|]*[^\s|])\s*\|
+    | (?P<empty_ref><\s*>|\[\s*]|\|\s*\|)
+    | (?P<open_ref>[<\[|]).*
+    | (?P<run>""" + _RUN.pattern + r""")
+    )""", re.VERBOSE)
+_ESCAPE = re.compile(r"\\(.?)")
+_VALID_ESCAPE = re.compile(r'\\(["\\])')
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     span: SourceSpan
@@ -204,129 +241,49 @@ class Token:
 def _scan(text: str, filename: str) -> tuple[list[Token], list[ParseError]]:
     """Tokenize, recovering from bad characters and unterminated literals.
 
-    Scan errors skip to the end of the offending line (or character run) so
-    later declarations still get tokenized and parsed.
+    A bad token is reported and skipped: an invalid run up to the next
+    delimiter, an unterminated string or reference to the end of its line,
+    so later declarations still get tokenized and parsed.
     """
     tokens: list[Token] = []
     errors: list[ParseError] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-
-    def span() -> SourceSpan:
-        return SourceSpan(filename, line, col)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start = span()
-        if ch == "{":
-            tokens.append(Token(LBRACE, "{", start))
-            i += 1
-            col += 1
-            continue
-        if ch == "}":
-            tokens.append(Token(RBRACE, "}", start))
-            i += 1
-            col += 1
-            continue
-        if ch == ",":
-            tokens.append(Token(COMMA, ",", start))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            i += 1
-            col += 1
-            buf: list[str] = []
-            closed = False
-            while i < n and text[i] != "\n":
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    col += 1
-                    closed = True
-                    break
-                if c == "\\":
-                    if i + 1 >= n or text[i + 1] not in ('"', "\\"):
+    for number, line in enumerate(text.split("\n"), 1):
+        pos = 0
+        while True:
+            m = _TOKEN.match(line, pos)
+            start, group = m.end(1), m.lastgroup
+            if group == "end":
+                break
+            pos = m.end()
+            value = m[group]
+            if group == "ident" and not (value[0].isalpha() or value[0] == "_"):
+                group, pos = "run", _RUN.match(line, start).end()
+                value = line[start:pos]
+            span = SourceSpan(filename, number, start + 1)
+            if group in _KINDS:
+                if group == "string" and "\\" in value:
+                    value = _VALID_ESCAPE.sub(r"\1", value)
+                tokens.append(Token(_KINDS[group], value, span))
+            elif group in ("bad_escape", "open_string"):
+                for escape in _ESCAPE.finditer(value):
+                    if escape[1] not in ('"', "\\"):
                         errors.append(ParseError(
-                            SourceSpan(filename, line, col),
+                            SourceSpan(filename, number, start + 2 + escape.start()),
                             "escape '\\\"' or '\\\\'",
-                            f"'\\{text[i + 1]}'" if i + 1 < n and text[i + 1] != "\n"
-                            else EOF,
-                        ))
-                        buf.append(c)
-                        i += 1
-                        col += 1
-                        continue
-                    buf.append(text[i + 1])
-                    i += 2
-                    col += 2
-                    continue
-                buf.append(c)
-                i += 1
-                col += 1
-            if closed:
-                tokens.append(Token(STRING, "".join(buf), start))
-            else:
-                errors.append(ParseError(start, "closing '\"'", "end of line"))
-            continue
-        if ch in _REF_KINDS:
-            kind, closer = _REF_KINDS[ch]
-            i += 1
-            col += 1
-            buf = []
-            closed = False
-            while i < n and text[i] != "\n":
-                c = text[i]
-                if c == closer:
-                    i += 1
-                    col += 1
-                    closed = True
-                    break
-                buf.append(c)
-                i += 1
-                col += 1
-            if not closed:
-                errors.append(ParseError(start, f"closing '{closer}'", "end of line"))
-                continue
-            name = "".join(buf).strip()
-            if not name:
+                            f"'\\{escape[1]}'" if escape[1] else EOF))
+                if group == "bad_escape":
+                    tokens.append(Token(STRING, _VALID_ESCAPE.sub(r"\1", value), span))
+                else:
+                    errors.append(ParseError(span, "closing '\"'", "end of line"))
+            elif group == "empty_ref":
                 errors.append(ParseError(
-                    start, f"a name inside '{ch}{closer}'", "nothing"))
-                continue
-            tokens.append(Token(kind, name, start))
-            continue
-        if ch.isalpha() or ch == "_":
-            buf = [ch]
-            i += 1
-            col += 1
-            while i < n and (text[i].isalnum() or text[i] in "_-"):
-                buf.append(text[i])
-                i += 1
-                col += 1
-            tokens.append(Token(IDENT, "".join(buf), start))
-            continue
-        run = [ch]
-        i += 1
-        col += 1
-        while i < n and text[i] not in ' \t\r\n#{},"<[|':
-            run.append(text[i])
-            i += 1
-            col += 1
-        errors.append(ParseError(start, "a valid token", repr("".join(run))))
-    tokens.append(Token(EOF, "", SourceSpan(filename, line, col)))
+                    span, f"a name inside '{value[0]}{value[-1]}'", "nothing"))
+            elif group == "open_ref":
+                errors.append(ParseError(
+                    span, f"closing '{_CLOSERS[value]}'", "end of line"))
+            else:
+                errors.append(ParseError(span, "a valid token", repr(value)))
+    tokens.append(Token(EOF, "", SourceSpan(filename, number, start + 1)))
     return tokens, errors
 
 

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .elicitation import _require
 from .model import (
     GUIDE_WORDS,
     GuideWord,
     HazardEntry,
     Model,
     RequirementRecord,
-    Responsibility,
     Severity,
     TraceRef,
-    UnknownResponsibility,
 )
 
 #: Assessed hazards at or above this severity get a mitigation stub.
@@ -35,13 +34,6 @@ class Worksheet:
     @property
     def assessed_rows(self) -> tuple[HazardEntry, ...]:
         return tuple(row for row in self.rows if row.assessed)
-
-
-def _require(model: Model, responsibility: str) -> Responsibility:
-    resp = model.responsibility_named(responsibility)
-    if resp is None:
-        raise UnknownResponsibility(responsibility, model)
-    return resp
 
 
 def generate_worksheet(model: Model, responsibility: str) -> Worksheet:

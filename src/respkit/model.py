@@ -17,6 +17,7 @@ and caches on the instance.  The maps are not fields: equality, hashing and
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 from functools import cached_property
@@ -84,6 +85,9 @@ class GuideWord(Enum):
 GUIDE_WORDS = tuple(GuideWord)
 GUIDE_WORD_TOKENS = ", ".join(g.value for g in GuideWord)
 
+# A maximal run of str.isalnum() characters: \w without the underscore.
+_ALNUM_RUN = re.compile(r"[^\W_]+")
+
 
 def slugify(name: str) -> str:
     """Deterministic identifier for a display name.
@@ -95,16 +99,7 @@ def slugify(name: str) -> str:
     trimmed = name.strip()
     if not trimmed:
         raise ValueError("cannot slugify an empty name")
-    runs: list[str] = []
-    buf: list[str] = []
-    for ch in trimmed.lower():
-        if ch.isalnum():
-            buf.append(ch)
-        elif buf:
-            runs.append("".join(buf))
-            buf = []
-    if buf:
-        runs.append("".join(buf))
+    runs = _ALNUM_RUN.findall(trimmed.lower())
     if not runs:
         raise ValueError(f"name {name!r} has no alphanumeric characters")
     return "-".join(runs)

@@ -31,7 +31,10 @@ from .model import Model, RequirementRecord, ResourceKind, TraceRef
 
 
 def _dot_quote(value: str) -> str:
-    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    # A name may hold a carriage return, which many readers take for a line
+    # end; the escape keeps each DOT statement on one line.
+    escaped = value.replace("\\", "\\\\").replace('"', '\\"').replace("\r", "\\r")
+    return f'"{escaped}"'
 
 
 def to_dot(model: Model) -> str:

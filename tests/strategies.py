@@ -30,13 +30,11 @@ from respkit.model import AgentKind, GuideWord, ResourceKind, Severity
 
 SPAN = SourceSpan("<generated>", 1, 1)
 
-# Safe inside every reference form and every quoted string.
-_NAME_ALPHABET = (
-    "abcdefghijklmnopqrstuvwxyz"
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    "0123456789"
-    " -'&.,"
-)
+# Characters the grammar or Unicode treat specially, drawn often so that
+# every name form meets them: comment and string delimiters, the escape,
+# blanks the scanner skips or keeps, every bracket, a letter with an accent,
+# numerals that are not letters, a combining mark and line-like separators.
+_SPECIAL = '#"\\\t\r <>[]|{},-_é²Ⅻ\u0301\x0b\x1c\u2028'
 
 
 def _clean(raw: str) -> str:
@@ -47,15 +45,26 @@ def _sluggable(name: str) -> bool:
     return bool(name) and any(c.isalnum() for c in name)
 
 
-names = (
-    st.text(alphabet=_NAME_ALPHABET, min_size=1, max_size=14)
-    .map(_clean)
-    .filter(_sluggable)
-)
+def _names(closer: str):
+    """Names drawn from every character that fits before ``closer``.
+
+    Quoted strings pass an empty closer: they escape '"' and '\\', so only
+    a line break ends them early.
+    """
+    excluded = closer + "\n"
+    chars = (st.characters(exclude_characters=excluded)
+             | st.sampled_from([c for c in _SPECIAL if c not in excluded]))
+    return st.text(chars, min_size=1, max_size=14).map(_clean).filter(_sluggable)
 
 
-def name_list(min_size: int, max_size: int):
-    return st.lists(names, min_size=min_size, max_size=max_size,
+agent_names = _names(">")
+physical_names = _names("]")
+information_names = _names("|")
+names = _names("")  # quoted: models, channels, responsibilities, prose
+
+
+def name_list(strategy, min_size: int, max_size: int):
+    return st.lists(strategy, min_size=min_size, max_size=max_size,
                     unique_by=slugify)
 
 
@@ -70,12 +79,15 @@ def declarations(draw,
                  agent_pool: list[str] | None = None,
                  resp_pool: list[str] | None = None):
     """One model's declaration list; pools allow correlated model pairs."""
-    agents = agent_pool if agent_pool is not None else draw(name_list(1, 4))
-    resource_names = draw(name_list(0, 5))
-    split = draw(st.integers(0, len(resource_names)))
-    info_names, phys_names = resource_names[:split], resource_names[split:]
-    channel_names = draw(name_list(0, 3))
-    resp_names = resp_pool if resp_pool is not None else draw(name_list(1, 4))
+    agents = (agent_pool if agent_pool is not None
+              else draw(name_list(agent_names, 1, 4)))
+    # Information and physical resources share one id space.
+    info_names = draw(name_list(information_names, 0, 3))
+    taken = {slugify(n) for n in info_names}
+    phys_names = [n for n in draw(name_list(physical_names, 0, 2))
+                  if slugify(n) not in taken]
+    channel_names = draw(name_list(names, 0, 3))
+    resp_names = resp_pool if resp_pool is not None else draw(name_list(names, 1, 4))
 
     decls = [ModelDecl(draw(names | st.just("")), SPAN)]
     for agent in agents:
@@ -142,8 +154,8 @@ def models(draw):
 @st.composite
 def model_pairs(draw):
     """Two models over shared agent and responsibility name pools."""
-    agents = draw(name_list(1, 3))
-    resps = draw(name_list(1, 3))
+    agents = draw(name_list(agent_names, 1, 3))
+    resps = draw(name_list(names, 1, 3))
     left = build_model(draw(declarations(agent_pool=agents, resp_pool=resps)))
     right = build_model(draw(declarations(agent_pool=agents, resp_pool=resps)))
     return left, right

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from respkit import build_model, print_model
 from respkit.dsl import (
@@ -9,6 +10,7 @@ from respkit.dsl import (
     ParseFailure,
     ResponsibilityDecl,
     UseClause,
+    _scan,
     parse_answers,
     parse_model,
     parse_requirements,
@@ -16,6 +18,7 @@ from respkit.dsl import (
 )
 from respkit.model import GuideWord, Model, Severity
 
+import reference_scanner
 from strategies import models
 
 
@@ -103,6 +106,112 @@ class TestParseModel:
     def test_determinism(self):
         text = 'model "M"\nagent <A> kind role\n'
         assert parse_model(text) == parse_model(text)
+
+
+# Scanner errors, pinned as the rendered ParseFailure text: message,
+# position and order.  Tabs and carriage returns count one column each.
+_ESCAPE = r"""expected escape '\"' or '\\'"""
+SCAN_ERRORS = [
+    ('model "a\\qb"', [
+        rf"t.resp:1:9: error: {_ESCAPE}, found '\q'"]),
+    ('model "a\\\nb"\n', [
+        "t.resp:1:7: error: expected closing '\"', found end of line",
+        f"t.resp:1:9: error: {_ESCAPE}, found end of file",
+        "t.resp:2:1: error: expected string, found identifier 'b'",
+        "t.resp:2:2: error: expected closing '\"', found end of line"]),
+    ('model "a\\', [
+        "t.resp:1:7: error: expected closing '\"', found end of line",
+        f"t.resp:1:9: error: {_ESCAPE}, found end of file",
+        "t.resp:1:10: error: expected string, found end of file"]),
+    ('model "abc\nagent <A>', [
+        "t.resp:1:7: error: expected closing '\"', found end of line",
+        "t.resp:2:1: error: expected string, found identifier 'agent'"]),
+    ("agent <A\nagent <B>", [
+        "t.resp:1:7: error: expected closing '>', found end of line",
+        "t.resp:2:1: error: expected agent reference, found identifier 'agent'"]),
+    ("resource [Kit\n", [
+        "t.resp:1:10: error: expected closing ']', found end of line",
+        "t.resp:2:1: error: expected a resource reference ([name] or |name|), "
+        "found end of file"]),
+    ("resource |Facts", [
+        "t.resp:1:10: error: expected closing '|', found end of line",
+        "t.resp:1:16: error: expected a resource reference ([name] or |name|), "
+        "found end of file"]),
+    ("agent < >", [
+        "t.resp:1:7: error: expected a name inside '<>', found nothing",
+        "t.resp:1:10: error: expected agent reference, found end of file"]),
+    ("agent @@x", [
+        "t.resp:1:7: error: expected a valid token, found '@@x'",
+        "t.resp:1:10: error: expected agent reference, found end of file"]),
+    ("agent 1abc", [
+        "t.resp:1:7: error: expected a valid token, found '1abc'",
+        "t.resp:1:11: error: expected agent reference, found end of file"]),
+    ("agent >", [
+        "t.resp:1:7: error: expected a valid token, found '>'",
+        "t.resp:1:8: error: expected agent reference, found end of file"]),
+    ("agent ²x", [
+        "t.resp:1:7: error: expected a valid token, found '²x'",
+        "t.resp:1:9: error: expected agent reference, found end of file"]),
+    ("agent Ⅻ", [
+        "t.resp:1:7: error: expected a valid token, found 'Ⅻ'",
+        "t.resp:1:8: error: expected agent reference, found end of file"]),
+    ("\tagent <A> 7", [
+        "t.resp:1:12: error: expected a valid token, found '7'"]),
+    ("\ragent <A> 7", [
+        "t.resp:1:12: error: expected a valid token, found '7'"]),
+    ("agent <A>#c\n7", [
+        "t.resp:2:1: error: expected a valid token, found '7'"]),
+    ('agent "x\\q" @ <>', [
+        r"t.resp:1:7: error: expected agent reference, found string 'x\\q'",
+        rf"t.resp:1:9: error: {_ESCAPE}, found '\q'",
+        "t.resp:1:13: error: expected a valid token, found '@'",
+        "t.resp:1:15: error: expected a name inside '<>', found nothing"]),
+    ('model "a\\\\" \x0b', [
+        r"t.resp:1:13: error: expected a valid token, found '\x0b'"]),
+    ("agent \u2028", [
+        r"t.resp:1:7: error: expected a valid token, found '\u2028'",
+        "t.resp:1:8: error: expected agent reference, found end of file"]),
+    ('responsibility "R" {\n  note "n"  # trailing', [
+        "t.resp:2:13: error: expected '}', found end of file"]),
+]
+
+
+@pytest.mark.parametrize("text, rendered", SCAN_ERRORS)
+def test_scan_errors_render_exactly(text, rendered):
+    with pytest.raises(ParseFailure) as excinfo:
+        parse_model(text, "t.resp")
+    assert str(excinfo.value) == "\n".join(rendered)
+
+
+# Keywords, delimiters, blanks and the characters the scanner treats
+# specially, so random text reaches every scanner and parser path.
+_DSL_PIECES = [
+    "model", "agent", "kind", "role", "resource", "channel", "medium",
+    "backup_of", "responsibility", "assigned", "to", "requires", "from", "via",
+    "criticality", "produces", "rationale", "uses", "hazard", "late",
+    "severity", "high", "mitigated_by", "precedes", "note", "elicitation",
+    "by", "date", "needs", "records", "hazards", "requirement", "text",
+    "traces", "R-1", "x", "_", "1", "é", "\u0301", "²", "Ⅻ", "@",
+    "{", "}", ",", '"', "\\", "<", ">", "[", "]", "|", "#",
+    " ", "\t", "\r", "\n", "\x0b", "\u2028",
+]
+dsl_text = st.lists(st.sampled_from(_DSL_PIECES), max_size=80).map("".join)
+
+
+class TestScannerFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text() | dsl_text)
+    def test_regex_scanner_matches_character_loop(self, text):
+        assert _scan(text, "f") == reference_scanner.scan(text, "f")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text() | dsl_text)
+    def test_parsers_raise_only_parse_failure(self, text):
+        for parse in (parse_model, parse_answers, parse_requirements):
+            try:
+                parse(text)
+            except ParseFailure:
+                pass
 
 
 class TestPrintModel:

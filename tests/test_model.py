@@ -49,6 +49,23 @@ class TestSlugify:
     def test_idempotent(self, name):
         assert slugify(slugify(name)) == slugify(name)
 
+    @given(st.text())
+    def test_matches_character_loop(self, name):
+        runs, buf = [], []
+        for ch in name.strip().lower():
+            if ch.isalnum():
+                buf.append(ch)
+            elif buf:
+                runs.append("".join(buf))
+                buf = []
+        if buf:
+            runs.append("".join(buf))
+        if runs:
+            assert slugify(name) == "-".join(runs)
+        else:
+            with pytest.raises(ValueError):
+                slugify(name)
+
 
 class TestSeverity:
     def test_total_order(self):

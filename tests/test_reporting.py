@@ -83,6 +83,14 @@ class TestToDot:
         check_dot(text)
         assert 'label="say \\"when\\""' in text
 
+    def test_carriage_returns_in_names_are_escaped(self):
+        model = build('model "plan\r2"\nresponsibility "say\rwhen" {}')
+        text = to_dot(model)
+        check_dot(text)
+        assert "\r" not in text
+        assert 'digraph "plan\\r2" {' in text
+        assert 'label="say\\rwhen"' in text
+
     def test_repeated_edges_are_emitted_once(self):
         model = build('responsibility "A" {\n'
                       '  assigned to <Ops>\n  requires |Map| from <Ops>\n'

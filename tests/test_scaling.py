@@ -99,9 +99,12 @@ def _requirements_text(rng: random.Random, n: int) -> str:
 
 def _inputs(n: int) -> dict:
     rng = random.Random(n)
-    model = build_model(parse_model(_model_text(rng, n)))
+    model_text = _model_text(rng, n)
+    declarations = parse_model(model_text)
+    model = build_model(declarations)
     other = build_model(parse_model(_model_text(rng, n)))
-    records = parse_requirements(_requirements_text(rng, n))
+    requirements_text = _requirements_text(rng, n)
+    records = parse_requirements(requirements_text)
     # Hazard traces resolve only against items some duty requires or produces.
     records += parse_requirements("".join(
         f"requirement HAZ-{r.id} {{\n"
@@ -109,8 +112,13 @@ def _inputs(n: int) -> dict:
         f"  traces hazard |{model.resource_name(r.needs[0].resource)}| late\n"
         f"}}\n"
         for r in model.responsibilities))
-    answers = parse_answers(_answers_text(rng, n))
+    answers_text = _answers_text(rng, n)
+    answers = parse_answers(answers_text)
     return {
+        "parse_model": (parse_model, model_text),
+        "parse_answers": (parse_answers, answers_text),
+        "parse_requirements": (parse_requirements, requirements_text),
+        "build_model": (build_model, declarations),
         "to_dot": (to_dot, model),
         "print_model": (print_model, model),
         "diff_models": (diff_models, model, other),
