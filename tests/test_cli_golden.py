@@ -1,0 +1,108 @@
+"""Byte-exact snapshots of every subcommand form on the evacuation corpus.
+
+Each form's stdout, stderr and exit status are pinned under
+``corpus/golden/cli/``.  Forms that read the merged model first write the
+output of ``ingest`` on the corpus answers to a temporary file.
+
+To regenerate the snapshots after an intended output change, run
+``PYTHONPATH=src python tests/test_cli_golden.py`` from the repository root
+and review the diff.
+"""
+
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from respkit import cli
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN_CLI = REPO / "corpus" / "golden" / "cli"
+
+RESP = "corpus/evacuation.resp"
+ANSWERS = "corpus/evacuation.answers"
+REQS = "corpus/evacuation.reqs"
+MERGED = "{merged}"
+DUTY = ("--responsibility", "Evacuate area")
+
+FORMS: dict[str, tuple[str, ...]] = {
+    "check": ("check", RESP),
+    "check_strict": ("check", RESP, "--strict"),
+    "analyze_text": ("analyze", RESP),
+    "analyze_json": ("analyze", RESP, "--format", "json"),
+    "elicit": ("elicit", RESP, *DUTY),
+    "ingest": ("ingest", RESP, ANSWERS),
+    "ingest_strict": ("ingest", RESP, ANSWERS, "--strict"),
+    "tables_md": ("tables", MERGED, *DUTY),
+    "tables_csv": ("tables", MERGED, *DUTY, "--format", "csv"),
+    "hazards_md": ("hazards", MERGED, *DUTY),
+    "hazards_csv": ("hazards", MERGED, *DUTY, "--format", "csv"),
+    "mitigations": ("mitigations", MERGED, *DUTY),
+    "requirements": ("requirements", MERGED, REQS),
+    "requirements_report": ("requirements", MERGED, REQS, "--report"),
+    "dot": ("dot", RESP),
+    "diff": ("diff", RESP, MERGED),
+}
+
+
+def _invoke(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    status = cli.run(list(argv), stdout=stdout, stderr=stderr)
+    return status, stdout.getvalue(), stderr.getvalue()
+
+
+def _run_form(name: str, workdir: Path):
+    """Run one form from the repository root; the merged model lives in
+    ``workdir`` and is named by a path relative to the root."""
+    merged = workdir / "merged.resp"
+    if not merged.exists():
+        status, out, err = _invoke(FORMS["ingest"])
+        assert (status, err) == (0, ""), err
+        merged.write_text(out, encoding="utf-8", newline="")
+    relative = os.path.relpath(merged, REPO)
+    return _invoke(a.replace(MERGED, relative) for a in FORMS[name])
+
+
+def _read(path: Path) -> str:
+    return path.read_bytes().decode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def statuses():
+    return json.loads(_read(GOLDEN_CLI / "status.json"))
+
+
+@pytest.fixture()
+def at_repo_root(monkeypatch, tmp_path):
+    monkeypatch.chdir(REPO)
+    return tmp_path
+
+
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_cli_form_matches_golden(name, statuses, at_repo_root):
+    status, out, err = _run_form(name, at_repo_root)
+    assert status == statuses[name]
+    assert out == _read(GOLDEN_CLI / f"{name}.out")
+    assert err == _read(GOLDEN_CLI / f"{name}.err")
+
+
+def _regenerate() -> None:
+    os.chdir(REPO)
+    GOLDEN_CLI.mkdir(parents=True, exist_ok=True)
+    statuses = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(FORMS):
+            status, out, err = _run_form(name, Path(tmp))
+            statuses[name] = status
+            (GOLDEN_CLI / f"{name}.out").write_bytes(out.encode("utf-8"))
+            (GOLDEN_CLI / f"{name}.err").write_bytes(err.encode("utf-8"))
+    (GOLDEN_CLI / "status.json").write_text(
+        json.dumps(statuses, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    sys.exit(_regenerate())
