@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from . import dsl
 from .model import (
@@ -48,30 +48,118 @@ class ModelBuildError(ValueError):
         super().__init__("\n".join(i.render() for i in self.issues))
 
 
-class _Builder:
-    def __init__(self) -> None:
-        self.issues: list[BuildIssue] = []
-        self.agents: dict[str, Agent] = {}
-        self.resources: dict[str, Resource] = {}
-        self.channels: dict[str, Channel] = {}
+Span = Optional[dsl.SourceSpan]
+
+
+class SymbolTable:
+    """The agents, resources and channels of one model, by id.
+
+    ``build_model`` and ``ingest_all`` both resolve names through a table.
+    It applies the slug rule, refuses a name whose id another name of the
+    same kind already holds, refuses a resource used as both kinds, and
+    declares an unknown name implicitly or, when ``strict``, refuses it.
+    Each problem goes to ``error(message, span)``: build collects them all,
+    ingest raises on the first.
+    """
+
+    def __init__(self, error: Callable[[str, Span], None],
+                 model: Optional[Model] = None, strict: bool = False):
+        self.error = error
+        self.strict = strict
+        self.agents: dict[str, Agent] = {a.id: a for a in model.agents} if model else {}
+        self.resources: dict[str, Resource] = \
+            {r.id: r for r in model.resources} if model else {}
+        self.channels: dict[str, Channel] = \
+            {c.id: c for c in model.channels} if model else {}
+        # Names are mentioned over and over; each is slugged once.
+        self._slugs: dict[str, str] = {}
         # Pending backup targets, resolved once all channels are known.
         self.backup_names: dict[str, tuple[str, dsl.SourceSpan]] = {}
 
-    def error(self, message: str, span: Optional[dsl.SourceSpan] = None) -> None:
-        self.issues.append(BuildIssue(message, span))
+    def slug(self, what: str, name: str, span: Span) -> Optional[str]:
+        """The id of ``name``, or None when it has no alphanumeric character."""
+        slug = self._slugs.get(name)
+        if slug is None:
+            try:
+                slug = self._slugs[name] = slugify(name)
+            except ValueError:
+                self.error(f"{what} name {name!r} needs at least one alphanumeric "
+                           "character", span)
+        return slug
 
-    def _slug(self, name: str, what: str, span: dsl.SourceSpan) -> Optional[str]:
-        try:
-            return slugify(name)
-        except ValueError:
-            self.error(f"{what} name {name!r} needs at least one alphanumeric "
-                       "character", span)
+    def _collide(self, what: str, existing, name: str, slug: str, span: Span) -> None:
+        """Report ``name`` whose id ``slug`` another name already holds."""
+        self.error(f"{what}s {existing.name!r} and {name.strip()!r} "
+                   f"collide on id '{slug}'", span)
+
+    def elements(self) -> dict[str, tuple]:
+        """The three element collections as ``Model`` fields, in canonical order."""
+        return {
+            "agents": canonical_elements(self.agents.values()),
+            "resources": canonical_elements(self.resources.values()),
+            "channels": canonical_elements(self.channels.values()),
+        }
+
+    # -- mentions -------------------------------------------------------------
+
+    def agent(self, name: str, span: Span = None) -> Optional[str]:
+        slug = self.slug("agent", name, span)
+        if slug is None:
             return None
+        existing = self.agents.get(slug)
+        if existing is not None:
+            if existing.name != name.strip():
+                self._collide("agent", existing, name, slug, span)
+        elif self.strict:
+            self.error(f"unknown agent <{name}>", span)
+            return None
+        else:
+            self.agents[slug] = Agent(slug, name.strip(), AgentKind.ORGANIZATION,
+                                      implicit=True)
+        return slug
 
-    # -- explicit declarations ----------------------------------------------
+    def resource(self, name: str, kind: ResourceKind,
+                 span: Span = None) -> Optional[str]:
+        slug = self.slug("resource", name, span)
+        if slug is None:
+            return None
+        existing = self.resources.get(slug)
+        if existing is not None:
+            if existing.name != name.strip():
+                self._collide("resource", existing, name, slug, span)
+            elif existing.kind is not kind:
+                self.error(f"conflicting resource kind: {existing.name!r} is "
+                           f"{existing.kind.value} but is used as {kind.value}", span)
+        elif self.strict:
+            ref = f"|{name}|" if kind is ResourceKind.INFORMATION else f"[{name}]"
+            self.error(f"unknown {kind.value} resource {ref}", span)
+            return None
+        else:
+            self.resources[slug] = Resource(slug, name.strip(), kind, implicit=True)
+        return slug
+
+    def channel(self, name: str, span: Span = None) -> Optional[str]:
+        slug = self.slug("channel", name, span)
+        if slug is None:
+            return None
+        existing = self.channels.get(slug)
+        if existing is not None:
+            if existing.name != name.strip():
+                self._collide("channel", existing, name, slug, span)
+        elif self.strict:
+            self.error(f'unknown channel "{name}"', span)
+            return None
+        else:
+            self.channels[slug] = Channel(slug, name.strip(), implicit=True)
+        return slug
+
+    # -- explicit declarations ------------------------------------------------
+    #
+    # build_model declares every element before it resolves any mention, so
+    # a declaration never meets an implicit element.
 
     def declare_agent(self, decl: dsl.AgentDecl) -> None:
-        slug = self._slug(decl.name, "agent", decl.span)
+        slug = self.slug("agent", decl.name, decl.span)
         if slug is None:
             return
         kind = decl.kind or AgentKind.ORGANIZATION
@@ -79,99 +167,40 @@ class _Builder:
         if existing is None:
             self.agents[slug] = Agent(slug, decl.name.strip(), kind)
         elif existing.name != decl.name.strip():
-            self.error(f"agents {existing.name!r} and {decl.name.strip()!r} "
-                       f"collide on id '{slug}'", decl.span)
-        elif existing.implicit:
-            self.agents[slug] = Agent(slug, existing.name, kind)
+            self._collide("agent", existing, decl.name, slug, decl.span)
         elif decl.kind is not None and existing.kind is not kind:
             self.error(f"conflicting agent kind for <{existing.name}>: "
                        f"{existing.kind.value} vs {kind.value}", decl.span)
 
-    def declare_resource(self, name: str, kind: ResourceKind,
-                         span: dsl.SourceSpan, implicit: bool = False) -> Optional[str]:
-        slug = self._slug(name, "resource", span)
+    def declare_resource(self, decl: dsl.ResourceDecl) -> None:
+        slug = self.slug("resource", decl.name, decl.span)
         if slug is None:
-            return None
+            return
         existing = self.resources.get(slug)
         if existing is None:
-            self.resources[slug] = Resource(slug, name.strip(), kind, implicit)
-            return slug
-        if existing.name != name.strip():
-            self.error(f"resources {existing.name!r} and {name.strip()!r} "
-                       f"collide on id '{slug}'", span)
-            return slug
-        if existing.kind is not kind:
+            self.resources[slug] = Resource(slug, decl.name.strip(), decl.kind)
+        elif existing.name != decl.name.strip():
+            self._collide("resource", existing, decl.name, slug, decl.span)
+        elif existing.kind is not decl.kind:
             self.error(f"conflicting resource kind: {existing.name!r} is "
-                       f"{existing.kind.value} and {kind.value}", span)
-            return slug
-        if existing.implicit and not implicit:
-            self.resources[slug] = Resource(slug, name.strip(), kind)
-        return slug
+                       f"{existing.kind.value} and {decl.kind.value}", decl.span)
 
     def declare_channel(self, decl: dsl.ChannelDecl) -> None:
-        slug = self._slug(decl.name, "channel", decl.span)
+        slug = self.slug("channel", decl.name, decl.span)
         if slug is None:
             return
         existing = self.channels.get(slug)
-        if existing is not None and existing.name != decl.name.strip():
-            self.error(f"channels {existing.name!r} and {decl.name.strip()!r} "
-                       f"collide on id '{slug}'", decl.span)
-            return
-        if existing is not None and not existing.implicit:
+        if existing is None:
+            self.channels[slug] = Channel(slug, decl.name.strip(), decl.medium)
+            if decl.backup_of is not None:
+                self.backup_names[slug] = (decl.backup_of, decl.span)
+        elif existing.name != decl.name.strip():
+            self._collide("channel", existing, decl.name, slug, decl.span)
+        else:
             prior_backup = self.backup_names.get(slug, (None, None))[0]
             if existing.medium != decl.medium or prior_backup != decl.backup_of:
                 self.error(f"conflicting re-declaration of channel "
                            f"{existing.name!r}", decl.span)
-            return
-        self.channels[slug] = Channel(slug, decl.name.strip(), decl.medium)
-        if decl.backup_of is not None:
-            self.backup_names[slug] = (decl.backup_of, decl.span)
-
-    # -- implicit mentions ----------------------------------------------------
-
-    def mention_agent(self, name: str, span: dsl.SourceSpan) -> Optional[str]:
-        slug = self._slug(name, "agent", span)
-        if slug is None:
-            return None
-        existing = self.agents.get(slug)
-        if existing is None:
-            self.agents[slug] = Agent(slug, name.strip(),
-                                      AgentKind.ORGANIZATION, implicit=True)
-        elif existing.name != name.strip():
-            self.error(f"agents {existing.name!r} and {name.strip()!r} collide "
-                       f"on id '{slug}'", span)
-        return slug
-
-    def mention_resource(self, name: str, kind: ResourceKind,
-                         span: dsl.SourceSpan) -> Optional[str]:
-        slug = self._slug(name, "resource", span)
-        if slug is None:
-            return None
-        existing = self.resources.get(slug)
-        if existing is None:
-            self.resources[slug] = Resource(slug, name.strip(), kind, implicit=True)
-            return slug
-        if existing.name != name.strip():
-            self.error(f"resources {existing.name!r} and {name.strip()!r} "
-                       f"collide on id '{slug}'", span)
-        elif existing.kind is not kind:
-            self.error(f"conflicting resource kind: {existing.name!r} is "
-                       f"{existing.kind.value} but is used as {kind.value}", span)
-        return slug
-
-    def mention_channel(self, name: str, span: dsl.SourceSpan) -> Optional[str]:
-        slug = self._slug(name, "channel", span)
-        if slug is None:
-            return None
-        existing = self.channels.get(slug)
-        if existing is None:
-            self.channels[slug] = Channel(slug, name.strip(), implicit=True)
-        elif existing.name != name.strip():
-            self.error(f"channels {existing.name!r} and {name.strip()!r} collide "
-                       f"on id '{slug}'", span)
-        return slug
-
-    # -- backup resolution ----------------------------------------------------
 
     def resolve_backups(self) -> None:
         for slug, (target_name, span) in self.backup_names.items():
@@ -197,16 +226,62 @@ class _Builder:
                 if current in seen:
                     self.error(
                         f"backup chain through channel "
-                        f"{self.channels[slug].name!r} is cyclic")
+                        f"{self.channels[slug].name!r} is cyclic", None)
                     return
                 seen.add(current)
                 chan = self.channels.get(current)
                 current = chan.backup_of if chan else None
 
 
+def fold_duty(duty: Responsibility, needs: Iterable[InfoNeed],
+              products: Iterable[InfoProduct],
+              hazards: Iterable[tuple[HazardEntry, str]],
+              orphan: Callable[[str], None]) -> dict[str, tuple]:
+    """The needs, products and hazards of ``duty`` with the given ones merged
+    in, as ``Responsibility`` fields.
+
+    A need or product for an item ``duty`` already has, or a hazard for an
+    (item, guide word) it already has, merges into it; a new one is
+    appended.  Each hazard comes with its item's name as the caller reports
+    it: ``orphan`` is called with that name for each new hazard whose item
+    the merged duty neither requires nor produces.
+    """
+    merged_needs = {n.resource: n for n in duty.needs}
+    for need in needs:
+        old = merged_needs.get(need.resource)
+        merged_needs[need.resource] = need if old is None else old.merged_with(need)
+    merged_products = {p.resource: p for p in duty.products}
+    for product in products:
+        old = merged_products.get(product.resource)
+        merged_products[product.resource] = \
+            product if old is None else old.merged_with(product)
+    known = merged_needs.keys() | merged_products.keys()
+    merged_hazards = {(h.item, h.guide_word): h for h in duty.hazards}
+    for entry, item_name in hazards:
+        key = (entry.item, entry.guide_word)
+        old = merged_hazards.get(key)
+        if old is not None:
+            merged_hazards[key] = old.merged_with(entry)
+            continue
+        if entry.item not in known:
+            orphan(item_name)
+        merged_hazards[key] = entry
+    return {"needs": tuple(merged_needs.values()),
+            "products": tuple(merged_products.values()),
+            "hazards": tuple(merged_hazards.values())}
+
+
+_NO_DUTY = Responsibility("", "")
+
+
 def build_model(declarations: list[dsl.Declaration]) -> Model:
     """Resolve declarations into a model, or raise ModelBuildError."""
-    builder = _Builder()
+    issues: list[BuildIssue] = []
+
+    def error(message: str, span: Span) -> None:
+        issues.append(BuildIssue(message, span))
+
+    table = SymbolTable(error)
     name = ""
     resp_decls: list[dsl.ResponsibilityDecl] = []
 
@@ -214,58 +289,49 @@ def build_model(declarations: list[dsl.Declaration]) -> Model:
         if isinstance(decl, dsl.ModelDecl):
             name = decl.name
         elif isinstance(decl, dsl.AgentDecl):
-            builder.declare_agent(decl)
+            table.declare_agent(decl)
         elif isinstance(decl, dsl.ResourceDecl):
-            builder.declare_resource(decl.name, decl.kind, decl.span)
+            table.declare_resource(decl)
         elif isinstance(decl, dsl.ChannelDecl):
-            builder.declare_channel(decl)
+            table.declare_channel(decl)
         elif isinstance(decl, dsl.ResponsibilityDecl):
             resp_decls.append(decl)
 
     responsibilities: dict[str, Responsibility] = {}
-    spans: dict[str, dsl.SourceSpan] = {}
     precedes: list[tuple[str, str, dsl.SourceSpan]] = []
+    orphans: list[BuildIssue] = []
 
     for decl in resp_decls:
-        slug = builder._slug(decl.name, "responsibility", decl.span)
+        slug = table.slug("responsibility", decl.name, decl.span)
         if slug is None:
             continue
         if slug in responsibilities:
             other = responsibilities[slug].name
             if other == decl.name:
-                builder.error(f"duplicate responsibility {decl.name!r}", decl.span)
+                error(f"duplicate responsibility {decl.name!r}", decl.span)
             else:
-                builder.error(f"responsibilities {other!r} and {decl.name!r} "
-                              f"collide on id '{slug}'", decl.span)
+                error(f"responsibilities {other!r} and {decl.name!r} "
+                      f"collide on id '{slug}'", decl.span)
             continue
-        responsibilities[slug] = _build_responsibility(builder, slug, decl, precedes)
-        spans[slug] = decl.span
-
-    # Hazard items must be required or produced by their responsibility.
-    for slug, resp in responsibilities.items():
-        known = {n.resource for n in resp.needs} | {p.resource for p in resp.products}
-        for entry in resp.hazards:
-            if entry.item not in known:
-                item_name = builder.resources[entry.item].name \
-                    if entry.item in builder.resources else entry.item
-                builder.error(
-                    f'hazard on |{item_name}| but "{resp.name}" neither '
-                    f"requires nor produces it", spans[slug])
+        responsibilities[slug] = _build_responsibility(
+            table, slug, decl, precedes, orphans)
+    # Reported after every responsibility's own issues, as they always were.
+    issues.extend(orphans)
 
     links: list[tuple[str, str]] = []
     by_name = {r.name: slug for slug, r in responsibilities.items()}
     for source_slug, target_name, span in precedes:
         target = by_name.get(target_name)
         if target is None:
-            builder.error(f"precedes target {target_name!r} is not a declared "
-                          f"responsibility", span)
+            error(f"precedes target {target_name!r} is not a declared "
+                  f"responsibility", span)
             continue
         links.append((source_slug, target))
 
-    builder.resolve_backups()
+    table.resolve_backups()
 
-    if builder.issues:
-        raise ModelBuildError(builder.issues)
+    if issues:
+        raise ModelBuildError(issues)
 
     ordered_resps = canonical_elements(responsibilities.values())
     resp_name = {slug: r.name for slug, r in responsibilities.items()}
@@ -276,86 +342,73 @@ def build_model(declarations: list[dsl.Declaration]) -> Model:
 
     return Model(
         name=name,
-        agents=canonical_elements(builder.agents.values()),
-        resources=canonical_elements(builder.resources.values()),
-        channels=canonical_elements(builder.channels.values()),
         responsibilities=ordered_resps,
         sequence_links=ordered_links,
+        **table.elements(),
     )
 
 
 def _build_responsibility(
-    builder: _Builder,
+    table: SymbolTable,
     slug: str,
     decl: dsl.ResponsibilityDecl,
     precedes: list[tuple[str, str, dsl.SourceSpan]],
+    orphans: list[BuildIssue],
 ) -> Responsibility:
     assigned: list[str] = []
-    needs: dict[str, InfoNeed] = {}
-    products: dict[str, InfoProduct] = {}
+    needs: list[InfoNeed] = []
+    products: list[InfoProduct] = []
     uses: list[str] = []
     notes: list[str] = []
-    hazards: dict[tuple[str, object], HazardEntry] = {}
+    hazards: list[tuple[HazardEntry, str]] = []
 
     for item in decl.items:
         if isinstance(item, dsl.AssignClause):
             for agent_name in item.agents:
-                agent_id = builder.mention_agent(agent_name, item.span)
+                agent_id = table.agent(agent_name, item.span)
                 if agent_id:
                     assigned.append(agent_id)
         elif isinstance(item, dsl.RequireClause):
-            resource = builder.mention_resource(
-                item.resource, ResourceKind.INFORMATION, item.span)
+            resource = table.resource(item.resource, ResourceKind.INFORMATION, item.span)
             if resource is None:
                 continue
-            sources = [s for s in (builder.mention_agent(a, item.span)
+            sources = [s for s in (table.agent(a, item.span)
                                    for a in item.sources) if s]
-            channels = [c for c in (builder.mention_channel(ch, item.span)
+            channels = [c for c in (table.channel(ch, item.span)
                                     for ch in item.channels) if c]
-            need = InfoNeed(resource, tuple(sources), tuple(channels),
-                            item.criticality)
-            needs[resource] = needs[resource].merged_with(need) \
-                if resource in needs else need
+            needs.append(InfoNeed(resource, tuple(sources), tuple(channels),
+                                  item.criticality))
         elif isinstance(item, dsl.ProduceClause):
-            resource = builder.mention_resource(
-                item.resource, ResourceKind.INFORMATION, item.span)
+            resource = table.resource(item.resource, ResourceKind.INFORMATION, item.span)
             if resource is None:
                 continue
-            channels = [c for c in (builder.mention_channel(ch, item.span)
+            channels = [c for c in (table.channel(ch, item.span)
                                     for ch in item.channels) if c]
-            product = InfoProduct(resource, tuple(channels), item.rationale)
-            products[resource] = products[resource].merged_with(product) \
-                if resource in products else product
+            products.append(InfoProduct(resource, tuple(channels), item.rationale))
         elif isinstance(item, dsl.UseClause):
-            resource = builder.mention_resource(
-                item.resource, ResourceKind.PHYSICAL, item.span)
+            resource = table.resource(item.resource, ResourceKind.PHYSICAL, item.span)
             if resource:
                 uses.append(resource)
         elif isinstance(item, dsl.HazardClause):
-            resource = builder.mention_resource(
-                item.item, ResourceKind.INFORMATION, item.span)
+            resource = table.resource(item.item, ResourceKind.INFORMATION, item.span)
             if resource is None:
                 continue
             entry = HazardEntry(decl.name, resource, item.guide_word,
                                 item.consequence, item.severity, item.mitigated_by)
-            key = (resource, item.guide_word)
-            hazards[key] = hazards[key].merged_with(entry) \
-                if key in hazards else entry
+            hazards.append((entry, table.resources[resource].name))
         elif isinstance(item, dsl.PrecedesClause):
             precedes.append((slug, item.target, item.span))
         elif isinstance(item, dsl.NoteClause):
             notes.append(item.text)
 
-    return Responsibility(
-        id=slug,
-        name=decl.name,
-        assigned_to=dedupe(assigned),
-        needs=tuple(needs.values()),
-        products=tuple(products.values()),
-        uses=dedupe(uses),
-        notes=tuple(notes),
-        hazards=tuple(hazards.values()),
-    )
+    def orphan(item_name: str) -> None:
+        orphans.append(BuildIssue(
+            f'hazard on |{item_name}| but "{decl.name}" neither requires nor '
+            f"produces it", decl.span))
+
+    return Responsibility(slug, decl.name, dedupe(assigned), uses=dedupe(uses),
+                          notes=tuple(notes),
+                          **fold_duty(_NO_DUTY, needs, products, hazards, orphan))
 
 
 def load_model(source: Union[str, Path], filename: Optional[str] = None) -> Model:

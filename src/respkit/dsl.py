@@ -373,6 +373,27 @@ class _Parser:
                 tok.span, f"one of {GUIDE_WORD_TOKENS}", f"{tok.value!r}"))
 
 
+def _channels(parser: _Parser) -> tuple[str, ...]:
+    if parser.accept(IDENT, "via"):
+        return tuple(s.strip() for s in parser.comma_list(STRING))
+    return ()
+
+
+def _need_tail(parser: _Parser) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """``[from <agent>, ...] [via "channel", ...]`` after a needed item, in
+    a ``requires`` clause and an answers ``needs`` line alike."""
+    sources = parser.comma_list(AGENT_REF) if parser.accept(IDENT, "from") else ()
+    return sources, _channels(parser)
+
+
+def _product_tail(parser: _Parser) -> tuple[tuple[str, ...], Optional[str]]:
+    """``[via "channel", ...] [rationale "why"]`` after a produced item, in a
+    ``produces`` clause and an answers ``records`` line alike."""
+    channels = _channels(parser)
+    rationale = parser.expect(STRING).value if parser.accept(IDENT, "rationale") else None
+    return channels, rationale
+
+
 def _finish(errors: list[ParseError]) -> None:
     if errors:
         errors.sort(key=lambda e: (e.span.file, e.span.line, e.span.column))
@@ -491,26 +512,15 @@ def _parse_responsibility(parser: _Parser) -> ResponsibilityDecl:
         elif word == "requires":
             parser.advance()
             resource = parser.expect(INFO_REF).value
-            sources: tuple[str, ...] = ()
-            channels: tuple[str, ...] = ()
+            sources, channels = _need_tail(parser)
             criticality = None
-            if parser.accept(IDENT, "from"):
-                sources = parser.comma_list(AGENT_REF)
-            if parser.accept(IDENT, "via"):
-                channels = tuple(s.strip() for s in parser.comma_list(STRING))
             if parser.accept(IDENT, "criticality"):
                 criticality = parser.severity_token()
             items.append(RequireClause(resource, sources, channels, criticality, tok.span))
         elif word == "produces":
             parser.advance()
             resource = parser.expect(INFO_REF).value
-            channels = ()
-            rationale = None
-            if parser.accept(IDENT, "via"):
-                channels = tuple(s.strip() for s in parser.comma_list(STRING))
-            if parser.accept(IDENT, "rationale"):
-                rationale = parser.expect(STRING).value
-            items.append(ProduceClause(resource, channels, rationale, tok.span))
+            items.append(ProduceClause(resource, *_product_tail(parser), tok.span))
         elif word == "uses":
             parser.advance()
             resource = parser.expect(PHYS_REF).value
@@ -593,13 +603,7 @@ def _parse_session(parser: _Parser) -> ElicitationRecord:
                     raise _SyntaxError(ParseError(parser.current.span, "'}'", EOF))
                 resource = parser.expect(
                     INFO_REF, expected="an information item (|name|) or '}'").value
-                sources: tuple[str, ...] = ()
-                channels: tuple[str, ...] = ()
-                if parser.accept(IDENT, "from"):
-                    sources = parser.comma_list(AGENT_REF)
-                if parser.accept(IDENT, "via"):
-                    channels = tuple(s.strip() for s in parser.comma_list(STRING))
-                needs.append(NeedAnswer(resource, sources, channels))
+                needs.append(NeedAnswer(resource, *_need_tail(parser)))
         elif parser.accept(IDENT, "records"):
             parser.expect(LBRACE)
             while not parser.accept(RBRACE):
@@ -607,13 +611,7 @@ def _parse_session(parser: _Parser) -> ElicitationRecord:
                     raise _SyntaxError(ParseError(parser.current.span, "'}'", EOF))
                 resource = parser.expect(
                     INFO_REF, expected="an information item (|name|) or '}'").value
-                channels = ()
-                rationale = None
-                if parser.accept(IDENT, "via"):
-                    channels = tuple(s.strip() for s in parser.comma_list(STRING))
-                if parser.accept(IDENT, "rationale"):
-                    rationale = parser.expect(STRING).value
-                recorded.append(RecordAnswer(resource, channels, rationale))
+                recorded.append(RecordAnswer(resource, *_product_tail(parser)))
         elif parser.accept(IDENT, "hazards"):
             item = parser.expect(INFO_REF).value
             parser.expect(LBRACE)

@@ -10,54 +10,38 @@ as free text, so channel coverage stays analysable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 
 from . import dsl
+from .build import SymbolTable, fold_duty
 from .model import (
-    Agent,
-    AgentKind,
-    Channel,
     ElicitationRecord,
     HazardEntry,
     InfoNeed,
     InfoProduct,
     Model,
-    Resource,
     ResourceKind,
     Responsibility,
     UnknownResponsibility,
-    canonical_elements,
-    slugify,
 )
-
-
-class AnswerSlot(Enum):
-    NEED_LINES = "needs"
-    CHANNEL_ANNOTATIONS = "channels"
-    RECORD_LINES = "records"
-    HAZARD_BLOCKS = "hazards"
 
 
 @dataclass(frozen=True)
 class Question:
     number: int
     prompt: str
-    slot: AnswerSlot
 
 
 QUESTIONS: tuple[Question, ...] = (
     Question(1, "What information needs to be provided to discharge this "
-                "responsibility?", AnswerSlot.NEED_LINES),
-    Question(2, "What channels are used to communicate this information?",
-             AnswerSlot.CHANNEL_ANNOTATIONS),
-    Question(3, "Where does this information come from?", AnswerSlot.NEED_LINES),
+                "responsibility?"),
+    Question(2, "What channels are used to communicate this information?"),
+    Question(3, "Where does this information come from?"),
     Question(4, "What information is generated and recorded in the discharge "
-                "of this responsibility and why?", AnswerSlot.RECORD_LINES),
+                "of this responsibility and why?"),
     Question(5, "What channels are used to communicate this recorded "
-                "information?", AnswerSlot.CHANNEL_ANNOTATIONS),
+                "information?"),
     Question(6, "What are the consequences if the information required is "
-                "unavailable, inaccurate, incomplete, late, early?",
-             AnswerSlot.HAZARD_BLOCKS),
+                "unavailable, inaccurate, incomplete, late, early?"),
 )
 
 _SLOT_HINTS = {
@@ -145,107 +129,32 @@ class IngestError(ValueError):
     pass
 
 
-class _Resolver:
-    """Resolves answer references against a model, growing it when lenient."""
-
-    def __init__(self, model: Model, strict: bool):
-        self.strict = strict
-        self.agents = {a.id: a for a in model.agents}
-        self.resources = {r.id: r for r in model.resources}
-        self.channels = {c.id: c for c in model.channels}
-
-    def agent(self, name: str) -> str:
-        slug = slugify(name)
-        existing = self.agents.get(slug)
-        if existing is not None:
-            if existing.name != name.strip():
-                raise IngestError(f"agents {existing.name!r} and {name.strip()!r} "
-                                  f"collide on id '{slug}'")
-            return slug
-        if self.strict:
-            raise IngestError(f"unknown agent <{name}>")
-        self.agents[slug] = Agent(slug, name.strip(), AgentKind.ORGANIZATION,
-                                  implicit=True)
-        return slug
-
-    def information(self, name: str) -> str:
-        slug = slugify(name)
-        existing = self.resources.get(slug)
-        if existing is not None:
-            if existing.name != name.strip():
-                raise IngestError(f"resources {existing.name!r} and "
-                                  f"{name.strip()!r} collide on id '{slug}'")
-            if existing.kind is not ResourceKind.INFORMATION:
-                raise IngestError(f"conflicting resource kind: {existing.name!r} "
-                                  "is physical but is used as information")
-            return slug
-        if self.strict:
-            raise IngestError(f"unknown information resource |{name}|")
-        self.resources[slug] = Resource(slug, name.strip(),
-                                        ResourceKind.INFORMATION, implicit=True)
-        return slug
-
-    def channel(self, name: str) -> str:
-        slug = slugify(name)
-        existing = self.channels.get(slug)
-        if existing is not None:
-            if existing.name != name.strip():
-                raise IngestError(f"channels {existing.name!r} and "
-                                  f"{name.strip()!r} collide on id '{slug}'")
-            return slug
-        if self.strict:
-            raise IngestError(f'unknown channel "{name}"')
-        self.channels[slug] = Channel(slug, name.strip(), implicit=True)
-        return slug
+def _refuse(message: str, span: object) -> None:
+    raise IngestError(message)
 
 
 def _merge(resp: Responsibility, record: ElicitationRecord,
-           resolver: _Resolver) -> Responsibility:
+           table: SymbolTable) -> Responsibility:
     """Fold one answer record into one responsibility."""
-    needs = list(resp.needs)
-    for answer in record.needs:
-        resource = resolver.information(answer.resource)
-        sources = tuple(resolver.agent(a) for a in answer.sources)
-        channels = tuple(resolver.channel(c) for c in answer.channels)
-        new_need = InfoNeed(resource, sources, channels)
-        for i, existing in enumerate(needs):
-            if existing.resource == resource:
-                needs[i] = existing.merged_with(new_need)
-                break
-        else:
-            needs.append(new_need)
+    info = ResourceKind.INFORMATION
 
-    products = list(resp.products)
-    for answer in record.records:
-        resource = resolver.information(answer.resource)
-        channels = tuple(resolver.channel(c) for c in answer.channels)
-        new_product = InfoProduct(resource, channels, answer.rationale)
-        for i, existing in enumerate(products):
-            if existing.resource == resource:
-                products[i] = existing.merged_with(new_product)
-                break
-        else:
-            products.append(new_product)
+    def orphan(item_name: str) -> None:
+        raise IngestError(f"hazard block for |{item_name}| but "
+                          f'"{resp.name}" neither requires nor produces it')
 
-    known = {n.resource for n in needs} | {p.resource for p in products}
-    hazards = list(resp.hazards)
-    for answer in record.hazards:
-        item = resolver.information(answer.item)
-        if item not in known:
-            raise IngestError(
-                f"hazard block for |{answer.item}| but "
-                f'"{resp.name}" neither requires nor produces it')
-        entry = HazardEntry(resp.name, item, answer.guide_word,
-                            answer.consequence, answer.severity)
-        for i, existing in enumerate(hazards):
-            if (existing.item, existing.guide_word) == (item, answer.guide_word):
-                hazards[i] = existing.merged_with(entry)
-                break
-        else:
-            hazards.append(entry)
-
-    return replace(resp, needs=tuple(needs), products=tuple(products),
-                   hazards=tuple(hazards))
+    return replace(resp, **fold_duty(
+        resp,
+        (InfoNeed(table.resource(a.resource, info),
+                  tuple(table.agent(s) for s in a.sources),
+                  tuple(table.channel(c) for c in a.channels))
+         for a in record.needs),
+        (InfoProduct(table.resource(a.resource, info),
+                     tuple(table.channel(c) for c in a.channels), a.rationale)
+         for a in record.records),
+        ((HazardEntry(resp.name, table.resource(a.item, info), a.guide_word,
+                      a.consequence, a.severity), a.item)
+         for a in record.hazards),
+        orphan))
 
 
 def ingest_all(model: Model, records: list[ElicitationRecord],
@@ -256,21 +165,19 @@ def ingest_all(model: Model, records: list[ElicitationRecord],
     recorded is removed, and applying the same records twice equals
     applying them once.  Strict mode refuses references the model cannot
     resolve; otherwise they are declared implicitly.  All records share one
-    resolver and the new model is built once, at the end.
+    symbol table and the new model is built once, at the end.
     """
     if not records:
         return model
-    resolver = _Resolver(model, strict)
+    table = SymbolTable(_refuse, model, strict)
     merged: dict[str, Responsibility] = {}
     for record in records:
         resp = _require(model, record.responsibility)
-        merged[resp.id] = _merge(merged.get(resp.id, resp), record, resolver)
+        merged[resp.id] = _merge(merged.get(resp.id, resp), record, table)
     return replace(
         model,
-        agents=canonical_elements(resolver.agents.values()),
-        resources=canonical_elements(resolver.resources.values()),
-        channels=canonical_elements(resolver.channels.values()),
         responsibilities=tuple(merged.get(r.id, r) for r in model.responsibilities),
+        **table.elements(),
     )
 
 

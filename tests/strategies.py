@@ -1,9 +1,10 @@
-"""Hypothesis strategies for random but well-formed models.
+"""Hypothesis strategies for random models and random DSL text.
 
 Models are generated as declaration lists and resolved through the normal
 builder, so they carry exactly the invariants real parsed models have.
 References only name declared elements; implicit-declaration behaviour is
-covered by unit tests instead.
+covered by unit tests instead.  The text strategies feed the scanner,
+parsers and command line with arbitrary input weighted towards the DSL.
 """
 
 from __future__ import annotations
@@ -159,3 +160,103 @@ def model_pairs(draw):
     left = build_model(draw(declarations(agent_pool=agents, resp_pool=resps)))
     right = build_model(draw(declarations(agent_pool=agents, resp_pool=resps)))
     return left, right
+
+
+# Keywords, delimiters, blanks and the characters the scanner treats
+# specially, so random text reaches every scanner and parser path.
+_DSL_PIECES = [
+    "model", "agent", "kind", "role", "resource", "channel", "medium",
+    "backup_of", "responsibility", "assigned", "to", "requires", "from", "via",
+    "criticality", "produces", "rationale", "uses", "hazard", "late",
+    "severity", "high", "mitigated_by", "precedes", "note", "elicitation",
+    "by", "date", "needs", "records", "hazards", "requirement", "text",
+    "traces", "R-1", "x", "_", "1", "é", "\u0301", "²", "Ⅻ", "@",
+    "{", "}", ",", '"', "\\", "<", ">", "[", "]", "|", "#",
+    " ", "\t", "\r", "\n", "\x0b", "\u2028",
+]
+dsl_text = st.lists(st.sampled_from(_DSL_PIECES), max_size=80).map("".join)
+
+# Documents of all three formats built from whole lines and blocks over a
+# small pool of names, so random input often parses and reaches build,
+# ingest and the renderers.  Now and then a name collides with a pool name
+# on one id or has no alphanumeric character, and a document ends in a
+# stray line, so that the error paths stay in play without making every
+# document fail.
+_LINE_NAMES = ["Ops", " Ops ", "Map", "Radio", "Duty", "Other", "é", "R-1"]
+_ODD_NAMES = ["ops", "map!", "!!!", "--"]
+_DECLARATIONS = [
+    "agent <{0}>", "agent <{0}> kind role", "resource |{0}|", "resource [{0} kit]",
+    'channel "{0}"', 'channel "{0}" medium radio backup_of "{1}"',
+]
+_DUTY_CLAUSES = [
+    "assigned to <{0}>, <{1}>", "requires |{0}|",
+    'requires |{0}| from <{1}> via "{2}" criticality high',
+    'produces |{0}| via "{1}" rationale "{2}"', "uses [{0} kit]",
+    'hazard |Map| late "{1}" severity critical',
+    'hazard |{0}| early "{1}" mitigated_by R-1', 'precedes "Other"', 'note "{0}"',
+]
+_NEED_LINES = ["|{0}|", '|{0}| from <{1}>, <{2}> via "{0}"']
+_RECORD_LINES = ["|{0}|", '|{0}| via "{1}" rationale "{2}"']
+_HAZARD_LINES = ['unavailable "{0}" severity high', 'late "{0}"']
+_TRACE_LINES = [
+    'text "{0}"', 'rationale "{0}"', "traces <{0}>", "traces |{0}|",
+    "traces [{0}]", 'traces responsibility "{0}"', "traces hazard |{0}| late",
+    "derived_from |{0}|",
+]
+# Block names: duties, sessions, hazard items and requirement ids.  Few
+# enough that sessions often name a duty the model has.
+_DUTY_NAMES = st.sampled_from(["Duty", "Other", "Spare"])
+_ALL_LINES = (['model "{0}"', "resource [{0}]"] + _DECLARATIONS + _DUTY_CLAUSES + _NEED_LINES + _RECORD_LINES
+              + _HAZARD_LINES + _TRACE_LINES)
+
+
+def _line(templates, odd=40):
+    """One line of ``templates``; one name in ``odd`` is an odd one."""
+    name = st.builds(lambda usual, odd_name, is_odd: odd_name if is_odd else usual,
+                     st.sampled_from(_LINE_NAMES), st.sampled_from(_ODD_NAMES),
+                     one_in(odd))
+    return st.builds(lambda t, names: t.format(*names), st.sampled_from(templates),
+                     st.lists(name, min_size=3, max_size=3))
+
+
+def _lines(templates, max_size=4, odd=40):
+    return st.lists(_line(templates, odd), max_size=max_size)
+
+
+def one_in(n: int):
+    """True about once in ``n`` draws.  Hypothesis draws the ends of a range
+    and of a list far more often than their share, so the rare case is a
+    value in the middle of the range."""
+    return st.integers(0, n - 1).map(lambda i: i == n // 2)
+
+
+def _block(header: str, body):
+    """``header {`` + body lines + ``}``."""
+    return st.builds(lambda name, lines: [header.format(name) + " {"] + lines + ["}"],
+                     _DUTY_NAMES, body)
+
+
+def _document(units, max_size=8):
+    """Chunks of lines from ``units``; one document in eight ends in a line of
+    any format."""
+    return st.builds(
+        lambda chunks, stray, extra: "\n".join(
+            [line for chunk in chunks for line in chunk] + [extra] * stray),
+        units, one_in(8), _line(_ALL_LINES))
+
+
+# Answers meet odd names more often than models do: ingest has its own
+# paths for them, and a model with one fails to build before ingest runs.
+_session_body = st.lists(
+    _block("needs", _lines(_NEED_LINES, odd=8))
+    | _block("records", _lines(_RECORD_LINES, odd=8))
+    | _block("hazards |{0}|", _lines(_HAZARD_LINES)), max_size=3,
+).map(lambda blocks: [line for block in blocks for line in block])
+resp_text = _document(st.tuples(
+    _lines(_DECLARATIONS, 6),
+    *[_block(f'responsibility "{name}"', st.builds(
+        lambda first, rest: [first] + rest,
+        _line(['requires |Map| from <{0}> via "{1}"']), _lines(_DUTY_CLAUSES, 6)))
+      for name in ("Duty", "Other")]))
+answers_text = _document(st.lists(_block('elicitation "{0}"', _session_body), max_size=3))
+reqs_text = _document(st.lists(_block("requirement {0}", _lines(_TRACE_LINES)), max_size=3))

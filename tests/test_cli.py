@@ -1,9 +1,16 @@
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from respkit import build_model, load_model
+from respkit import build_model, cli, load_model
 from respkit.dsl import parse_model, parse_requirements
+
+from strategies import answers_text, dsl_text, reqs_text, resp_text
 
 
 class TestCheck:
@@ -151,6 +158,26 @@ class TestIngest:
         assert out == ""
         assert err.splitlines() == [
             f"error: {bad}: line {lines}: not valid UTF-8 (invalid continuation byte)"]
+
+    @pytest.mark.parametrize("strict", [(), ("--strict",)])
+    @pytest.mark.parametrize("block, message", [
+        ("needs { |Area map| from <!!!> }", "agent name '!!!'"),
+        ("needs { |!!!| }", "resource name '!!!'"),
+        ("records { |--| }", "resource name '--'"),
+        ('needs { |Area map| via "--" }', "channel name '--'"),
+        ('hazards |!!!| { late "x" }', "resource name '!!!'"),
+    ])
+    def test_name_without_alphanumerics_is_status_2(self, run_cli, resp_path,
+                                                    tmp_path, block, message,
+                                                    strict):
+        answers = tmp_path / "a.answers"
+        answers.write_text(f'elicitation "Evacuate area" {{ {block} }}',
+                           encoding="utf-8")
+        status, out, err = run_cli("ingest", str(resp_path), str(answers), *strict)
+        assert status == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: {message} needs at least one alphanumeric character"]
 
     def test_bad_reference_is_status_2(self, run_cli, resp_path, tmp_path):
         answers = tmp_path / "a.answers"
@@ -369,3 +396,86 @@ class TestUsage:
         status, out, _ = run_cli("--help")
         assert status == 0
         assert "respkit" in out
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the whole command line
+# ---------------------------------------------------------------------------
+
+_SEVERITIES = ["none", "low", "medium", "high", "critical"]
+
+
+_usually = st.sampled_from([True] * 7 + [False])
+
+
+def _flag(choices):
+    """A flag value: usually a valid one, sometimes arbitrary text."""
+    return st.one_of(*[st.sampled_from(choices)] * 4, st.text(max_size=6))
+
+
+_DUTY = {"--responsibility": _flag(["Duty", "Other", "Ops", "!!!", " Duty "])}
+_OUTPUT = {"-o": st.sampled_from(["out", "."])}  # "." is the directory itself
+_FORMAT_TEXT_JSON = {"--format": _flag(["text", "json"])}
+_FORMAT_MD_CSV = {"--format": _flag(["md", "csv"])}
+
+# Positional file kinds and optional flags of each subcommand.
+_COMMANDS = {
+    "check": (["resp"], {"--strict": None}),
+    "analyze": (["resp"], {**_FORMAT_TEXT_JSON,
+                           "--load-threshold": _flag(["-1", "0", "1", "2", "x"])
+                           | st.integers().map(str),
+                           "--fail-level": _flag(_SEVERITIES)}),
+    "elicit": (["resp"], {**_DUTY, **_OUTPUT}),
+    "ingest": (["resp", "answers"], {**_OUTPUT, "--strict": None}),
+    "tables": (["resp"], {**_DUTY, **_FORMAT_MD_CSV,
+                          "--which": _flag(["required", "recorded", "both"])}),
+    "hazards": (["resp"], {**_DUTY, **_FORMAT_MD_CSV}),
+    "mitigations": (["resp"], {**_DUTY, "--threshold": _flag(_SEVERITIES)}),
+    "requirements": (["resp", "reqs"], {"--report": None}),
+    "dot": (["resp"], _OUTPUT),
+    "diff": (["resp", "resp"], _FORMAT_TEXT_JSON),
+}
+
+# File contents: a document of the file's own format, DSL-weighted text,
+# arbitrary text, arbitrary bytes, or no file at all.
+_TEXT = {"resp": resp_text, "answers": answers_text, "reqs": reqs_text}
+
+
+def _contents(kind: str):
+    texts = st.one_of(*[_TEXT[kind]] * 4, dsl_text, st.text())
+    return st.one_of(*[texts.map(lambda t: t.encode("utf-8"))] * 6,
+                     st.binary(max_size=40), st.none())
+
+
+@st.composite
+def invocations(draw):
+    """A subcommand with its files' contents and a random set of flags."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    kinds, options = _COMMANDS[command]
+    files = [(f"{i}.{kind}", draw(_contents(kind))) for i, kind in enumerate(kinds)]
+    argv = [command] + [name for name, _ in files]
+    flags = draw(st.lists(st.sampled_from(sorted(options)), unique=True))
+    if "--responsibility" in options and draw(_usually):
+        flags.append("--responsibility")  # required: leaving it out is a usage error
+    for flag in dict.fromkeys(flags):
+        argv.append(flag)
+        if options[flag] is not None:
+            argv.append(draw(options[flag]))
+    if not draw(_usually):
+        argv.insert(draw(st.integers(0, len(argv))), draw(dsl_text))
+    return argv, files
+
+
+class TestFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(invocations())
+    def test_run_exits_0_1_or_2(self, invocation):
+        argv, files = invocation
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, content in files:
+                if content is not None:
+                    (Path(tmp) / name).write_bytes(content)
+            argv = [str(Path(tmp) / a) if a in ("out", ".") or
+                    any(a == name for name, _ in files) else a for a in argv]
+            status = cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO())
+        assert status in (0, 1, 2)

@@ -19,7 +19,7 @@ from respkit.dsl import (
 from respkit.model import GuideWord, Model, Severity
 
 import reference_scanner
-from strategies import models
+from strategies import dsl_text, models
 
 
 def build(text: str) -> Model:
@@ -181,21 +181,6 @@ def test_scan_errors_render_exactly(text, rendered):
     with pytest.raises(ParseFailure) as excinfo:
         parse_model(text, "t.resp")
     assert str(excinfo.value) == "\n".join(rendered)
-
-
-# Keywords, delimiters, blanks and the characters the scanner treats
-# specially, so random text reaches every scanner and parser path.
-_DSL_PIECES = [
-    "model", "agent", "kind", "role", "resource", "channel", "medium",
-    "backup_of", "responsibility", "assigned", "to", "requires", "from", "via",
-    "criticality", "produces", "rationale", "uses", "hazard", "late",
-    "severity", "high", "mitigated_by", "precedes", "note", "elicitation",
-    "by", "date", "needs", "records", "hazards", "requirement", "text",
-    "traces", "R-1", "x", "_", "1", "é", "\u0301", "²", "Ⅻ", "@",
-    "{", "}", ",", '"', "\\", "<", ">", "[", "]", "|", "#",
-    " ", "\t", "\r", "\n", "\x0b", "\u2028",
-]
-dsl_text = st.lists(st.sampled_from(_DSL_PIECES), max_size=80).map("".join)
 
 
 class TestScannerFuzz:

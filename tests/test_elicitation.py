@@ -15,7 +15,7 @@ from respkit import (
     print_model,
 )
 from respkit.dsl import parse_answers, parse_model
-from respkit.elicitation import AnswerSlot, IngestError
+from respkit.elicitation import IngestError
 from respkit.model import (
     ElicitationRecord,
     GuideWord,
@@ -41,15 +41,6 @@ class TestQuestionnaire:
         sheet = generate_questionnaire(evacuation, "Evacuate area")
         assert ("unavailable, inaccurate, incomplete, late, early"
                 in sheet.questions[5].prompt)
-
-    def test_slot_kinds(self, evacuation):
-        sheet = generate_questionnaire(evacuation, "Evacuate area")
-        slots = [q.slot for q in sheet.questions]
-        assert slots == [
-            AnswerSlot.NEED_LINES, AnswerSlot.CHANNEL_ANNOTATIONS,
-            AnswerSlot.NEED_LINES, AnswerSlot.RECORD_LINES,
-            AnswerSlot.CHANNEL_ANNOTATIONS, AnswerSlot.HAZARD_BLOCKS,
-        ]
 
     def test_unknown_name_lists_available(self, evacuation):
         with pytest.raises(UnknownResponsibility) as excinfo:
@@ -252,6 +243,42 @@ class TestIngest:
         record = ElicitationRecord(
             responsibility=model.responsibilities[0].name)
         assert print_model(ingest(model, record)) == print_model(model)
+
+
+INGEST_BASE = """
+agent <Ops>
+resource |Map|
+resource [Kit]
+channel "Radio"
+responsibility "R" {
+  requires |Map| from <Ops> via "Radio"
+}
+"""
+
+# Every ingest error text: (answers block, strict, message).
+INGEST_ERRORS = [
+    ("needs { |Map| from <ops> }", False, "agents 'Ops' and 'ops' collide on id 'ops'"),
+    ("needs { |map!| }", False, "resources 'Map' and 'map!' collide on id 'map'"),
+    ('needs { |Map| via "radio!" }', False,
+     "channels 'Radio' and 'radio!' collide on id 'radio'"),
+    ("needs { |Kit| }", False,
+     "conflicting resource kind: 'Kit' is physical but is used as information"),
+    ("records { |Kit| }", False,
+     "conflicting resource kind: 'Kit' is physical but is used as information"),
+    ('hazards |Gone| { late "x" }', False,
+     'hazard block for |Gone| but "R" neither requires nor produces it'),
+    ("needs { |New| }", True, "unknown information resource |New|"),
+    ("needs { |Map| from <Nobody> }", True, "unknown agent <Nobody>"),
+    ('needs { |Map| via "Fax" }', True, 'unknown channel "Fax"'),
+]
+
+
+@pytest.mark.parametrize("block, strict, message", INGEST_ERRORS)
+def test_ingest_errors_exactly(block, strict, message):
+    records = parse_answers(f'elicitation "R" {{ {block} }}')
+    with pytest.raises(IngestError) as excinfo:
+        ingest_all(build(INGEST_BASE), records, strict=strict)
+    assert str(excinfo.value) == message
 
 
 class TestInformationTables:

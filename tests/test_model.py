@@ -199,6 +199,66 @@ class TestBuildModel:
             build("agent <A> kind person\nagent <A> kind system")
 
 
+# Every build error text, with its position, and the order in which one
+# file reports several: clause issues as met, then hazards on items the duty
+# neither requires nor produces, then sequencing, then channel backups.
+BUILD_ERRORS = [
+    ("agent <!!!>", [
+        "t.resp:1:1: error: agent name '!!!' needs at least one alphanumeric character"]),
+    ('responsibility "--" {}', [
+        "t.resp:1:1: error: responsibility name '--' needs at least one alphanumeric "
+        "character"]),
+    ('responsibility "R" {\n  uses [?]\n}', [
+        "t.resp:2:3: error: resource name '?' needs at least one alphanumeric character"]),
+    ('channel "Radio"\nchannel "radio!"', [
+        "t.resp:2:1: error: channels 'Radio' and 'radio!' collide on id 'radio'"]),
+    ("resource |Map|\nresource [map]", [
+        "t.resp:2:1: error: resources 'Map' and 'map' collide on id 'map'"]),
+    ("resource |Map|\nresource [Map]", [
+        "t.resp:2:1: error: conflicting resource kind: 'Map' is information and physical"]),
+    ("agent <Ops> kind role\nagent <Ops> kind person", [
+        "t.resp:2:1: error: conflicting agent kind for <Ops>: role vs person"]),
+    ('channel "Radio" medium radio\nchannel "Radio" medium data', [
+        "t.resp:2:1: error: conflicting re-declaration of channel 'Radio'"]),
+    ('responsibility "R" {}\nresponsibility "R" {}', [
+        "t.resp:2:1: error: duplicate responsibility 'R'"]),
+    ('responsibility "R" {}\nresponsibility "r" {}', [
+        "t.resp:2:1: error: responsibilities 'R' and 'r' collide on id 'r'"]),
+    ('resource [Map]\nresponsibility "R" {\n  requires |Map|\n}', [
+        "t.resp:3:3: error: conflicting resource kind: 'Map' is physical but is used "
+        "as information"]),
+    ('responsibility "R" {\n  assigned to <Ops>, <ops>\n}', [
+        "t.resp:2:3: error: agents 'Ops' and 'ops' collide on id 'ops'"]),
+    ('responsibility "R" {\n  hazard |Map| late "x"\n}', [
+        't.resp:1:1: error: hazard on |Map| but "R" neither requires nor produces it']),
+    ('responsibility "R" {\n  precedes "S"\n}', [
+        "t.resp:2:3: error: precedes target 'S' is not a declared responsibility"]),
+    ('channel "A" backup_of "B"', [
+        "t.resp:1:1: error: backup_of target 'B' is not a declared channel"]),
+    ('channel "A" backup_of "A"', [
+        "t.resp:1:1: error: channel 'A' cannot back itself up"]),
+    ('channel "A" backup_of "B"\nchannel "B" backup_of "A"', [
+        "error: backup chain through channel 'A' is cyclic"]),
+    ('channel "A" backup_of "Z"\n'
+     'responsibility "R" {\n  hazard |Gap| early "x"\n  precedes "Nowhere"\n}\n'
+     'responsibility "S" {\n  requires |Map| from <Ops>, <ops> via "--"\n'
+     '  uses [map]\n}', [
+        "t.resp:7:3: error: agents 'Ops' and 'ops' collide on id 'ops'",
+        "t.resp:7:3: error: channel name '--' needs at least one alphanumeric character",
+        "t.resp:8:3: error: resources 'Map' and 'map' collide on id 'map'",
+        't.resp:2:1: error: hazard on |Gap| but "R" neither requires nor produces it',
+        "t.resp:4:3: error: precedes target 'Nowhere' is not a declared responsibility",
+        "t.resp:1:1: error: backup_of target 'Z' is not a declared channel"]),
+]
+
+
+@pytest.mark.parametrize("text, rendered", BUILD_ERRORS)
+def test_build_errors_render_exactly(text, rendered):
+    with pytest.raises(ModelBuildError) as excinfo:
+        build_model(parse_model(text, "t.resp"))
+    assert str(excinfo.value) == "\n".join(rendered)
+
+
 def _use_every_map(model: Model) -> None:
     for agent in model.agents:
         model.agent_by_id(agent.id), model.agent_named(agent.name)

@@ -19,11 +19,15 @@ import pytest
 from respkit import (
     build_model,
     diff_models,
+    generate_worksheet,
+    information_recorded_table,
+    information_required_table,
     ingest_all,
     print_model,
     requirements_report,
     run_all,
     to_dot,
+    validate,
 )
 from respkit.dsl import parse_answers, parse_model, parse_requirements
 
@@ -125,7 +129,20 @@ def _inputs(n: int) -> dict:
         "requirements_report": (requirements_report, model, records),
         "run_all": (run_all, model),
         "ingest_all": (ingest_all, model, answers),
+        "validate": (validate, model, True),
+        "information_required_table": (_every_duty(information_required_table), model),
+        "information_recorded_table": (_every_duty(information_recorded_table), model),
+        "generate_worksheet": (_every_duty(generate_worksheet), model),
     }
+
+
+def _every_duty(per_duty):
+    """Time a per-responsibility call over every duty, so the total grows
+    with the model as the other layers do."""
+    def run(model):
+        for resp in model.responsibilities:
+            per_duty(model, resp.name)
+    return run
 
 
 def _fresh(value):
