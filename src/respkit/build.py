@@ -4,6 +4,11 @@ Elements first mentioned inside a responsibility block are materialized as
 implicit declarations: agents default to kind organization, channels carry
 no medium, resource kinds follow the bracket notation they were written
 with.  Explicit declarations anywhere in the file win over implicit ones.
+
+Names resolve through a ``SymbolTable`` and clauses merge into a duty
+through ``fold_duty``.  ``elicitation.ingest_all`` folds answers back into
+a model through the same two, so a name, a flow and a hazard follow the
+same rules in a ``.resp`` file and in a ``.answers`` file.
 """
 
 from __future__ import annotations
@@ -66,11 +71,10 @@ class SymbolTable:
                  model: Optional[Model] = None, strict: bool = False):
         self.error = error
         self.strict = strict
-        self.agents: dict[str, Agent] = {a.id: a for a in model.agents} if model else {}
-        self.resources: dict[str, Resource] = \
-            {r.id: r for r in model.resources} if model else {}
-        self.channels: dict[str, Channel] = \
-            {c.id: c for c in model.channels} if model else {}
+        model = model or Model()
+        self.agents: dict[str, Agent] = {a.id: a for a in model.agents}
+        self.resources: dict[str, Resource] = {r.id: r for r in model.resources}
+        self.channels: dict[str, Channel] = {c.id: c for c in model.channels}
         # Names are mentioned over and over; each is slugged once.
         self._slugs: dict[str, str] = {}
         # Pending backup targets, resolved once all channels are known.

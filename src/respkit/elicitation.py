@@ -44,7 +44,7 @@ QUESTIONS: tuple[Question, ...] = (
                 "unavailable, inaccurate, incomplete, late, early?"),
 )
 
-_SLOT_HINTS = {
+_ANSWER_HINTS = {
     1: "answer with one |item| line per information need, inside needs { }",
     2: "annotate each need line with via \"channel\" clauses",
     3: "annotate each need line with from <agent> clauses",
@@ -95,7 +95,7 @@ def answers_skeleton(model: Model, responsibility: str) -> str:
     lines.append("# drafted from the current model.")
     for question in sheet.questions:
         lines.append(f"# {question.number}. {question.prompt}")
-        lines.append(f"#    ({_SLOT_HINTS[question.number]})")
+        lines.append(f"#    ({_ANSWER_HINTS[question.number]})")
     lines.append(f"elicitation {dsl.quote(sheet.responsibility)} {{")
     lines.append("  needs {")
     for need in sheet.draft_needs:

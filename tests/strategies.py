@@ -188,6 +188,8 @@ _DECLARATIONS = [
     "agent <{0}>", "agent <{0}> kind role", "resource |{0}|", "resource [{0} kit]",
     'channel "{0}"', 'channel "{0}" medium radio backup_of "{1}"',
 ]
+# Every generated duty requires |Map|, so its hazard on |Map| is valid.
+_FIRST_CLAUSE = ['requires |Map| from <{0}> via "{1}"']
 _DUTY_CLAUSES = [
     "assigned to <{0}>, <{1}>", "requires |{0}|",
     'requires |{0}| from <{1}> via "{2}" criticality high',
@@ -203,11 +205,18 @@ _TRACE_LINES = [
     "traces [{0}]", 'traces responsibility "{0}"', "traces hazard |{0}| late",
     "derived_from |{0}|",
 ]
-# Block names: duties, sessions, hazard items and requirement ids.  Few
-# enough that sessions often name a duty the model has.
-_DUTY_NAMES = st.sampled_from(["Duty", "Other", "Spare"])
-_ALL_LINES = (['model "{0}"', "resource [{0}]"] + _DECLARATIONS + _DUTY_CLAUSES + _NEED_LINES + _RECORD_LINES
-              + _HAZARD_LINES + _TRACE_LINES)
+_ALL_LINES = (['model "{0}"', "resource [{0}]"] + _DECLARATIONS + _DUTY_CLAUSES
+              + _NEED_LINES + _RECORD_LINES + _HAZARD_LINES + _TRACE_LINES)
+# Names of sessions, hazard blocks and requirements: few enough that a
+# session often names one of the generated duties, "Duty" and "Other".
+_BLOCK_NAMES = st.sampled_from(["Duty", "Other", "Spare"])
+
+
+def one_in(n: int):
+    """True about once in ``n`` draws.  Hypothesis draws the ends of a range
+    and of a list far more often than their share, so the rare case is a
+    value in the middle of the range."""
+    return st.integers(0, n - 1).map(lambda i: i == n // 2)
 
 
 def _line(templates, odd=40):
@@ -223,28 +232,23 @@ def _lines(templates, max_size=4, odd=40):
     return st.lists(_line(templates, odd), max_size=max_size)
 
 
-def one_in(n: int):
-    """True about once in ``n`` draws.  Hypothesis draws the ends of a range
-    and of a list far more often than their share, so the rare case is a
-    value in the middle of the range."""
-    return st.integers(0, n - 1).map(lambda i: i == n // 2)
-
-
 def _block(header: str, body):
     """``header {`` + body lines + ``}``."""
     return st.builds(lambda name, lines: [header.format(name) + " {"] + lines + ["}"],
-                     _DUTY_NAMES, body)
+                     _BLOCK_NAMES, body)
 
 
-def _document(units, max_size=8):
-    """Chunks of lines from ``units``; one document in eight ends in a line of
+def _document(chunks):
+    """The lines of ``chunks``; one document in eight ends in a stray line of
     any format."""
     return st.builds(
         lambda chunks, stray, extra: "\n".join(
             [line for chunk in chunks for line in chunk] + [extra] * stray),
-        units, one_in(8), _line(_ALL_LINES))
+        chunks, one_in(8), _line(_ALL_LINES))
 
 
+_duty_body = st.builds(lambda first, rest: [first] + rest,
+                       _line(_FIRST_CLAUSE), _lines(_DUTY_CLAUSES, 6))
 # Answers meet odd names more often than models do: ingest has its own
 # paths for them, and a model with one fails to build before ingest runs.
 _session_body = st.lists(
@@ -252,11 +256,10 @@ _session_body = st.lists(
     | _block("records", _lines(_RECORD_LINES, odd=8))
     | _block("hazards |{0}|", _lines(_HAZARD_LINES)), max_size=3,
 ).map(lambda blocks: [line for block in blocks for line in block])
+
 resp_text = _document(st.tuples(
     _lines(_DECLARATIONS, 6),
-    *[_block(f'responsibility "{name}"', st.builds(
-        lambda first, rest: [first] + rest,
-        _line(['requires |Map| from <{0}> via "{1}"']), _lines(_DUTY_CLAUSES, 6)))
-      for name in ("Duty", "Other")]))
+    _block('responsibility "Duty"', _duty_body),
+    _block('responsibility "Other"', _duty_body)))
 answers_text = _document(st.lists(_block('elicitation "{0}"', _session_body), max_size=3))
 reqs_text = _document(st.lists(_block("requirement {0}", _lines(_TRACE_LINES)), max_size=3))

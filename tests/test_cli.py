@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from respkit import build_model, cli, load_model
 from respkit.dsl import parse_model, parse_requirements
 
-from strategies import answers_text, dsl_text, reqs_text, resp_text
+from strategies import answers_text, dsl_text, one_in, reqs_text, resp_text
 
 
 class TestCheck:
@@ -405,9 +405,6 @@ class TestUsage:
 _SEVERITIES = ["none", "low", "medium", "high", "critical"]
 
 
-_usually = st.sampled_from([True] * 7 + [False])
-
-
 def _flag(choices):
     """A flag value: usually a valid one, sometimes arbitrary text."""
     return st.one_of(*[st.sampled_from(choices)] * 4, st.text(max_size=6))
@@ -455,13 +452,13 @@ def invocations(draw):
     files = [(f"{i}.{kind}", draw(_contents(kind))) for i, kind in enumerate(kinds)]
     argv = [command] + [name for name, _ in files]
     flags = draw(st.lists(st.sampled_from(sorted(options)), unique=True))
-    if "--responsibility" in options and draw(_usually):
+    if "--responsibility" in options and not draw(one_in(8)):
         flags.append("--responsibility")  # required: leaving it out is a usage error
     for flag in dict.fromkeys(flags):
         argv.append(flag)
         if options[flag] is not None:
             argv.append(draw(options[flag]))
-    if not draw(_usually):
+    if draw(one_in(8)):
         argv.insert(draw(st.integers(0, len(argv))), draw(dsl_text))
     return argv, files
 
