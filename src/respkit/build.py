@@ -13,9 +13,8 @@ same rules in a ``.resp`` file and in a ``.answers`` file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from . import dsl
 from .model import (
@@ -35,16 +34,13 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class BuildIssue:
+class BuildIssue(NamedTuple):
     message: str
     span: Optional[dsl.SourceSpan] = None
 
     def render(self) -> str:
-        if self.span:
-            return (f"{self.span.file}:{self.span.line}:{self.span.column}: "
-                    f"error: {self.message}")
-        return f"error: {self.message}"
+        prefix = f"{self.span}: " if self.span else ""
+        return f"{prefix}error: {self.message}"
 
 
 class ModelBuildError(ValueError):
@@ -222,19 +218,22 @@ class SymbolTable:
                 continue
             self.channels[slug] = Channel(slug, channel.name, channel.medium,
                                           target, channel.implicit)
-        # Chains must be acyclic.
-        for slug in self.channels:
-            seen = {slug}
-            current: Optional[str] = self.channels[slug].backup_of
-            while current is not None:
-                if current in seen:
-                    self.error(
-                        f"backup chain through channel "
-                        f"{self.channels[slug].name!r} is cyclic", None)
-                    return
-                seen.add(current)
-                chan = self.channels.get(current)
-                current = chan.backup_of if chan else None
+        # Chains must be acyclic.  Each channel is walked once; a cycle is
+        # reported once, at the declaration of its first-declared channel.
+        order = {slug: i for i, slug in enumerate(self.channels)}
+        walked: dict[str, int] = {}
+        cycles = []
+        for walk, start in enumerate(self.channels):
+            path, slug = [], start
+            while slug is not None and slug not in walked:
+                walked[slug] = walk
+                path.append(slug)
+                slug = self.channels[slug].backup_of
+            if slug is not None and walked[slug] == walk:
+                cycles.append(min(path[path.index(slug):], key=order.get))
+        for slug in sorted(cycles, key=order.get):
+            self.error(f"backup chain through channel {self.channels[slug].name!r} "
+                       f"is cyclic", self.backup_names[slug][1])
 
 
 def fold_duty(duty: Responsibility, needs: Iterable[InfoNeed],

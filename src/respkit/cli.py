@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import sys
 from pathlib import Path
 from typing import Optional, TextIO
@@ -124,7 +125,9 @@ def _emit(text: str, output: Optional[Path], stdout: TextIO) -> None:
 
 def run(argv: list[str], stdin: Optional[TextIO] = None,
         stdout: Optional[TextIO] = None, stderr: Optional[TextIO] = None) -> int:
-    """Dispatch one invocation; returns the exit status."""
+    """Dispatch one invocation; returns the exit status.  The cyclic garbage
+    collector is off while the command runs: a loaded model is many acyclic
+    objects, which it would walk for nothing.  The caller's setting returns."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
 
@@ -135,6 +138,8 @@ def run(argv: list[str], stdin: Optional[TextIO] = None,
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 2
 
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return _dispatch(args, stdout, stderr)
     except (ParseFailure, ModelBuildError) as exc:
@@ -146,6 +151,9 @@ def run(argv: list[str], stdin: Optional[TextIO] = None,
     except OSError as exc:
         stderr.write(f"error: {exc}\n")
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _dispatch(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> int:

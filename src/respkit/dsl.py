@@ -31,7 +31,6 @@ the file.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from .model import (
@@ -53,26 +52,27 @@ from .model import (
 # ---------------------------------------------------------------------------
 # Errors and spans
 # ---------------------------------------------------------------------------
+# Spans, errors, declarations and clauses are named tuples, as tokens are: the
+# cheapest immutable value to make, one per token or clause.  Equal fields
+# compare equal across classes, so declaration kinds are told by isinstance.
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     file: str
     line: int
     column: int
 
+    def __str__(self) -> str:
+        return f"{self.file}:{self.line}:{self.column}"
 
-@dataclass(frozen=True)
-class ParseError:
+
+class ParseError(NamedTuple):
     span: SourceSpan
     expected: str
     found: str
 
     def render(self) -> str:
-        return (
-            f"{self.span.file}:{self.span.line}:{self.span.column}: "
-            f"error: expected {self.expected}, found {self.found}"
-        )
+        return f"{self.span}: error: expected {self.expected}, found {self.found}"
 
 
 class ParseFailure(ValueError):
@@ -88,42 +88,36 @@ class ParseFailure(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModelDecl:
+class ModelDecl(NamedTuple):
     name: str
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class AgentDecl:
+class AgentDecl(NamedTuple):
     name: str
     kind: Optional[AgentKind]
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class ResourceDecl:
+class ResourceDecl(NamedTuple):
     name: str
     kind: ResourceKind
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class ChannelDecl:
+class ChannelDecl(NamedTuple):
     name: str
     medium: Optional[str]
     backup_of: Optional[str]
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class AssignClause:
+class AssignClause(NamedTuple):
     agents: tuple[str, ...]
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class RequireClause:
+class RequireClause(NamedTuple):
     resource: str
     sources: tuple[str, ...]
     channels: tuple[str, ...]
@@ -131,22 +125,19 @@ class RequireClause:
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class ProduceClause:
+class ProduceClause(NamedTuple):
     resource: str
     channels: tuple[str, ...]
     rationale: Optional[str]
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class UseClause:
+class UseClause(NamedTuple):
     resource: str
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class HazardClause:
+class HazardClause(NamedTuple):
     item: str
     guide_word: GuideWord
     consequence: str
@@ -155,14 +146,12 @@ class HazardClause:
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class PrecedesClause:
+class PrecedesClause(NamedTuple):
     target: str
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class NoteClause:
+class NoteClause(NamedTuple):
     text: str
     span: SourceSpan
 
@@ -171,8 +160,7 @@ Clause = Union[AssignClause, RequireClause, ProduceClause, UseClause,
                HazardClause, PrecedesClause, NoteClause]
 
 
-@dataclass(frozen=True)
-class ResponsibilityDecl:
+class ResponsibilityDecl(NamedTuple):
     name: str
     items: tuple[Clause, ...]
     span: SourceSpan
@@ -247,7 +235,8 @@ def _scan(text: str, filename: str) -> tuple[list[Token], list[ParseError]]:
     """
     tokens: list[Token] = []
     errors: list[ParseError] = []
-    for number, line in enumerate(text.split("\n"), 1):
+    lines = text.split("\n")
+    for number, line in enumerate(lines, 1):
         pos = 0
         while True:
             m = _TOKEN.match(line, pos)
@@ -270,7 +259,8 @@ def _scan(text: str, filename: str) -> tuple[list[Token], list[ParseError]]:
                         errors.append(ParseError(
                             SourceSpan(filename, number, start + 2 + escape.start()),
                             "escape '\\\"' or '\\\\'",
-                            f"'\\{escape[1]}'" if escape[1] else EOF))
+                            f"'\\{escape[1]}'" if escape[1]
+                            else EOF if number == len(lines) else "end of line"))
                 if group == "bad_escape":
                     tokens.append(Token(STRING, _VALID_ESCAPE.sub(r"\1", value), span))
                 else:
@@ -396,7 +386,7 @@ def _product_tail(parser: _Parser) -> tuple[tuple[str, ...], Optional[str]]:
 
 def _finish(errors: list[ParseError]) -> None:
     if errors:
-        errors.sort(key=lambda e: (e.span.file, e.span.line, e.span.column))
+        errors.sort(key=lambda e: e.span)
         raise ParseFailure(errors)
 
 

@@ -93,10 +93,10 @@ def to_dot(model: Model) -> str:
 
 
 def table_to_markdown(table: InfoTable) -> str:
-    """Pipe-delimited table; literal pipes in cells are escaped."""
+    """Pipe-delimited table; pipes and carriage returns in cells are escaped."""
 
     def cell(value: str) -> str:
-        return value.replace("|", "\\|")
+        return value.replace("|", "\\|").replace("\r", "\\r")
 
     lines = ["| " + " | ".join(cell(c) for c in table.columns) + " |"]
     lines.append("| " + " | ".join("---" for _ in table.columns) + " |")

@@ -1,7 +1,8 @@
 """Character-by-character reference for ``respkit.dsl._scan``.
 
 This is the scanner respkit used before the master regex: one loop over
-every character.  Tests compare the regex scanner against it, token by
+every character, except that a backslash before a line break now reports
+``end of line`` rather than ``end of file``.  Tests compare the regex scanner against it, token by
 token and error by error, on arbitrary text.
 """
 
@@ -87,8 +88,9 @@ def scan(text: str, filename: str) -> tuple[list[Token], list[ParseError]]:
                         errors.append(ParseError(
                             SourceSpan(filename, line, col),
                             "escape '\\\"' or '\\\\'",
-                            f"'\\{text[i + 1]}'" if i + 1 < n and text[i + 1] != "\n"
-                            else EOF,
+                            EOF if i + 1 >= n
+                            else "end of line" if text[i + 1] == "\n"
+                            else f"'\\{text[i + 1]}'",
                         ))
                         buf.append(c)
                         i += 1

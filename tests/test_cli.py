@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import tempfile
@@ -396,6 +397,45 @@ class TestUsage:
         status, out, _ = run_cli("--help")
         assert status == 0
         assert "respkit" in out
+
+
+class TestCollectorGuard:
+    """``run`` turns the cyclic collector off while it works and leaves it
+    as the caller had it, whichever way the invocation ends."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collecting(self, request):
+        before = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if before else gc.disable)()
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("check", "corpus/evacuation.resp"), 0),
+        (("check", "no/such/model.resp"), 2),
+        (("--help",), 0),
+        (("frobnicate",), 2),
+    ], ids=["exit-0", "exit-2", "help", "usage-error"])
+    def test_setting_is_restored(self, run_cli, collecting, monkeypatch,
+                                 argv, expected):
+        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+        status, _, _ = run_cli(*argv)
+        assert status == expected
+        assert gc.isenabled() is collecting
+
+    def test_collector_is_off_while_loading(self, run_cli, collecting, resp_path,
+                                            monkeypatch):
+        seen = []
+        original = cli._read
+
+        def read(path):
+            seen.append(gc.isenabled())
+            return original(path)
+
+        monkeypatch.setattr(cli, "_read", read)
+        assert run_cli("check", str(resp_path))[0] == 0
+        assert seen == [False]
+        assert gc.isenabled() is collecting
 
 
 # ---------------------------------------------------------------------------

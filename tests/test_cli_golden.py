@@ -4,6 +4,9 @@ Each form's stdout, stderr and exit status are pinned under
 ``corpus/golden/cli/``.  Forms that read the merged model first write the
 output of ``ingest`` on the corpus answers to a temporary file.
 
+The same snapshots are checked once more through the real entry point, as
+a fresh process under several ``PYTHONHASHSEED`` values, for a few forms.
+
 To regenerate the snapshots after an intended output change, run
 ``PYTHONPATH=src python tests/test_cli_golden.py`` from the repository root
 and review the diff.
@@ -12,6 +15,7 @@ and review the diff.
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -88,6 +92,25 @@ def test_cli_form_matches_golden(name, statuses, at_repo_root):
     assert status == statuses[name]
     assert out == _read(GOLDEN_CLI / f"{name}.out")
     assert err == _read(GOLDEN_CLI / f"{name}.err")
+
+
+ENTRY = "from respkit.cli import main; main()"  # the `respkit` console script
+PROCESS_FORMS = ("check_strict", "analyze_json", "dot", "ingest", "diff")
+
+
+@pytest.mark.parametrize("hashseed", ["0", "1", "2"])
+@pytest.mark.parametrize("name", PROCESS_FORMS)
+def test_entry_point_matches_golden(name, hashseed, statuses, tmp_path):
+    merged = tmp_path / "merged.resp"
+    merged.write_bytes((GOLDEN_CLI / "ingest.out").read_bytes())
+    argv = [a.replace(MERGED, os.path.relpath(merged, REPO)) for a in FORMS[name]]
+    path = filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-c", ENTRY, *argv], cwd=REPO, env=env,
+                          stdin=subprocess.DEVNULL, capture_output=True, timeout=60)
+    assert done.returncode == statuses[name]
+    assert done.stdout == (GOLDEN_CLI / f"{name}.out").read_bytes()
+    assert done.stderr == (GOLDEN_CLI / f"{name}.err").read_bytes()
 
 
 def _regenerate() -> None:

@@ -9,6 +9,7 @@ from respkit.dsl import (
     ModelDecl,
     ParseFailure,
     ResponsibilityDecl,
+    SourceSpan,
     UseClause,
     _scan,
     parse_answers,
@@ -108,6 +109,50 @@ class TestParseModel:
         assert parse_model(text) == parse_model(text)
 
 
+EVERY_KIND = (
+    'model "M"\nagent <Ops> kind role\nresource |Map|\n'
+    'channel "Radio" medium radio backup_of "Fax"\nchannel "Fax"\n'
+    'responsibility "R" {\n  assigned to <Ops>\n'
+    '  requires |Map| from <Ops> via "Radio" criticality high\n'
+    '  produces |Log| via "Fax" rationale "why"\n  uses [Van]\n'
+    '  hazard |Map| late "x" severity low mitigated_by REQ-1\n'
+    '  precedes "R"\n  note "n"\n}\n')
+
+
+def _every_value():
+    """One parsed value of every declaration, clause, span and error type."""
+    decls = parse_model(EVERY_KIND)
+    with pytest.raises(ParseFailure) as excinfo:
+        parse_model("agent 7")
+    return [*decls, *decls[-1].items, decls[0].span, *excinfo.value.errors]
+
+
+class TestValueTypes:
+    def test_every_type_is_covered(self):
+        assert sorted(type(v).__name__ for v in _every_value()) == sorted([
+            "ModelDecl", "AgentDecl", "ResourceDecl", "ChannelDecl", "ChannelDecl",
+            "ResponsibilityDecl", "AssignClause", "RequireClause", "ProduceClause",
+            "UseClause", "HazardClause", "PrecedesClause", "NoteClause",
+            "SourceSpan", "ParseError", "ParseError"])
+
+    @pytest.mark.parametrize("value", _every_value(), ids=lambda v: type(v).__name__)
+    def test_fields_cannot_be_assigned(self, value):
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+
+    def test_spans_are_hashable(self, resp_path):
+        tokens, _ = _scan(resp_path.read_text(encoding="utf-8"), str(resp_path))
+        spans = {token.span for token in tokens}
+        assert len(spans) == len(tokens)
+        assert SourceSpan(*tokens[0].span) in spans
+
+    def test_parse_is_repeatable_on_the_corpus(self, resp_path):
+        text = resp_path.read_text(encoding="utf-8")
+        first = parse_model(text, str(resp_path))
+        assert first == parse_model(text, str(resp_path))
+
+
 # Scanner errors, pinned as the rendered ParseFailure text: message,
 # position and order.  Tabs and carriage returns count one column each.
 _ESCAPE = r"""expected escape '\"' or '\\'"""
@@ -116,7 +161,7 @@ SCAN_ERRORS = [
         rf"t.resp:1:9: error: {_ESCAPE}, found '\q'"]),
     ('model "a\\\nb"\n', [
         "t.resp:1:7: error: expected closing '\"', found end of line",
-        f"t.resp:1:9: error: {_ESCAPE}, found end of file",
+        f"t.resp:1:9: error: {_ESCAPE}, found end of line",
         "t.resp:2:1: error: expected string, found identifier 'b'",
         "t.resp:2:2: error: expected closing '\"', found end of line"]),
     ('model "a\\', [

@@ -238,7 +238,7 @@ BUILD_ERRORS = [
     ('channel "A" backup_of "A"', [
         "t.resp:1:1: error: channel 'A' cannot back itself up"]),
     ('channel "A" backup_of "B"\nchannel "B" backup_of "A"', [
-        "error: backup chain through channel 'A' is cyclic"]),
+        "t.resp:1:1: error: backup chain through channel 'A' is cyclic"]),
     ('channel "A" backup_of "Z"\n'
      'responsibility "R" {\n  hazard |Gap| early "x"\n  precedes "Nowhere"\n}\n'
      'responsibility "S" {\n  requires |Map| from <Ops>, <ops> via "--"\n'
@@ -249,6 +249,13 @@ BUILD_ERRORS = [
         't.resp:2:1: error: hazard on |Gap| but "R" neither requires nor produces it',
         "t.resp:4:3: error: precedes target 'Nowhere' is not a declared responsibility",
         "t.resp:1:1: error: backup_of target 'Z' is not a declared channel"]),
+    # Each cycle once, in declaration order, at its first-declared channel;
+    # a chain that only runs into a cycle is not a cycle of its own.
+    ('channel "E" backup_of "C"\nchannel "A" backup_of "B"\n'
+     'channel "B" backup_of "A"\nchannel "C" backup_of "D"\n'
+     'channel "D" backup_of "C"', [
+        "t.resp:2:1: error: backup chain through channel 'A' is cyclic",
+        "t.resp:4:1: error: backup chain through channel 'C' is cyclic"]),
 ]
 
 

@@ -143,6 +143,14 @@ class TestMarkdownTables:
         table = information_required_table(evacuation, "Evacuate area")
         assert table_to_markdown(table).endswith("|\n")
 
+    def test_carriage_returns_in_cells_are_escaped(self):
+        model = build('responsibility "R" {\n  requires |Map\rold| from <Ops>\n}')
+        rendered = table_to_markdown(information_required_table(model, "R"))
+        assert rendered.splitlines() == [
+            "| Information required | Source | Communication channel |",
+            "| --- | --- | --- |",
+            "| Map\\rold | Ops |  |"]
+
 
 class TestCsvTables:
     def test_joint_sources_field_is_quoted(self, evacuation):
