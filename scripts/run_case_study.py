@@ -54,8 +54,8 @@ def main() -> None:
         (args.corpus / "evacuation.reqs").read_text(encoding="utf-8"))
 
     print(f"model: {model.name}")
-    for diagnostic in validate(model, strict=True):
-        print(f"  {diagnostic.render()}")
+    for finding in validate(model, strict=True):
+        print(f"  {finding.render()}")
 
     merged = ingest_all(model, answers)
     outputs = {

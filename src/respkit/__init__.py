@@ -40,7 +40,6 @@ from .model import (
     Agent,
     AgentKind,
     Channel,
-    Diagnostic,
     ElicitationRecord,
     GuideWord,
     HazardEntry,

@@ -1,9 +1,11 @@
 """Vulnerability detection and cross-model comparison.
 
 Every analysis is a pure, read-only function of the model; the full set may
-run concurrently over one shared model.  Findings carry a code from the
-catalog below, each with a fixed severity, and are returned in canonical
-order (code, then subject).
+run concurrently over one shared model.  Findings carry a code from
+``model.FINDING_CATALOG``, each with a fixed severity, and are returned in
+canonical order (code, then subject).  ``Finding``, the catalog and the two
+checks that ``validate`` shares, ``find_unassigned`` and
+``find_unsourced_info``, live in ``model`` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -11,75 +13,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import Model, Responsibility, Severity
-
-UNASSIGNED_RESP = "UNASSIGNED_RESP"
-UNSOURCED_INFO = "UNSOURCED_INFO"
-UNUSED_RESOURCE = "UNUSED_RESOURCE"
-SINGLE_CHANNEL = "SINGLE_CHANNEL"
-DUPLICATE_SOURCE = "DUPLICATE_SOURCE"
-AGENT_OVERLOAD = "AGENT_OVERLOAD"
-SEQUENCE_CYCLE = "SEQUENCE_CYCLE"
-
-#: Finding codes and their fixed severities.
-FINDING_CATALOG: dict[str, Severity] = {
-    UNASSIGNED_RESP: Severity.HIGH,
-    UNSOURCED_INFO: Severity.MEDIUM,
-    UNUSED_RESOURCE: Severity.LOW,
-    SINGLE_CHANNEL: Severity.MEDIUM,
-    DUPLICATE_SOURCE: Severity.LOW,
-    AGENT_OVERLOAD: Severity.MEDIUM,
-    SEQUENCE_CYCLE: Severity.HIGH,
-}
+from .model import (
+    FINDING_CATALOG,
+    Finding,
+    Model,
+    Responsibility,
+    _finding,
+    _sorted,
+    escape_cr,
+    find_unassigned,
+    find_unsourced_info,
+)
 
 #: Agents assigned strictly more responsibilities than this are overloaded.
 DEFAULT_LOAD_THRESHOLD = 5
-
-
-@dataclass(frozen=True)
-class Finding:
-    code: str
-    severity: Severity
-    subjects: tuple[str, ...]
-    explanation: str
-
-    @property
-    def subject(self) -> str:
-        return ",".join(self.subjects)
-
-    def render(self) -> str:
-        return f"{self.code} {self.severity.token} {self.subject}: {self.explanation}"
-
-
-def _finding(code: str, subjects: tuple[str, ...], explanation: str) -> Finding:
-    return Finding(code, FINDING_CATALOG[code], subjects, explanation)
-
-
-def _sorted(findings: list[Finding]) -> list[Finding]:
-    return sorted(findings, key=lambda f: (f.code, f.subjects))
-
-
-def find_unassigned(model: Model) -> list[Finding]:
-    """One finding per responsibility that no agent holds."""
-    return _sorted([
-        _finding(UNASSIGNED_RESP, (resp.id,),
-                 f'responsibility "{resp.name}" has no assigned agent')
-        for resp in model.responsibilities if not resp.assigned_to
-    ])
-
-
-def find_unsourced_info(model: Model) -> list[Finding]:
-    """Needs with no recorded source and no producing responsibility."""
-    produced = {p.resource for r in model.responsibilities for p in r.products}
-    findings = []
-    for resp in model.responsibilities:
-        for need in resp.needs:
-            if not need.sources and need.resource not in produced:
-                findings.append(_finding(
-                    UNSOURCED_INFO, (f"{resp.id}/{need.resource}",),
-                    f"|{model.resource_name(need.resource)}| required by "
-                    f'"{resp.name}" has no source and no producer in the model'))
-    return _sorted(findings)
 
 
 def _effective_channel_count(model: Model, channels: tuple[str, ...]) -> int:
@@ -103,7 +50,7 @@ def find_single_channel(model: Model) -> list[Finding]:
             if _effective_channel_count(model, channels) == 1:
                 channel_name = model.channel_name(channels[0])
                 findings.append(_finding(
-                    SINGLE_CHANNEL, (f"{resp.id}/{resource}",),
+                    "SINGLE_CHANNEL", (f"{resp.id}/{resource}",),
                     f"|{model.resource_name(resource)}| {how} by \"{resp.name}\" "
                     f"relies on the single channel \"{channel_name}\" with no backup"))
     return _sorted(findings)
@@ -131,14 +78,14 @@ def find_duplicate_sources(model: Model) -> list[Finding]:
         if len(source_sets) > 1:
             resp_names = ", ".join(sorted(f'"{r.name}"' for r, _ in entries))
             findings.append(_finding(
-                DUPLICATE_SOURCE, (resource,),
+                "DUPLICATE_SOURCE", (resource,),
                 f"|{model.resource_name(resource)}| is required with differing "
                 f"sources by {resp_names}"))
     for resource, resps in producers.items():
         if len(resps) > 1:
             resp_names = ", ".join(sorted(f'"{r.name}"' for r in resps))
             findings.append(_finding(
-                DUPLICATE_SOURCE, (resource,),
+                "DUPLICATE_SOURCE", (resource,),
                 f"|{model.resource_name(resource)}| is produced by more than "
                 f"one responsibility: {resp_names}"))
     return _sorted(findings)
@@ -153,7 +100,7 @@ def find_unused_resources(model: Model) -> list[Finding]:
         touched.update(resp.uses)
         touched.update(entry.item for entry in resp.hazards)
     return _sorted([
-        _finding(UNUSED_RESOURCE, (resource.id,),
+        _finding("UNUSED_RESOURCE", (resource.id,),
                  f"resource \"{resource.name}\" is declared but never used")
         for resource in model.resources if resource.id not in touched
     ])
@@ -172,7 +119,7 @@ def agent_load(model: Model,
     for agent_id, count in counts.items():
         if count > threshold:
             findings.append(_finding(
-                AGENT_OVERLOAD, (agent_id,),
+                "AGENT_OVERLOAD", (agent_id,),
                 f"<{model.agent_name(agent_id)}> holds {count} responsibilities "
                 f"(threshold {threshold})"))
     return _sorted(findings)
@@ -243,7 +190,7 @@ def detect_sequence_cycles(model: Model) -> list[Finding]:
             component, key=lambda m: model.responsibility_by_id(m).name))
         listing = ", ".join(f'"{n}"' for n in names)
         findings.append(_finding(
-            SEQUENCE_CYCLE, members,
+            "SEQUENCE_CYCLE", members,
             f"responsibilities {listing} precede one another in a cycle"))
     return _sorted(findings)
 
@@ -283,8 +230,8 @@ class PerceptionInconsistency:
     right: str
 
     def render(self) -> str:
-        return (f'{self.kind.value} "{self.responsibility}": '
-                f"left: {self.left}; right: {self.right}")
+        return escape_cr(f'{self.kind.value} "{self.responsibility}": '
+                         f"left: {self.left}; right: {self.right}")
 
     def swapped(self) -> "PerceptionInconsistency":
         return PerceptionInconsistency(self.kind, self.responsibility,

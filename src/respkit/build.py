@@ -417,7 +417,8 @@ def _build_responsibility(
 def load_model(source: Union[str, Path], filename: Optional[str] = None) -> Model:
     """Parse and build a model from a path or from document text."""
     if isinstance(source, Path):
-        text = source.read_text(encoding="utf-8")
+        with open(source, encoding="utf-8", newline="") as file:
+            text = file.read()
         filename = filename or str(source)
     else:
         text = source

@@ -102,10 +102,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: Path) -> str:
-    """Text of an input file.  Bytes that are not UTF-8 are reported like an
-    unreadable file, naming the path, rather than as a decoder traceback."""
+    """Text of an input file, with line ends kept as written: only "\\n"
+    ends a line, as in the parser.  Bytes that are not UTF-8 are reported
+    like an unreadable file, naming the path, rather than as a decoder
+    traceback."""
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as file:
+            return file.read()
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise OSError(f"{path}: line {line}: not valid UTF-8 "
@@ -159,8 +162,8 @@ def run(argv: list[str], stdin: Optional[TextIO] = None,
 def _dispatch(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> int:
     if args.command == "check":
         model = _load(args.file)
-        for diagnostic in validate(model, strict=args.strict):
-            stderr.write(diagnostic.render() + "\n")
+        for finding in validate(model, strict=args.strict):
+            stderr.write(finding.render() + "\n")
         return 0
 
     if args.command == "analyze":

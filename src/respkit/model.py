@@ -496,107 +496,112 @@ class RequirementRecord:
 
 
 # ---------------------------------------------------------------------------
-# Validation
+# Findings
 # ---------------------------------------------------------------------------
 
-UNASSIGNED_RESP = "UNASSIGNED_RESP"
-UNSOURCED_INFO = "UNSOURCED_INFO"
-IMPLICIT_DECL = "IMPLICIT_DECL"
-NO_CHANNEL = "NO_CHANNEL"
-
-#: Every code ``validate`` may emit, with its fixed severity.  IMPLICIT_DECL
-#: and NO_CHANNEL are reported in strict mode only.
-VALIDATION_CATALOG: dict[str, Severity] = {
-    UNASSIGNED_RESP: Severity.HIGH,
-    UNSOURCED_INFO: Severity.MEDIUM,
-    IMPLICIT_DECL: Severity.LOW,
-    NO_CHANNEL: Severity.LOW,
+#: Every finding code, with its fixed severity.  ``validate`` reports the
+#: first four (IMPLICIT_DECL and NO_CHANNEL in strict mode only), and
+#: ``analysis.run_all`` every code but those two.
+FINDING_CATALOG: dict[str, Severity] = {
+    "UNASSIGNED_RESP": Severity.HIGH,
+    "UNSOURCED_INFO": Severity.MEDIUM,
+    "IMPLICIT_DECL": Severity.LOW,
+    "NO_CHANNEL": Severity.LOW,
+    "UNUSED_RESOURCE": Severity.LOW,
+    "SINGLE_CHANNEL": Severity.MEDIUM,
+    "DUPLICATE_SOURCE": Severity.LOW,
+    "AGENT_OVERLOAD": Severity.MEDIUM,
+    "SEQUENCE_CYCLE": Severity.HIGH,
 }
 
 
+def escape_cr(text: str) -> str:
+    """Write each carriage return as ``\\r``.  A name may hold one, and many
+    readers take it for a line end; text output keeps one record a line."""
+    return text.replace("\r", "\\r")
+
+
 @dataclass(frozen=True)
-class Diagnostic:
+class Finding:
+    """One weakness that ``check`` or ``analyze`` reports: a catalog code,
+    its fixed severity, the ids of the elements concerned and a sentence."""
+
     code: str
     severity: Severity
-    message: str
-    subject: str
-    location: Optional[tuple[str, int]] = None
+    subjects: tuple[str, ...]
+    explanation: str
+
+    @property
+    def subject(self) -> str:
+        return ",".join(self.subjects)
 
     def render(self) -> str:
-        prefix = f"{self.location[0]}:{self.location[1]}: " if self.location else ""
-        return f"{prefix}{self.code} {self.severity.token} {self.subject}: {self.message}"
+        return escape_cr(
+            f"{self.code} {self.severity.token} {self.subject}: {self.explanation}")
 
 
-def validate(model: Model, strict: bool = False) -> list[Diagnostic]:
+def _finding(code: str, subjects: tuple[str, ...], explanation: str) -> Finding:
+    return Finding(code, FINDING_CATALOG[code], subjects, explanation)
+
+
+def _sorted(findings: list[Finding]) -> list[Finding]:
+    return sorted(findings, key=lambda f: (f.code, f.subjects))
+
+
+def find_unassigned(model: Model) -> list[Finding]:
+    """One finding per responsibility that no agent holds."""
+    return _sorted([
+        _finding("UNASSIGNED_RESP", (resp.id,),
+                 f'responsibility "{resp.name}" has no assigned agent')
+        for resp in model.responsibilities if not resp.assigned_to
+    ])
+
+
+def _unsourced(model: Model, scope: str) -> list[Finding]:
+    """Needs with no source and no producer; ``scope`` ends each explanation."""
+    produced = {p.resource for r in model.responsibilities for p in r.products}
+    return _sorted([
+        _finding("UNSOURCED_INFO", (f"{resp.id}/{need.resource}",),
+                 f"|{model.resource_name(need.resource)}| required by "
+                 f'"{resp.name}" has no source and no producer{scope}')
+        for resp in model.responsibilities for need in resp.needs
+        if not need.sources and need.resource not in produced
+    ])
+
+
+def find_unsourced_info(model: Model) -> list[Finding]:
+    """Needs with no recorded source and no producing responsibility."""
+    return _unsourced(model, " in the model")
+
+
+def validate(model: Model, strict: bool = False) -> list[Finding]:
     """Report model weaknesses without failing.
 
     Lenient validation reports unassigned responsibilities and needs whose
     information comes from nowhere.  Strict validation additionally reports
     every implicitly declared element and every need or product with no
-    communication channel.  The result is sorted by (code, subject) and is a
-    pure function of the model.
+    communication channel.  The result is sorted by (code, subjects) and is
+    a pure function of the model.
     """
-    diagnostics: list[Diagnostic] = []
-    produced = {p.resource for r in model.responsibilities for p in r.products}
-
-    for resp in model.responsibilities:
-        if not resp.assigned_to:
-            diagnostics.append(Diagnostic(
-                code=UNASSIGNED_RESP,
-                severity=VALIDATION_CATALOG[UNASSIGNED_RESP],
-                message=f'responsibility "{resp.name}" has no assigned agent',
-                subject=resp.id,
-            ))
-        for need in resp.needs:
-            if not need.sources and need.resource not in produced:
-                diagnostics.append(Diagnostic(
-                    code=UNSOURCED_INFO,
-                    severity=VALIDATION_CATALOG[UNSOURCED_INFO],
-                    message=(
-                        f'|{model.resource_name(need.resource)}| required by '
-                        f'"{resp.name}" has no source and no producer'
-                    ),
-                    subject=f"{resp.id}/{need.resource}",
-                ))
-
+    findings = find_unassigned(model) + _unsourced(model, "")
     if strict:
         implicit = (
             [("agent", a.id, a.name) for a in model.agents if a.implicit]
             + [("resource", r.id, r.name) for r in model.resources if r.implicit]
             + [("channel", c.id, c.name) for c in model.channels if c.implicit]
         )
-        for kind, element_id, name in implicit:
-            diagnostics.append(Diagnostic(
-                code=IMPLICIT_DECL,
-                severity=VALIDATION_CATALOG[IMPLICIT_DECL],
-                message=f'{kind} "{name}" was never declared explicitly',
-                subject=element_id,
-            ))
+        findings += [
+            _finding("IMPLICIT_DECL", (element_id,),
+                     f'{kind} "{name}" was never declared explicitly')
+            for kind, element_id, name in implicit
+        ]
         for resp in model.responsibilities:
-            for need in resp.needs:
-                if not need.channels:
-                    diagnostics.append(Diagnostic(
-                        code=NO_CHANNEL,
-                        severity=VALIDATION_CATALOG[NO_CHANNEL],
-                        message=(
-                            f'no communication channel recorded for '
-                            f'|{model.resource_name(need.resource)}| '
-                            f'required by "{resp.name}"'
-                        ),
-                        subject=f"{resp.id}/{need.resource}",
-                    ))
-            for product in resp.products:
-                if not product.channels:
-                    diagnostics.append(Diagnostic(
-                        code=NO_CHANNEL,
-                        severity=VALIDATION_CATALOG[NO_CHANNEL],
-                        message=(
-                            f'no communication channel recorded for '
-                            f'|{model.resource_name(product.resource)}| '
-                            f'produced by "{resp.name}"'
-                        ),
-                        subject=f"{resp.id}/{product.resource}",
-                    ))
-
-    diagnostics.sort(key=lambda d: (d.code, d.subject))
-    return diagnostics
+            flows = [(n.resource, n.channels, "required") for n in resp.needs]
+            flows += [(p.resource, p.channels, "produced") for p in resp.products]
+            findings += [
+                _finding("NO_CHANNEL", (f"{resp.id}/{resource}",),
+                         f"no communication channel recorded for "
+                         f'|{model.resource_name(resource)}| {how} by "{resp.name}"')
+                for resource, channels, how in flows if not channels
+            ]
+    return _sorted(findings)

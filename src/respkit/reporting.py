@@ -22,7 +22,7 @@ import json
 from .analysis import Finding, PerceptionInconsistency
 from .elicitation import InfoTable
 from .hazards import Worksheet
-from .model import Model, RequirementRecord, ResourceKind, TraceRef
+from .model import Model, RequirementRecord, ResourceKind, TraceRef, escape_cr
 
 
 # ---------------------------------------------------------------------------
@@ -31,9 +31,7 @@ from .model import Model, RequirementRecord, ResourceKind, TraceRef
 
 
 def _dot_quote(value: str) -> str:
-    # A name may hold a carriage return, which many readers take for a line
-    # end; the escape keeps each DOT statement on one line.
-    escaped = value.replace("\\", "\\\\").replace('"', '\\"').replace("\r", "\\r")
+    escaped = escape_cr(value.replace("\\", "\\\\").replace('"', '\\"'))
     return f'"{escaped}"'
 
 
@@ -96,7 +94,7 @@ def table_to_markdown(table: InfoTable) -> str:
     """Pipe-delimited table; pipes and carriage returns in cells are escaped."""
 
     def cell(value: str) -> str:
-        return value.replace("|", "\\|").replace("\r", "\\r")
+        return escape_cr(value.replace("|", "\\|"))
 
     lines = ["| " + " | ".join(cell(c) for c in table.columns) + " |"]
     lines.append("| " + " | ".join("---" for _ in table.columns) + " |")
@@ -198,7 +196,7 @@ def requirements_report(model: Model, records: list[RequirementRecord]) -> str:
         lines.append("")
     count = len(records)
     lines.append(f"{count} requirement." if count == 1 else f"{count} requirements.")
-    return "\n".join(lines) + "\n"
+    return escape_cr("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

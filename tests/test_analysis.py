@@ -3,9 +3,10 @@ import re
 import pytest
 from hypothesis import given, settings
 
-from respkit import build_model, diff_models, print_model, run_all
+from respkit import build_model, diff_models, print_model, run_all, validate
 from respkit.analysis import (
     FINDING_CATALOG,
+    Finding,
     InconsistencyKind,
     agent_load,
     detect_sequence_cycles,
@@ -221,6 +222,21 @@ class TestRunAll:
         run_all(evacuation)
         diff_models(evacuation, evacuation)
         assert print_model(evacuation) == before
+
+
+class TestCatalog:
+    def test_one_catalog_of_nine_codes(self):
+        assert sorted(FINDING_CATALOG) == [
+            "AGENT_OVERLOAD", "DUPLICATE_SOURCE", "IMPLICIT_DECL", "NO_CHANNEL",
+            "SEQUENCE_CYCLE", "SINGLE_CHANNEL", "UNASSIGNED_RESP",
+            "UNSOURCED_INFO", "UNUSED_RESOURCE"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(models())
+    def test_check_and_analyze_share_the_catalog(self, model):
+        for finding in validate(model, strict=True) + run_all(model):
+            assert type(finding) is Finding
+            assert finding.severity is FINDING_CATALOG[finding.code]
 
 
 class TestDiffModels:

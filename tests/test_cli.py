@@ -55,6 +55,17 @@ class TestCheck:
         assert err.splitlines() == [
             f"error: {bad}: line 1: not valid UTF-8 (invalid continuation byte)"]
 
+    def test_carriage_return_in_a_name_is_not_a_line_end(self, run_cli, tmp_path):
+        # Only "\n" ends a line, as in parse_model; the finding escapes it.
+        model = tmp_path / "cr.resp"
+        model.write_bytes(b'responsibility "Say\rwhen" {\n'
+                          b'  requires |Facts| from <A> via "Phone"\n}\n')
+        status, out, err = run_cli("check", str(model))
+        assert (status, out) == (0, "")
+        assert err == ('UNASSIGNED_RESP high say-when: '
+                       'responsibility "Say\\rwhen" has no assigned agent\n')
+        assert load_model(model).responsibilities[0].name == "Say\rwhen"
+
 
 class TestAnalyze:
     def test_corpus_reports_and_fails(self, run_cli, resp_path):

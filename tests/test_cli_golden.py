@@ -4,8 +4,9 @@ Each form's stdout, stderr and exit status are pinned under
 ``corpus/golden/cli/``.  Forms that read the merged model first write the
 output of ``ingest`` on the corpus answers to a temporary file.
 
-The same snapshots are checked once more through the real entry point, as
-a fresh process under several ``PYTHONHASHSEED`` values, for a few forms.
+The same snapshots are checked once more for every form on a copy of the
+corpus with CRLF line ends, and through the real entry point, as a fresh
+process under several ``PYTHONHASHSEED`` values, for a few forms.
 
 To regenerate the snapshots after an intended output change, run
 ``PYTHONPATH=src python tests/test_cli_golden.py`` from the repository root
@@ -60,14 +61,14 @@ def _invoke(argv):
 
 
 def _run_form(name: str, workdir: Path):
-    """Run one form from the repository root; the merged model lives in
-    ``workdir`` and is named by a path relative to the root."""
+    """Run one form from the current directory, which holds ``corpus/``; the
+    merged model lives in ``workdir`` and is named by a relative path."""
     merged = workdir / "merged.resp"
     if not merged.exists():
         status, out, err = _invoke(FORMS["ingest"])
         assert (status, err) == (0, ""), err
         merged.write_text(out, encoding="utf-8", newline="")
-    relative = os.path.relpath(merged, REPO)
+    relative = os.path.relpath(merged)
     return _invoke(a.replace(MERGED, relative) for a in FORMS[name])
 
 
@@ -92,6 +93,26 @@ def test_cli_form_matches_golden(name, statuses, at_repo_root):
     assert status == statuses[name]
     assert out == _read(GOLDEN_CLI / f"{name}.out")
     assert err == _read(GOLDEN_CLI / f"{name}.err")
+
+
+@pytest.fixture()
+def at_crlf_copy(monkeypatch, tmp_path):
+    """A directory holding the three corpus files with CRLF line ends."""
+    (tmp_path / "corpus").mkdir()
+    for name in (RESP, ANSWERS, REQS):
+        text = (REPO / name).read_bytes()
+        assert b"\r" not in text
+        (tmp_path / name).write_bytes(text.replace(b"\n", b"\r\n"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "work").mkdir()
+    return tmp_path / "work"
+
+
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_crlf_corpus_matches_golden(name, statuses, at_crlf_copy):
+    assert _run_form(name, at_crlf_copy) == (
+        statuses[name], _read(GOLDEN_CLI / f"{name}.out"),
+        _read(GOLDEN_CLI / f"{name}.err"))
 
 
 ENTRY = "from respkit.cli import main; main()"  # the `respkit` console script

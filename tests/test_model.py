@@ -395,6 +395,52 @@ class TestValidate:
         assert first == second
 
 
+# One model that meets every ``check`` code: implicit agents, resources and a
+# channel (agent "Radio" and channel "Radio" share a slug), and a duty that
+# requires and produces |Log| with no channel (one subject, two lines).
+PINNED_MODEL = ('agent <Police>\n'
+                'responsibility "Evacuate" {\n'
+                '  requires |Map| from <Radio> via "Radio"\n'
+                '  requires |Log| from <Council>\n'
+                '  produces |Log|\n'
+                '}\n'
+                'responsibility "Report" {\n'
+                '  assigned to <Police>\n'
+                '  requires |Status|\n'
+                '}')
+
+UNASSIGNED_LINE = ('UNASSIGNED_RESP high evacuate: '
+                   'responsibility "Evacuate" has no assigned agent')
+UNSOURCED_LINE = ('UNSOURCED_INFO medium report/status: '
+                  '|Status| required by "Report" has no source and no producer')
+
+
+def test_validation_messages_exactly():
+    from respkit.analysis import find_unsourced_info
+
+    model = build(PINNED_MODEL)
+    assert [d.render() for d in validate(model)] == [UNASSIGNED_LINE, UNSOURCED_LINE]
+    assert [d.render() for d in validate(model, strict=True)] == [
+        'IMPLICIT_DECL low council: agent "Council" was never declared explicitly',
+        'IMPLICIT_DECL low log: resource "Log" was never declared explicitly',
+        'IMPLICIT_DECL low map: resource "Map" was never declared explicitly',
+        'IMPLICIT_DECL low radio: agent "Radio" was never declared explicitly',
+        'IMPLICIT_DECL low radio: channel "Radio" was never declared explicitly',
+        'IMPLICIT_DECL low status: resource "Status" was never declared explicitly',
+        'NO_CHANNEL low evacuate/log: no communication channel recorded for '
+        '|Log| required by "Evacuate"',
+        'NO_CHANNEL low evacuate/log: no communication channel recorded for '
+        '|Log| produced by "Evacuate"',
+        'NO_CHANNEL low report/status: no communication channel recorded for '
+        '|Status| required by "Report"',
+        UNASSIGNED_LINE,
+        UNSOURCED_LINE,
+    ]
+    # ``analyze`` words the same finding with the scope spelled out.
+    assert [f.render() for f in find_unsourced_info(model)] == [
+        UNSOURCED_LINE + " in the model"]
+
+
 class TestNeedMerge:
     def test_union_keeps_first_mention_order(self):
         left = InfoNeed("x", ("a", "b"), ("c1",))

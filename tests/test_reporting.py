@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -277,3 +278,39 @@ class TestDiffReport:
         other = build('responsibility "Evacuate area" { assigned to <Army> }')
         report = diff_report(diff_models(evacuation, other), "text")
         assert 'AssignmentMismatch "Evacuate area"' in report
+
+
+class TestCarriageReturns:
+    """A name may hold a carriage return: text reports escape it as ``\\r``,
+    so each keeps one record a line; JSON keeps the name as it is."""
+
+    MODEL = 'responsibility "Say\rwhen" {\n  requires |Map\rold|\n}'
+
+    def test_findings_report(self):
+        findings = run_all(build(self.MODEL))
+        assert findings_report(findings, "text").splitlines() == [
+            'UNASSIGNED_RESP high say-when: '
+            'responsibility "Say\\rwhen" has no assigned agent',
+            'UNSOURCED_INFO medium say-when/map-old: |Map\\rold| required by '
+            '"Say\\rwhen" has no source and no producer in the model',
+            "2 findings."]
+        explanations = [f["explanation"] for f in
+                        json.loads(findings_report(findings, "json"))]
+        assert explanations == [f.explanation for f in findings]
+        assert "\r" in explanations[0]
+
+    def test_diff_report(self):
+        report = diff_report(diff_models(build(self.MODEL), Model()), "text")
+        assert report.splitlines() == [
+            'MissingResponsibility "Say\\rwhen": left: present; right: absent',
+            "1 inconsistency."]
+
+    def test_requirements_report(self):
+        record = RequirementRecord(
+            id="R1", text="Say\rit", rationale="why\rnot",
+            traces=(TraceRef("responsibility", "Say\rwhen"),))
+        report = requirements_report(build(self.MODEL), [record])
+        assert report.splitlines() == report.split("\n")[:-1]
+        assert report.splitlines()[2:5] == [
+            "1. [R1] Say\\rit", "   *(why\\rnot)*",
+            '   traces: responsibility "Say\\rwhen"']
