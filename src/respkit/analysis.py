@@ -20,7 +20,7 @@ from .model import (
     Responsibility,
     _finding,
     _sorted,
-    escape_cr,
+    escape_line_ends,
     find_unassigned,
     find_unsourced_info,
 )
@@ -230,7 +230,7 @@ class PerceptionInconsistency:
     right: str
 
     def render(self) -> str:
-        return escape_cr(f'{self.kind.value} "{self.responsibility}": '
+        return escape_line_ends(f'{self.kind.value} "{self.responsibility}": '
                          f"left: {self.left}; right: {self.right}")
 
     def swapped(self) -> "PerceptionInconsistency":

@@ -247,7 +247,8 @@ def fold_duty(duty: Responsibility, needs: Iterable[InfoNeed],
     (item, guide word) it already has, merges into it; a new one is
     appended.  Each hazard comes with its item's name as the caller reports
     it: ``orphan`` is called with that name for each new hazard whose item
-    the merged duty neither requires nor produces.
+    the merged duty does not require, since a worksheet has rows for
+    required items only.
     """
     merged_needs = {n.resource: n for n in duty.needs}
     for need in needs:
@@ -258,7 +259,6 @@ def fold_duty(duty: Responsibility, needs: Iterable[InfoNeed],
         old = merged_products.get(product.resource)
         merged_products[product.resource] = \
             product if old is None else old.merged_with(product)
-    known = merged_needs.keys() | merged_products.keys()
     merged_hazards = {(h.item, h.guide_word): h for h in duty.hazards}
     for entry, item_name in hazards:
         key = (entry.item, entry.guide_word)
@@ -266,7 +266,7 @@ def fold_duty(duty: Responsibility, needs: Iterable[InfoNeed],
         if old is not None:
             merged_hazards[key] = old.merged_with(entry)
             continue
-        if entry.item not in known:
+        if entry.item not in merged_needs:
             orphan(item_name)
         merged_hazards[key] = entry
     return {"needs": tuple(merged_needs.values()),
@@ -406,8 +406,8 @@ def _build_responsibility(
 
     def orphan(item_name: str) -> None:
         orphans.append(BuildIssue(
-            f'hazard on |{item_name}| but "{decl.name}" neither requires nor '
-            f"produces it", decl.span))
+            f'hazard on |{item_name}| but "{decl.name}" does not require it',
+            decl.span))
 
     return Responsibility(slug, decl.name, dedupe(assigned), uses=dedupe(uses),
                           notes=tuple(notes),

@@ -15,22 +15,28 @@ leading/trailing whitespace; there is no escape mechanism inside them, so
 ``\\"`` and ``\\\\`` as the only escapes.
 
 The tokenizer is one compiled master regex, as in the "Writing a
-Tokenizer" recipe of the ``re`` documentation.  No token spans a line, so
-it runs ``match(line, pos)`` over ``text.split("\\n")``: the line number
-comes from that loop and each column is the token's offset plus one.  Only
-``\\n`` ends a line; ``\\r``, ``\\x0b`` and ``\\u2028`` are ordinary
-characters.  Each scan error (a bad escape, an unterminated string or
-reference, an empty reference name, a run of characters that starts no
-token) is its own alternative of the regex.
+Tokenizer" recipe of the ``re`` documentation, run by one ``finditer``
+pass over the whole text.  It fills three parallel lists: each token's
+kind, value and offset.  No token spans a line: only ``\\n`` ends one, and
+``\\r``, ``\\x0b`` and ``\\u2028`` are ordinary characters.  Each scan error
+(a bad escape, an unterminated string or reference, an empty reference
+name, a run of characters that starts no token) is its own alternative of
+the regex.  A ``SourceSpan`` is built from an offset, by bisecting the line
+starts, only where a declaration, a clause or an error keeps one.
 
-Parsers recover at top-level declaration boundaries, so at least the first
-error of each declaration is reported rather than only the first error of
-the file.
+The parsers read the lists through an index: each parse function takes
+the index of its first token and returns what it parsed with the index
+after it.  They recover at top-level declaration boundaries, so at least
+the first error of each declaration is reported rather than only the
+first error of the file.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple, Optional, Union
 
 from .model import (
@@ -189,25 +195,27 @@ _KINDS = {"ident": IDENT, "lbrace": LBRACE, "rbrace": RBRACE, "comma": COMMA,
 _CLOSERS = {"<": ">", "[": "]", "|": "|"}
 
 # A run of characters that starts no token, up to the next delimiter.
-_RUN = re.compile(r'[^ \t\r#{},"<\[|]+')
+_RUN = re.compile(r'[^ \t\r\n#{},"<\[|]+')
 # Group 1 holds the blanks before the token.  Then one alternative per token
-# kind and per scan error, tried in order.  Lines hold no "\n", so ".*" runs
-# to the end of the line.  \w is str.isalnum() plus "_" and \s is
-# str.isspace(), so reference names come out stripped.  [^\W\d] also admits
-# numerals such as "²" and "Ⅻ", which _scan rejects with isalpha().
+# kind and per scan error, tried in order, the plain tokens first.  No token
+# spans a line: "." stops at "\n", and every class that could run on
+# excludes it.  \w is str.isalnum() plus "_" and \s is str.isspace(), so
+# reference names come out stripped.  <word> also admits numerals such as
+# "²" and "Ⅻ", which _odd_token rejects with isalpha().
 _TOKEN = re.compile(r"""
-    ([ \t\r]*)
+    ([ \t\r\n]*)
     (?:
-      (?P<end>\#|\Z)
-    | (?P<ident>[^\W\d][\w-]*)
+      (?P<ident>[A-Za-z_][\w-]*)
     | (?P<lbrace>\{) | (?P<rbrace>\}) | (?P<comma>,)
-    | "(?P<string>[^"\\]*(?:\\["\\][^"\\]*)*)"
-    | "(?P<bad_escape>[^"\\]*(?:\\.[^"\\]*)*)"
+    | "(?P<string>[^"\\\n]*)"
+    | <[^\S\n]*(?P<agent>[^>\n]*[^\s>])[^\S\n]*>
+    | \[[^\S\n]*(?P<phys>[^\]\n]*[^\s\]])[^\S\n]*]
+    | \|[^\S\n]*(?P<info>[^|\n]*[^\s|])[^\S\n]*\|
+    | (?P<end>\#.*|\Z)
+    | (?P<word>[^\W\d][\w-]*)
+    | "(?P<escaped>[^"\\\n]*(?:\\.[^"\\\n]*)*)"
     | "(?P<open_string>.*)
-    | <\s*(?P<agent>[^>]*[^\s>])\s*>
-    | \[\s*(?P<phys>[^\]]*[^\s\]])\s*]
-    | \|\s*(?P<info>[^|]*[^\s|])\s*\|
-    | (?P<empty_ref><\s*>|\[\s*]|\|\s*\|)
+    | (?P<empty_ref><[^\S\n]*>|\[[^\S\n]*]|\|[^\S\n]*\|)
     | (?P<open_ref>[<\[|]).*
     | (?P<run>""" + _RUN.pattern + r""")
     )""", re.VERBOSE)
@@ -215,179 +223,226 @@ _ESCAPE = re.compile(r"\\(.?)")
 _VALID_ESCAPE = re.compile(r'\\(["\\])')
 
 
-class Token(NamedTuple):
-    kind: str
-    value: str
-    span: SourceSpan
+class _SyntaxError(Exception):
+    """A parse error, and the token the parser stood at when it was found."""
 
-    def describe(self) -> str:
-        if self.kind == EOF:
-            return EOF
-        return f"{self.kind} {self.value!r}" if self.value else self.kind
+    def __init__(self, error: ParseError, at: int):
+        self.error = error
+        self.at = at
 
 
-def _scan(text: str, filename: str) -> tuple[list[Token], list[ParseError]]:
+class _Tokens:
+    """A scanned document: the kind, value and offset of each token in three
+    parallel lists that end in one EOF token, and the scan errors."""
+
+    def __init__(self, text: str, filename: str):
+        self.text = text
+        self.filename = filename
+        self.kinds: list[str] = []
+        self.values: list[str] = []
+        self.offsets: list[int] = []
+        self.errors: list[ParseError] = []
+
+    @cached_property
+    def line_starts(self) -> list[int]:
+        return [0, *accumulate(len(line) + 1 for line in self.text.split("\n"))]
+
+    def span_at(self, offset: int) -> SourceSpan:
+        starts = self.line_starts
+        line = bisect_right(starts, offset)
+        return SourceSpan(self.filename, line, offset - starts[line - 1] + 1)
+
+    def span(self, i: int) -> SourceSpan:
+        return self.span_at(self.offsets[i])
+
+    def fail(self, i: int, expected: str) -> _SyntaxError:
+        """The error for token ``i`` where ``expected`` was wanted."""
+        kind, value = self.kinds[i], self.values[i]
+        found = f"{kind} {value!r}" if value else kind
+        return _SyntaxError(ParseError(self.span(i), expected, found), i)
+
+
+def _scan(text: str, filename: str) -> _Tokens:
     """Tokenize, recovering from bad characters and unterminated literals.
 
     A bad token is reported and skipped: an invalid run up to the next
     delimiter, an unterminated string or reference to the end of its line,
     so later declarations still get tokenized and parsed.
     """
-    tokens: list[Token] = []
-    errors: list[ParseError] = []
-    lines = text.split("\n")
-    for number, line in enumerate(lines, 1):
-        pos = 0
-        while True:
-            m = _TOKEN.match(line, pos)
-            start, group = m.end(1), m.lastgroup
-            if group == "end":
-                break
-            pos = m.end()
-            value = m[group]
-            if group == "ident" and not (value[0].isalpha() or value[0] == "_"):
-                group, pos = "run", _RUN.match(line, start).end()
-                value = line[start:pos]
-            span = SourceSpan(filename, number, start + 1)
-            if group in _KINDS:
-                if group == "string" and "\\" in value:
-                    value = _VALID_ESCAPE.sub(r"\1", value)
-                tokens.append(Token(_KINDS[group], value, span))
-            elif group in ("bad_escape", "open_string"):
-                for escape in _ESCAPE.finditer(value):
-                    if escape[1] not in ('"', "\\"):
-                        errors.append(ParseError(
-                            SourceSpan(filename, number, start + 2 + escape.start()),
-                            "escape '\\\"' or '\\\\'",
-                            f"'\\{escape[1]}'" if escape[1]
-                            else EOF if number == len(lines) else "end of line"))
-                if group == "bad_escape":
-                    tokens.append(Token(STRING, _VALID_ESCAPE.sub(r"\1", value), span))
-                else:
-                    errors.append(ParseError(span, "closing '\"'", "end of line"))
-            elif group == "empty_ref":
-                errors.append(ParseError(
-                    span, f"a name inside '{value[0]}{value[-1]}'", "nothing"))
-            elif group == "open_ref":
-                errors.append(ParseError(
-                    span, f"closing '{_CLOSERS[value]}'", "end of line"))
-            else:
-                errors.append(ParseError(span, "a valid token", repr(value)))
-    tokens.append(Token(EOF, "", SourceSpan(filename, number, start + 1)))
-    return tokens, errors
+    tokens = _Tokens(text, filename)
+    add_kind, add_value = tokens.kinds.append, tokens.values.append
+    add_offset, kind_of = tokens.offsets.append, _KINDS.get
+    matches = _TOKEN.finditer(text)
+    for m in matches:
+        group = m.lastgroup
+        kind = kind_of(group)
+        if kind is not None:
+            add_kind(kind)
+            add_value(m[group])
+            add_offset(m.end(1))
+        elif group != "end":
+            token = _odd_token(tokens, m, matches)
+            if token is not None:
+                add_kind(token[0])
+                add_value(token[1])
+                add_offset(m.end(1))
+        elif m.end() == len(text):  # a comment on the last line, or the end
+            break
+    add_kind(EOF)
+    add_value("")
+    add_offset(m.end(1))
+    return tokens
+
+
+def _odd_token(tokens: _Tokens, m: re.Match, matches) -> Optional[tuple[str, str]]:
+    """The token of a match that needs more than its group, or None after
+    reporting a scan error: an identifier that starts outside ASCII, a
+    string with escapes, a bad token."""
+    group, start = m.lastgroup, m.end(1)
+    value, text = m[group], tokens.text
+    if group == "word":
+        if value[0].isalpha():
+            return IDENT, value
+        end = _RUN.match(text, start).end()
+        while m.end() < end:  # skip the rest of the run
+            m = next(matches)
+        group, value = "run", text[start:end]
+    elif group in ("escaped", "open_string"):
+        for escape in _ESCAPE.finditer(value):
+            if escape[1] not in ('"', "\\"):
+                tokens.errors.append(ParseError(
+                    tokens.span_at(start + 1 + escape.start()),
+                    "escape '\\\"' or '\\\\'",
+                    f"'\\{escape[1]}'" if escape[1]
+                    else EOF if m.end() == len(text) else "end of line"))
+        if group == "escaped":
+            return STRING, _VALID_ESCAPE.sub(r"\1", value)
+    if group == "open_string":
+        expected, found = "closing '\"'", "end of line"
+    elif group == "empty_ref":
+        expected, found = f"a name inside '{value[0]}{value[-1]}'", "nothing"
+    elif group == "open_ref":
+        expected, found = f"closing '{_CLOSERS[value]}'", "end of line"
+    else:
+        expected, found = "a valid token", repr(value)
+    tokens.errors.append(ParseError(tokens.span_at(start), expected, found))
+    return None
 
 
 # ---------------------------------------------------------------------------
 # Parser core
 # ---------------------------------------------------------------------------
+# Each parse function takes the tokens and the index of its first token and
+# returns what it parsed with the index after it.  A token is read as
+# ``kinds[i]`` and ``values[i]``; index ``i + 1`` is only read once token
+# ``i`` is known not to be the EOF token, so no read runs off the end.
 
 
-class _SyntaxError(Exception):
-    def __init__(self, error: ParseError):
-        self.error = error
-
-
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.current
-        if tok.kind != EOF:
-            self.pos += 1
-        return tok
-
-    def at(self, kind: str, value: Optional[str] = None) -> bool:
-        tok = self.current
-        return tok.kind == kind and (value is None or tok.value == value)
-
-    def at_keyword(self, *words: str) -> bool:
-        return self.current.kind == IDENT and self.current.value in words
-
-    def accept(self, kind: str, value: Optional[str] = None) -> Optional[Token]:
-        if self.at(kind, value):
-            return self.advance()
-        return None
-
-    def expect(self, kind: str, value: Optional[str] = None,
-               expected: Optional[str] = None) -> Token:
-        if self.at(kind, value):
-            return self.advance()
-        wanted = expected or (f"'{value}'" if value else kind)
-        raise _SyntaxError(ParseError(self.current.span, wanted, self.current.describe()))
-
-    def expect_keyword(self, word: str) -> Token:
-        return self.expect(IDENT, word, expected=f"'{word}'")
-
-    def fail(self, expected: str) -> "_SyntaxError":
-        return _SyntaxError(ParseError(self.current.span, expected, self.current.describe()))
-
-    def skip_to_toplevel(self, keywords: tuple[str, ...]) -> None:
-        """Resynchronize after an error: skip to the next declaration."""
-        depth = 0
-        while not self.at(EOF):
-            tok = self.current
-            if tok.kind == LBRACE:
-                depth += 1
-            elif tok.kind == RBRACE:
-                depth = max(0, depth - 1)
-            elif depth == 0 and tok.kind == IDENT and tok.value in keywords:
-                return
-            self.advance()
-
-    def comma_list(self, kind: str) -> tuple[str, ...]:
-        values = [self.expect(kind).value]
-        while self.accept(COMMA):
-            values.append(self.expect(kind).value)
-        return tuple(values)
-
-    def severity_token(self) -> Severity:
-        tok = self.expect(IDENT, expected=f"a severity ({SEVERITY_TOKENS})")
+def _parse_all(text: str, filename: str, parse_one, keywords: tuple[str, ...]) -> list:
+    """``parse_one`` repeated to the end of ``text``.  After an error, skip
+    the token the parser stood at, then skip to the next of ``keywords``
+    outside braces; raise ParseFailure with every error at the end."""
+    tokens = _scan(text, filename)
+    kinds, values, errors = tokens.kinds, tokens.values, tokens.errors
+    results = []
+    i = 0
+    while kinds[i] != EOF:
         try:
-            return Severity.from_token(tok.value)
-        except ValueError:
-            raise _SyntaxError(ParseError(
-                tok.span, f"one of {SEVERITY_TOKENS}", f"{tok.value!r}"))
-
-    def guide_word_token(self) -> GuideWord:
-        tok = self.expect(IDENT, expected=f"a guide word ({GUIDE_WORD_TOKENS})")
-        try:
-            return GuideWord.from_token(tok.value)
-        except ValueError:
-            raise _SyntaxError(ParseError(
-                tok.span, f"one of {GUIDE_WORD_TOKENS}", f"{tok.value!r}"))
-
-
-def _channels(parser: _Parser) -> tuple[str, ...]:
-    if parser.accept(IDENT, "via"):
-        return tuple(s.strip() for s in parser.comma_list(STRING))
-    return ()
-
-
-def _need_tail(parser: _Parser) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """``[from <agent>, ...] [via "channel", ...]`` after a needed item, in
-    a ``requires`` clause and an answers ``needs`` line alike."""
-    sources = parser.comma_list(AGENT_REF) if parser.accept(IDENT, "from") else ()
-    return sources, _channels(parser)
-
-
-def _product_tail(parser: _Parser) -> tuple[tuple[str, ...], Optional[str]]:
-    """``[via "channel", ...] [rationale "why"]`` after a produced item, in a
-    ``produces`` clause and an answers ``records`` line alike."""
-    channels = _channels(parser)
-    rationale = parser.expect(STRING).value if parser.accept(IDENT, "rationale") else None
-    return channels, rationale
-
-
-def _finish(errors: list[ParseError]) -> None:
+            result, i = parse_one(tokens, i)
+            results.append(result)
+        except _SyntaxError as exc:
+            errors.append(exc.error)
+            i = exc.at + (kinds[exc.at] != EOF)
+            depth = 0
+            while kinds[i] != EOF:
+                kind = kinds[i]
+                if kind == LBRACE:
+                    depth += 1
+                elif kind == RBRACE:
+                    depth = max(0, depth - 1)
+                elif depth == 0 and kind == IDENT and values[i] in keywords:
+                    break
+                i += 1
     if errors:
         errors.sort(key=lambda e: e.span)
         raise ParseFailure(errors)
+    return results
+
+
+def _expect(tokens: _Tokens, i: int, kind: str, expected: Optional[str] = None) -> str:
+    """The value of token ``i``, which must be a ``kind``."""
+    if tokens.kinds[i] != kind:
+        raise tokens.fail(i, expected or kind)
+    return tokens.values[i]
+
+
+def _keyword(tokens: _Tokens, i: int, word: str) -> None:
+    if tokens.values[i] != word or tokens.kinds[i] != IDENT:
+        raise tokens.fail(i, f"'{word}'")
+
+
+def _member(tokens: _Tokens, i: int, parse, expected: str, choices: str):
+    """``parse`` of identifier ``i``, which must name one of ``choices``."""
+    value = _expect(tokens, i, IDENT, expected)
+    try:
+        return parse(value)
+    except ValueError:
+        raise _SyntaxError(ParseError(
+            tokens.span(i), f"one of {choices}", repr(value)), i + 1) from None
+
+
+_AGENT_KINDS = ", ".join(k.value for k in AgentKind)
+_AGENT_KIND = (AgentKind, f"one of {_AGENT_KINDS}", _AGENT_KINDS)
+_SEVERITY = (Severity.from_token, f"a severity ({SEVERITY_TOKENS})", SEVERITY_TOKENS)
+_GUIDE_WORD = (GuideWord.from_token, f"a guide word ({GUIDE_WORD_TOKENS})",
+               GUIDE_WORD_TOKENS)
+
+
+def _list(tokens: _Tokens, i: int, kind: str) -> tuple[tuple[str, ...], int]:
+    """``item, item, ...``, each a ``kind``."""
+    kinds = tokens.kinds
+    items = [_expect(tokens, i, kind)]
+    while kinds[i + 1] == COMMA:
+        i += 2
+        items.append(_expect(tokens, i, kind))
+    return tuple(items), i + 1
+
+
+def _channels(tokens: _Tokens, i: int) -> tuple[tuple[str, ...], int]:
+    if tokens.values[i] == "via" and tokens.kinds[i] == IDENT:
+        names, i = _list(tokens, i + 1, STRING)
+        return tuple(map(str.strip, names)), i
+    return (), i
+
+
+def _need_tail(tokens: _Tokens, i: int):
+    """``[from <agent>, ...] [via "channel", ...]`` after a needed item, in
+    a ``requires`` clause and an answers ``needs`` line alike."""
+    sources = ()
+    if tokens.values[i] == "from" and tokens.kinds[i] == IDENT:
+        sources, i = _list(tokens, i + 1, AGENT_REF)
+    channels, i = _channels(tokens, i)
+    return sources, channels, i
+
+
+def _product_tail(tokens: _Tokens, i: int):
+    """``[via "channel", ...] [rationale "why"]`` after a produced item, in a
+    ``produces`` clause and an answers ``records`` line alike."""
+    channels, i = _channels(tokens, i)
+    if tokens.values[i] == "rationale" and tokens.kinds[i] == IDENT:
+        return channels, _expect(tokens, i + 1, STRING), i + 2
+    return channels, None, i
+
+
+def _hazard_tail(tokens: _Tokens, i: int):
+    """``GUIDEWORD "consequence" [severity LEVEL]``, after the item in a
+    ``hazard`` clause and as an answers ``hazards`` line alike."""
+    guide_word = _member(tokens, i, *_GUIDE_WORD)
+    consequence = _expect(tokens, i + 1, STRING)
+    i += 2
+    if tokens.values[i] == "severity" and tokens.kinds[i] == IDENT:
+        return guide_word, consequence, _member(tokens, i + 1, *_SEVERITY), i + 2
+    return guide_word, consequence, Severity.NONE, i
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +450,10 @@ def _finish(errors: list[ParseError]) -> None:
 # ---------------------------------------------------------------------------
 
 _RESP_TOPLEVEL = ("model", "agent", "resource", "channel", "responsibility")
-_AGENT_KINDS = ", ".join(k.value for k in AgentKind)
+_DECLARATION = ("a declaration keyword "
+                "(model, agent, resource, channel, responsibility)")
+_ITEM = ("an item keyword (assigned, requires, produces, uses, hazard, "
+         "precedes, note) or '}'")
 
 
 def parse_model(text: str, filename: str = "<string>") -> list[Declaration]:
@@ -403,142 +461,93 @@ def parse_model(text: str, filename: str = "<string>") -> list[Declaration]:
 
     Raises ParseFailure carrying every recovered error.
     """
-    tokens, errors = _scan(text, filename)
-    parser = _Parser(tokens)
-    declarations: list[Declaration] = []
-    saw_model = False
-    saw_other = False
-
-    while not parser.at(EOF):
-        try:
-            tok = parser.current
-            if tok.kind != IDENT:
-                raise parser.fail("a declaration keyword "
-                                  "(model, agent, resource, channel, responsibility)")
-            if tok.value == "model":
-                if saw_model or saw_other:
-                    raise parser.fail("at most one model declaration, first in the file")
-                parser.advance()
-                name = parser.expect(STRING).value
-                declarations.append(ModelDecl(name.strip(), tok.span))
-                saw_model = True
-            elif tok.value == "agent":
-                parser.advance()
-                name = parser.expect(AGENT_REF).value
-                kind: Optional[AgentKind] = None
-                if parser.accept(IDENT, "kind"):
-                    kind_tok = parser.expect(IDENT, expected=f"one of {_AGENT_KINDS}")
-                    try:
-                        kind = AgentKind(kind_tok.value)
-                    except ValueError:
-                        raise _SyntaxError(ParseError(
-                            kind_tok.span, f"one of {_AGENT_KINDS}",
-                            f"{kind_tok.value!r}"))
-                declarations.append(AgentDecl(name, kind, tok.span))
-            elif tok.value == "resource":
-                parser.advance()
-                if parser.at(PHYS_REF):
-                    ref = parser.advance()
-                    declarations.append(
-                        ResourceDecl(ref.value, ResourceKind.PHYSICAL, tok.span))
-                elif parser.at(INFO_REF):
-                    ref = parser.advance()
-                    declarations.append(
-                        ResourceDecl(ref.value, ResourceKind.INFORMATION, tok.span))
-                else:
-                    raise parser.fail("a resource reference ([name] or |name|)")
-            elif tok.value == "channel":
-                parser.advance()
-                name = parser.expect(STRING).value.strip()
-                medium = None
-                backup_of = None
-                if parser.accept(IDENT, "medium"):
-                    medium = parser.expect(IDENT, expected="a medium token").value
-                if parser.accept(IDENT, "backup_of"):
-                    backup_of = parser.expect(STRING).value.strip()
-                declarations.append(ChannelDecl(name, medium, backup_of, tok.span))
-            elif tok.value == "responsibility":
-                declarations.append(_parse_responsibility(parser))
-            else:
-                raise parser.fail("a declaration keyword "
-                                  "(model, agent, resource, channel, responsibility)")
-            saw_other = saw_other or tok.value != "model"
-        except _SyntaxError as exc:
-            errors.append(exc.error)
-            if not parser.at(EOF):
-                parser.advance()
-            parser.skip_to_toplevel(_RESP_TOPLEVEL)
-            saw_other = True
-
-    _finish(errors)
-    return declarations
+    return _parse_all(text, filename, _declaration, _RESP_TOPLEVEL)
 
 
-def _parse_responsibility(parser: _Parser) -> ResponsibilityDecl:
-    start = parser.expect_keyword("responsibility")
-    name = parser.expect(STRING).value.strip()
-    parser.expect(LBRACE)
-    items: list[Clause] = []
-    while True:
-        if parser.at(RBRACE):
-            parser.advance()
-            break
-        if parser.at(EOF):
-            raise _SyntaxError(ParseError(parser.current.span, "'}'", EOF))
-        tok = parser.current
-        if tok.kind != IDENT:
-            raise parser.fail("an item keyword (assigned, requires, produces, "
-                              "uses, hazard, precedes, note) or '}'")
-        word = tok.value
-        if word == "responsibility":
-            raise _SyntaxError(ParseError(
-                tok.span, "'}' before the next responsibility "
-                "(responsibility blocks do not nest)", tok.describe()))
-        if word == "assigned":
-            parser.advance()
-            parser.expect_keyword("to")
-            agents = parser.comma_list(AGENT_REF)
-            items.append(AssignClause(agents, tok.span))
-        elif word == "requires":
-            parser.advance()
-            resource = parser.expect(INFO_REF).value
-            sources, channels = _need_tail(parser)
-            criticality = None
-            if parser.accept(IDENT, "criticality"):
-                criticality = parser.severity_token()
-            items.append(RequireClause(resource, sources, channels, criticality, tok.span))
-        elif word == "produces":
-            parser.advance()
-            resource = parser.expect(INFO_REF).value
-            items.append(ProduceClause(resource, *_product_tail(parser), tok.span))
-        elif word == "uses":
-            parser.advance()
-            resource = parser.expect(PHYS_REF).value
-            items.append(UseClause(resource, tok.span))
-        elif word == "hazard":
-            parser.advance()
-            item = parser.expect(INFO_REF).value
-            guide_word = parser.guide_word_token()
-            consequence = parser.expect(STRING).value
-            severity = Severity.NONE
-            mitigated_by = None
-            if parser.accept(IDENT, "severity"):
-                severity = parser.severity_token()
-            if parser.accept(IDENT, "mitigated_by"):
-                mitigated_by = parser.expect(IDENT, expected="a requirement id").value
-            items.append(HazardClause(item, guide_word, consequence, severity,
-                                      mitigated_by, tok.span))
-        elif word == "precedes":
-            parser.advance()
-            target = parser.expect(STRING).value.strip()
-            items.append(PrecedesClause(target, tok.span))
-        elif word == "note":
-            parser.advance()
-            items.append(NoteClause(parser.expect(STRING).value, tok.span))
+def _declaration(tokens: _Tokens, i: int) -> tuple[Declaration, int]:
+    kinds, values = tokens.kinds, tokens.values
+    word = values[i] if kinds[i] == IDENT else None
+    if word == "responsibility":
+        return _responsibility(tokens, i)
+    if word == "agent":
+        name, kind, j = _expect(tokens, i + 1, AGENT_REF), None, i + 2
+        if values[j] == "kind" and kinds[j] == IDENT:
+            kind, j = _member(tokens, j + 1, *_AGENT_KIND), j + 2
+        return AgentDecl(name, kind, tokens.span(i)), j
+    if word == "resource":
+        if kinds[i + 1] == PHYS_REF:
+            kind = ResourceKind.PHYSICAL
+        elif kinds[i + 1] == INFO_REF:
+            kind = ResourceKind.INFORMATION
         else:
-            raise parser.fail("an item keyword (assigned, requires, produces, "
-                              "uses, hazard, precedes, note) or '}'")
-    return ResponsibilityDecl(name, tuple(items), start.span)
+            raise tokens.fail(i + 1, "a resource reference ([name] or |name|)")
+        return ResourceDecl(values[i + 1], kind, tokens.span(i)), i + 2
+    if word == "channel":
+        name, medium, backup_of, j = _expect(tokens, i + 1, STRING), None, None, i + 2
+        if values[j] == "medium" and kinds[j] == IDENT:
+            medium, j = _expect(tokens, j + 1, IDENT, "a medium token"), j + 2
+        if values[j] == "backup_of" and kinds[j] == IDENT:
+            backup_of, j = _expect(tokens, j + 1, STRING).strip(), j + 2
+        return ChannelDecl(name.strip(), medium, backup_of, tokens.span(i)), j
+    if word == "model":
+        # Every earlier declaration, good or bad, moved the parser on.
+        if i > 0:
+            raise tokens.fail(i, "at most one model declaration, first in the file")
+        return ModelDecl(_expect(tokens, i + 1, STRING).strip(), tokens.span(i)), i + 2
+    raise tokens.fail(i, _DECLARATION)
+
+
+def _responsibility(tokens: _Tokens, i: int) -> tuple[ResponsibilityDecl, int]:
+    kinds, values, span = tokens.kinds, tokens.values, tokens.span
+    name = _expect(tokens, i + 1, STRING).strip()
+    if kinds[i + 2] != LBRACE:
+        raise tokens.fail(i + 2, LBRACE)
+    head, i = i, i + 3
+    items: list[Clause] = []
+    add = items.append
+    while kinds[i] != RBRACE:
+        if kinds[i] != IDENT:
+            raise tokens.fail(i, "'}'" if kinds[i] == EOF else _ITEM)
+        word, at = values[i], i
+        if word == "requires":
+            resource = _expect(tokens, i + 1, INFO_REF)
+            sources, channels, i = _need_tail(tokens, i + 2)
+            criticality = None
+            if values[i] == "criticality" and kinds[i] == IDENT:
+                criticality, i = _member(tokens, i + 1, *_SEVERITY), i + 2
+            add(RequireClause(resource, sources, channels, criticality, span(at)))
+        elif word == "produces":
+            resource = _expect(tokens, i + 1, INFO_REF)
+            channels, rationale, i = _product_tail(tokens, i + 2)
+            add(ProduceClause(resource, channels, rationale, span(at)))
+        elif word == "assigned":
+            _keyword(tokens, i + 1, "to")
+            agents, i = _list(tokens, i + 2, AGENT_REF)
+            add(AssignClause(agents, span(at)))
+        elif word == "hazard":
+            item = _expect(tokens, i + 1, INFO_REF)
+            guide_word, consequence, severity, i = _hazard_tail(tokens, i + 2)
+            mitigated_by = None
+            if values[i] == "mitigated_by" and kinds[i] == IDENT:
+                mitigated_by = _expect(tokens, i + 1, IDENT, "a requirement id")
+                i += 2
+            add(HazardClause(item, guide_word, consequence, severity,
+                             mitigated_by, span(at)))
+        elif word == "uses":
+            add(UseClause(_expect(tokens, i + 1, PHYS_REF), span(at)))
+            i += 2
+        elif word == "precedes":
+            add(PrecedesClause(_expect(tokens, i + 1, STRING).strip(), span(at)))
+            i += 2
+        elif word == "note":
+            add(NoteClause(_expect(tokens, i + 1, STRING), span(at)))
+            i += 2
+        elif word == "responsibility":
+            raise tokens.fail(i, "'}' before the next responsibility "
+                                 "(responsibility blocks do not nest)")
+        else:
+            raise tokens.fail(i, _ITEM)
+    return ResponsibilityDecl(name, tuple(items), span(head)), i + 1
 
 
 # ---------------------------------------------------------------------------
@@ -548,83 +557,63 @@ def _parse_responsibility(parser: _Parser) -> ResponsibilityDecl:
 
 def parse_answers(text: str, filename: str = "<string>") -> list[ElicitationRecord]:
     """Parse a ``.answers`` document into one record per elicitation session."""
-    tokens, errors = _scan(text, filename)
-    parser = _Parser(tokens)
-    records: list[ElicitationRecord] = []
-
-    while not parser.at(EOF):
-        try:
-            records.append(_parse_session(parser))
-        except _SyntaxError as exc:
-            errors.append(exc.error)
-            if not parser.at(EOF):
-                parser.advance()
-            parser.skip_to_toplevel(("elicitation",))
-
-    _finish(errors)
-    return records
+    return _parse_all(text, filename, _session, ("elicitation",))
 
 
-def _parse_session(parser: _Parser) -> ElicitationRecord:
-    parser.expect(IDENT, "elicitation", expected="'elicitation'")
-    responsibility = parser.expect(STRING).value.strip()
-    by = None
-    date = None
-    while parser.at_keyword("by", "date"):
-        which = parser.advance().value
-        value = parser.expect(STRING).value
-        if which == "by":
-            by = value
-        else:
-            date = value
-    parser.expect(LBRACE)
-
+def _session(tokens: _Tokens, i: int) -> tuple[ElicitationRecord, int]:
+    kinds, values = tokens.kinds, tokens.values
+    _keyword(tokens, i, "elicitation")
+    responsibility = _expect(tokens, i + 1, STRING).strip()
+    meta = {"by": None, "date": None}
+    i += 2
+    while values[i] in meta and kinds[i] == IDENT:
+        meta[values[i]] = _expect(tokens, i + 1, STRING)
+        i += 2
+    if kinds[i] != LBRACE:
+        raise tokens.fail(i, LBRACE)
+    i += 1
     needs: list[NeedAnswer] = []
     recorded: list[RecordAnswer] = []
     hazards: list[HazardAnswer] = []
-
-    while not parser.accept(RBRACE):
-        if parser.at(EOF):
-            raise _SyntaxError(ParseError(parser.current.span, "'}'", EOF))
-        if parser.accept(IDENT, "needs"):
-            parser.expect(LBRACE)
-            while not parser.accept(RBRACE):
-                if parser.at(EOF):
-                    raise _SyntaxError(ParseError(parser.current.span, "'}'", EOF))
-                resource = parser.expect(
-                    INFO_REF, expected="an information item (|name|) or '}'").value
-                needs.append(NeedAnswer(resource, *_need_tail(parser)))
-        elif parser.accept(IDENT, "records"):
-            parser.expect(LBRACE)
-            while not parser.accept(RBRACE):
-                if parser.at(EOF):
-                    raise _SyntaxError(ParseError(parser.current.span, "'}'", EOF))
-                resource = parser.expect(
-                    INFO_REF, expected="an information item (|name|) or '}'").value
-                recorded.append(RecordAnswer(resource, *_product_tail(parser)))
-        elif parser.accept(IDENT, "hazards"):
-            item = parser.expect(INFO_REF).value
-            parser.expect(LBRACE)
-            while not parser.accept(RBRACE):
-                if parser.at(EOF):
-                    raise _SyntaxError(ParseError(parser.current.span, "'}'", EOF))
-                guide_word = parser.guide_word_token()
-                consequence = parser.expect(STRING).value
-                severity = Severity.NONE
-                if parser.accept(IDENT, "severity"):
-                    severity = parser.severity_token()
+    while kinds[i] != RBRACE:
+        word = values[i] if kinds[i] == IDENT else None
+        if word in ("needs", "records"):
+            if kinds[i + 1] != LBRACE:
+                raise tokens.fail(i + 1, LBRACE)
+            i += 2
+            while kinds[i] != RBRACE:
+                if kinds[i] == EOF:
+                    raise tokens.fail(i, "'}'")
+                resource = _expect(tokens, i, INFO_REF,
+                                   "an information item (|name|) or '}'")
+                if word == "needs":
+                    sources, channels, i = _need_tail(tokens, i + 1)
+                    needs.append(NeedAnswer(resource, sources, channels))
+                else:
+                    channels, rationale, i = _product_tail(tokens, i + 1)
+                    recorded.append(RecordAnswer(resource, channels, rationale))
+        elif word == "hazards":
+            item = _expect(tokens, i + 1, INFO_REF)
+            if kinds[i + 2] != LBRACE:
+                raise tokens.fail(i + 2, LBRACE)
+            i += 3
+            while kinds[i] != RBRACE:
+                if kinds[i] == EOF:
+                    raise tokens.fail(i, "'}'")
+                guide_word, consequence, severity, i = _hazard_tail(tokens, i)
                 hazards.append(HazardAnswer(item, guide_word, consequence, severity))
         else:
-            raise parser.fail("a block keyword (needs, records, hazards) or '}'")
-
+            raise tokens.fail(i, "'}'" if kinds[i] == EOF
+                              else "a block keyword (needs, records, hazards) or '}'")
+        i += 1
     return ElicitationRecord(
         responsibility=responsibility,
-        by=by,
-        date=date,
+        by=meta["by"],
+        date=meta["date"],
         needs=tuple(needs),
         records=tuple(recorded),
         hazards=tuple(hazards),
-    )
+    ), i + 1
 
 
 # ---------------------------------------------------------------------------
@@ -634,57 +623,50 @@ def _parse_session(parser: _Parser) -> ElicitationRecord:
 
 def parse_requirements(text: str, filename: str = "<string>") -> list[RequirementRecord]:
     """Parse a ``.reqs`` document, preserving authored order."""
-    tokens, errors = _scan(text, filename)
-    parser = _Parser(tokens)
-    records: list[RequirementRecord] = []
-    seen_ids: dict[str, SourceSpan] = {}
+    seen: set[str] = set()
 
-    while not parser.at(EOF):
-        try:
-            parser.expect(IDENT, "requirement", expected="'requirement'")
-            id_tok = parser.expect(IDENT, expected="a requirement id")
-            if id_tok.value in seen_ids:
-                raise _SyntaxError(ParseError(
-                    id_tok.span, "a unique requirement id",
-                    f"duplicate {id_tok.value!r}"))
-            seen_ids[id_tok.value] = id_tok.span
-            parser.expect(LBRACE)
-            parser.expect(IDENT, "text", expected="'text'")
-            req_text = parser.expect(STRING).value
-            parser.expect(IDENT, "rationale", expected="'rationale'")
-            rationale = parser.expect(STRING).value
-            traces: list[TraceRef] = []
-            while parser.accept(IDENT, "traces"):
-                traces.append(_parse_trace(parser))
-            parser.expect(RBRACE)
-            records.append(RequirementRecord(
-                id=id_tok.value, text=req_text, rationale=rationale,
-                traces=tuple(traces)))
-        except _SyntaxError as exc:
-            errors.append(exc.error)
-            if not parser.at(EOF):
-                parser.advance()
-            parser.skip_to_toplevel(("requirement",))
+    def requirement(tokens: _Tokens, i: int) -> tuple[RequirementRecord, int]:
+        kinds, values = tokens.kinds, tokens.values
+        _keyword(tokens, i, "requirement")
+        ident = _expect(tokens, i + 1, IDENT, "a requirement id")
+        if ident in seen:
+            raise _SyntaxError(ParseError(
+                tokens.span(i + 1), "a unique requirement id", f"duplicate {ident!r}"),
+                i + 2)
+        seen.add(ident)
+        if kinds[i + 2] != LBRACE:
+            raise tokens.fail(i + 2, LBRACE)
+        _keyword(tokens, i + 3, "text")
+        req_text = _expect(tokens, i + 4, STRING)
+        _keyword(tokens, i + 5, "rationale")
+        rationale = _expect(tokens, i + 6, STRING)
+        i += 7
+        traces: list[TraceRef] = []
+        while values[i] == "traces" and kinds[i] == IDENT:
+            trace, i = _trace(tokens, i + 1)
+            traces.append(trace)
+        if kinds[i] != RBRACE:
+            raise tokens.fail(i, RBRACE)
+        return RequirementRecord(id=ident, text=req_text, rationale=rationale,
+                                 traces=tuple(traces)), i + 1
 
-    _finish(errors)
-    return records
+    return _parse_all(text, filename, requirement, ("requirement",))
 
 
-def _parse_trace(parser: _Parser) -> TraceRef:
-    if parser.at(INFO_REF):
-        return TraceRef("information", parser.advance().value)
-    if parser.at(AGENT_REF):
-        return TraceRef("agent", parser.advance().value)
-    if parser.at(PHYS_REF):
-        return TraceRef("physical", parser.advance().value)
-    if parser.accept(IDENT, "responsibility"):
-        return TraceRef("responsibility", parser.expect(STRING).value.strip())
-    if parser.accept(IDENT, "hazard"):
-        item = parser.expect(INFO_REF).value
-        guide_word = parser.guide_word_token()
-        return TraceRef("hazard", item, guide_word)
-    raise parser.fail("a trace target (|info|, <agent>, [physical], "
-                      "responsibility \"name\", or hazard |info| GUIDEWORD)")
+_TRACE_REFS = {INFO_REF: "information", AGENT_REF: "agent", PHYS_REF: "physical"}
+
+
+def _trace(tokens: _Tokens, i: int) -> tuple[TraceRef, int]:
+    kind, value = tokens.kinds[i], tokens.values[i]
+    if kind in _TRACE_REFS:
+        return TraceRef(_TRACE_REFS[kind], value), i + 1
+    if kind == IDENT and value == "responsibility":
+        return TraceRef("responsibility", _expect(tokens, i + 1, STRING).strip()), i + 2
+    if kind == IDENT and value == "hazard":
+        item = _expect(tokens, i + 1, INFO_REF)
+        return TraceRef("hazard", item, _member(tokens, i + 2, *_GUIDE_WORD)), i + 3
+    raise tokens.fail(i, "a trace target (|info|, <agent>, [physical], "
+                         "responsibility \"name\", or hazard |info| GUIDEWORD)")
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,7 @@ def _merge(resp: Responsibility, record: ElicitationRecord,
 
     def orphan(item_name: str) -> None:
         raise IngestError(f"hazard block for |{item_name}| but "
-                          f'"{resp.name}" neither requires nor produces it')
+                          f'"{resp.name}" does not require it')
 
     return replace(resp, **fold_duty(
         resp,

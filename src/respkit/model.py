@@ -515,10 +515,19 @@ FINDING_CATALOG: dict[str, Severity] = {
 }
 
 
-def escape_cr(text: str) -> str:
-    """Write each carriage return as ``\\r``.  A name may hold one, and many
-    readers take it for a line end; text output keeps one record a line."""
-    return text.replace("\r", "\\r")
+# The backslash, then every character besides "\n" that str.splitlines()
+# ends a line at, each with its Python escape.
+_ESCAPES = [(char, repr(char)[1:-1])
+            for char in "\\\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"]
+
+
+def escape_line_ends(text: str) -> str:
+    """Write a backslash as ``\\\\`` and each line end but ``\\n`` as its
+    Python escape, such as ``\\r`` or ``\\u2028``.  A name may hold one,
+    and text output keeps one record a line under any line-end rule."""
+    for char, escape in _ESCAPES:
+        text = text.replace(char, escape)
+    return text
 
 
 @dataclass(frozen=True)
@@ -536,7 +545,7 @@ class Finding:
         return ",".join(self.subjects)
 
     def render(self) -> str:
-        return escape_cr(
+        return escape_line_ends(
             f"{self.code} {self.severity.token} {self.subject}: {self.explanation}")
 
 

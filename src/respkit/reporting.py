@@ -22,7 +22,8 @@ import json
 from .analysis import Finding, PerceptionInconsistency
 from .elicitation import InfoTable
 from .hazards import Worksheet
-from .model import Model, RequirementRecord, ResourceKind, TraceRef, escape_cr
+from .model import (Model, RequirementRecord, ResourceKind, TraceRef,
+                    escape_line_ends)
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +32,7 @@ from .model import Model, RequirementRecord, ResourceKind, TraceRef, escape_cr
 
 
 def _dot_quote(value: str) -> str:
-    escaped = escape_cr(value.replace("\\", "\\\\").replace('"', '\\"'))
+    escaped = escape_line_ends(value).replace('"', '\\"')
     return f'"{escaped}"'
 
 
@@ -91,10 +92,11 @@ def to_dot(model: Model) -> str:
 
 
 def table_to_markdown(table: InfoTable) -> str:
-    """Pipe-delimited table; pipes and carriage returns in cells are escaped."""
+    """Pipe-delimited table; line ends, backslashes and pipes in cells are
+    escaped."""
 
     def cell(value: str) -> str:
-        return escape_cr(value.replace("|", "\\|"))
+        return escape_line_ends(value).replace("|", "\\|")
 
     lines = ["| " + " | ".join(cell(c) for c in table.columns) + " |"]
     lines.append("| " + " | ".join("---" for _ in table.columns) + " |")
@@ -196,7 +198,7 @@ def requirements_report(model: Model, records: list[RequirementRecord]) -> str:
         lines.append("")
     count = len(records)
     lines.append(f"{count} requirement." if count == 1 else f"{count} requirements.")
-    return escape_cr("\n".join(lines) + "\n")
+    return escape_line_ends("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Character-by-character reference for ``respkit.dsl._scan``.
 
 This is the scanner respkit used before the master regex: one loop over
-every character, except that a backslash before a line break now reports
-``end of line`` rather than ``end of file``.  Tests compare the regex scanner against it, token by
-token and error by error, on arbitrary text.
+every character that yields one ``Token`` each, except that a backslash
+before a line break now reports ``end of line`` rather than ``end of
+file``.  Tests compare the regex scanner against it, token by token and
+error by error, on arbitrary text.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from respkit.dsl import (
     AGENT_REF,
@@ -20,8 +23,19 @@ from respkit.dsl import (
     STRING,
     ParseError,
     SourceSpan,
-    Token,
 )
+
+
+class Token(NamedTuple):
+    kind: str
+    value: str
+    span: SourceSpan
+
+    def describe(self) -> str:
+        if self.kind == EOF:
+            return EOF
+        return f"{self.kind} {self.value!r}" if self.value else self.kind
+
 
 _REF_KINDS = {"<": (AGENT_REF, ">"), "[": (PHYS_REF, "]"), "|": (INFO_REF, "|")}
 

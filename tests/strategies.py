@@ -133,8 +133,8 @@ def declarations(draw,
             ))
         for resource in draw(subset(phys_names, 2)):
             items.append(UseClause(resource, SPAN))
-        hazard_pool = sorted(set(needed) | set(produced))
-        for item in draw(subset(hazard_pool, 2)):
+        # Only a needed item has worksheet rows, so only it may carry a hazard.
+        for item in draw(subset(needed, 2)):
             items.append(HazardClause(
                 item, draw(guide_words), draw(names | st.just("")),
                 draw(severities), None, SPAN,
@@ -175,6 +175,20 @@ _DSL_PIECES = [
     " ", "\t", "\r", "\n", "\x0b", "\u2028",
 ]
 dsl_text = st.lists(st.sampled_from(_DSL_PIECES), max_size=80).map("".join)
+# Short texts of delimiters, blanks and line ends, and of strings,
+# references and comments with blanks and line ends around and inside their
+# names, so that a literal often meets a line end before it closes: no token
+# may run on across a "\n", while "\r", "\x0b" and "\u2028" are ordinary
+# characters.  One literal in five drops its closer.
+_BLANKS = [" ", "\t", "\r", "\n", "\x0b", "\u2028"]
+_LINE_PIECES = _BLANKS + ['"', "\\", "<", ">", "[", "]", "|", "#", "{", "}", ",",
+                          "a", "²", "model ", "agent "]
+_enclosed = st.builds(
+    lambda pair, inner, closed: pair[0] + "".join(inner) + pair[1] * closed,
+    st.sampled_from(['""', "<>", "[]", "||", "#\n"]),
+    st.lists(st.sampled_from(["\n", " ", "a", "\\", '"']), max_size=4),
+    st.integers(0, 4).map(bool))
+line_text = st.lists(_enclosed | st.sampled_from(_LINE_PIECES), max_size=12).map("".join)
 
 # Documents of all three formats built from whole lines and blocks over a
 # small pool of names, so random input often parses and reaches build,

@@ -19,8 +19,11 @@ from respkit.dsl import (
 )
 from respkit.model import GuideWord, Model, Severity
 
+import reference_parser
 import reference_scanner
-from strategies import dsl_text, models
+from reference_scanner import Token
+from strategies import (answers_text, dsl_text, line_text, models, reqs_text,
+                        resp_text)
 
 
 def build(text: str) -> Model:
@@ -142,10 +145,10 @@ class TestValueTypes:
                 setattr(value, name, getattr(value, name))
 
     def test_spans_are_hashable(self, resp_path):
-        tokens, _ = _scan(resp_path.read_text(encoding="utf-8"), str(resp_path))
-        spans = {token.span for token in tokens}
-        assert len(spans) == len(tokens)
-        assert SourceSpan(*tokens[0].span) in spans
+        tokens = _scan(resp_path.read_text(encoding="utf-8"), str(resp_path))
+        spans = {tokens.span(i) for i in range(len(tokens.kinds))}
+        assert len(spans) == len(tokens.kinds)
+        assert SourceSpan(*tokens.span(0)) in spans
 
     def test_parse_is_repeatable_on_the_corpus(self, resp_path):
         text = resp_path.read_text(encoding="utf-8")
@@ -228,11 +231,24 @@ def test_scan_errors_render_exactly(text, rendered):
     assert str(excinfo.value) == "\n".join(rendered)
 
 
+def _token_list(text: str) -> tuple[list[Token], list]:
+    """``_scan`` of ``text`` as the reference scanner's Token list."""
+    tokens = _scan(text, "f")
+    return ([Token(kind, value, tokens.span(i))
+             for i, (kind, value) in enumerate(zip(tokens.kinds, tokens.values))],
+            tokens.errors)
+
+
 class TestScannerFuzz:
     @settings(max_examples=300, deadline=None)
     @given(st.text() | dsl_text)
     def test_regex_scanner_matches_character_loop(self, text):
-        assert _scan(text, "f") == reference_scanner.scan(text, "f")
+        assert _token_list(text) == reference_scanner.scan(text, "f")
+
+    @settings(max_examples=300, deadline=None)
+    @given(line_text)
+    def test_no_token_runs_across_a_line_end(self, text):
+        assert _token_list(text) == reference_scanner.scan(text, "f")
 
     @settings(max_examples=300, deadline=None)
     @given(st.text() | dsl_text)
@@ -242,6 +258,53 @@ class TestScannerFuzz:
                 parse(text)
             except ParseFailure:
                 pass
+
+
+def _typed(value):
+    """``value`` with the class of each named tuple in it spelled out, since
+    named tuples with equal fields compare equal across classes."""
+    if hasattr(value, "_fields"):
+        return (type(value).__name__, *map(_typed, value))
+    if isinstance(value, (list, tuple)):
+        return [_typed(item) for item in value]
+    return value
+
+
+def _outcome(parse, text: str):
+    """What ``parse`` makes of ``text``: its results or its errors."""
+    try:
+        return "parsed", _typed(parse(text, "f"))
+    except ParseFailure as failure:
+        return "failed", failure.errors
+
+
+class TestParserFuzz:
+    """The list-indexed parsers against the recursive-descent reference:
+    the same declarations and records, or the same errors in order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text() | dsl_text | line_text | resp_text)
+    def test_parse_model_matches_reference(self, text):
+        assert (_outcome(parse_model, text)
+                == _outcome(reference_parser.parse_model, text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text() | dsl_text | line_text | answers_text)
+    def test_parse_answers_matches_reference(self, text):
+        assert (_outcome(parse_answers, text)
+                == _outcome(reference_parser.parse_answers, text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text() | dsl_text | line_text | reqs_text)
+    def test_parse_requirements_matches_reference(self, text):
+        assert (_outcome(parse_requirements, text)
+                == _outcome(reference_parser.parse_requirements, text))
+
+    @pytest.mark.parametrize("text, rendered", SCAN_ERRORS)
+    def test_reference_renders_the_pinned_errors(self, text, rendered):
+        with pytest.raises(ParseFailure) as excinfo:
+            reference_parser.parse_model(text, "t.resp")
+        assert str(excinfo.value) == "\n".join(rendered)
 
 
 class TestPrintModel:

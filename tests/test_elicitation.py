@@ -69,8 +69,9 @@ class TestQuestionnaire:
 
 
 # Sessions that exercise every merge rule: a duty answered twice, items,
-# agents and channels the model never declared, a hazard on a product, and
-# the same (item, guide word) assessed twice.
+# agents and channels the model never declared, a hazard on an item that
+# the same session adds as a need, and the same (item, guide word) assessed
+# twice.
 CRAFTED_SESSIONS = """
 elicitation "Collect evacuee information" {
   needs {
@@ -81,9 +82,6 @@ elicitation "Collect evacuee information" {
   }
   hazards |Evacuee register| {
     late "Register is stale." severity high
-  }
-  hazards |Head count| {
-    inaccurate "Wrong totals." severity medium
   }
 }
 
@@ -210,18 +208,18 @@ class TestIngest:
             'elicitation "Evacuate area" {\n'
             '  hazards |Never required| { late "slow" }\n'
             '}')
-        with pytest.raises(IngestError, match="neither requires nor produces"):
+        with pytest.raises(IngestError, match="does not require"):
             ingest(evacuation, record)
 
-    def test_hazard_on_product_is_accepted(self, evacuation):
+    def test_hazard_on_product_is_rejected(self, evacuation):
+        # A worksheet has rows for required items only, so a hazard on an
+        # item the duty only produces would never be reported.
         (record,) = parse_answers(
             'elicitation "Evacuate area" {\n'
             '  hazards |Information about unsafe routes| { late "stale" }\n'
             '}')
-        merged = ingest(evacuation, record)
-        resp = merged.responsibility_named("Evacuate area")
-        assert any(h.item == "information-about-unsafe-routes"
-                   for h in resp.hazards)
+        with pytest.raises(IngestError, match="does not require"):
+            ingest(evacuation, record)
 
     def test_tables_equal_ingest_then_render(self, evacuation,
                                              evacuation_answers):
@@ -266,7 +264,9 @@ INGEST_ERRORS = [
     ("records { |Kit| }", False,
      "conflicting resource kind: 'Kit' is physical but is used as information"),
     ('hazards |Gone| { late "x" }', False,
-     'hazard block for |Gone| but "R" neither requires nor produces it'),
+     'hazard block for |Gone| but "R" does not require it'),
+    ('records { |Log| } hazards |Log| { late "x" }', False,
+     'hazard block for |Log| but "R" does not require it'),
     ("needs { |New| }", True, "unknown information resource |New|"),
     ("needs { |Map| from <Nobody> }", True, "unknown agent <Nobody>"),
     ('needs { |Map| via "Fax" }', True, 'unknown channel "Fax"'),

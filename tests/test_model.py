@@ -191,7 +191,7 @@ class TestBuildModel:
             build('channel "A" backup_of "B"\nchannel "B" backup_of "A"')
 
     def test_hazard_item_must_be_required_or_produced(self):
-        with pytest.raises(ModelBuildError, match="neither requires nor produces"):
+        with pytest.raises(ModelBuildError, match="does not require"):
             build('responsibility "R" { hazard |Facts| late "slow" }')
 
     def test_conflicting_agent_kind(self):
@@ -201,7 +201,7 @@ class TestBuildModel:
 
 # Every build error text, with its position, and the order in which one
 # file reports several: clause issues as met, then hazards on items the duty
-# neither requires nor produces, then sequencing, then channel backups.
+# does not require, then sequencing, then channel backups.
 BUILD_ERRORS = [
     ("agent <!!!>", [
         "t.resp:1:1: error: agent name '!!!' needs at least one alphanumeric character"]),
@@ -230,7 +230,9 @@ BUILD_ERRORS = [
     ('responsibility "R" {\n  assigned to <Ops>, <ops>\n}', [
         "t.resp:2:3: error: agents 'Ops' and 'ops' collide on id 'ops'"]),
     ('responsibility "R" {\n  hazard |Map| late "x"\n}', [
-        't.resp:1:1: error: hazard on |Map| but "R" neither requires nor produces it']),
+        't.resp:1:1: error: hazard on |Map| but "R" does not require it']),
+    ('responsibility "R" {\n  produces |Log|\n  hazard |Log| late "x"\n}', [
+        't.resp:1:1: error: hazard on |Log| but "R" does not require it']),
     ('responsibility "R" {\n  precedes "S"\n}', [
         "t.resp:2:3: error: precedes target 'S' is not a declared responsibility"]),
     ('channel "A" backup_of "B"', [
@@ -246,7 +248,7 @@ BUILD_ERRORS = [
         "t.resp:7:3: error: agents 'Ops' and 'ops' collide on id 'ops'",
         "t.resp:7:3: error: channel name '--' needs at least one alphanumeric character",
         "t.resp:8:3: error: resources 'Map' and 'map' collide on id 'map'",
-        't.resp:2:1: error: hazard on |Gap| but "R" neither requires nor produces it',
+        't.resp:2:1: error: hazard on |Gap| but "R" does not require it',
         "t.resp:4:3: error: precedes target 'Nowhere' is not a declared responsibility",
         "t.resp:1:1: error: backup_of target 'Z' is not a declared channel"]),
     # Each cycle once, in declaration order, at its first-declared channel;

@@ -9,12 +9,14 @@ from respkit import (
     build_model,
     findings_report,
     generate_worksheet,
+    information_recorded_table,
     information_required_table,
     requirements_report,
     run_all,
     table_to_csv,
     table_to_markdown,
     to_dot,
+    validate,
     worksheet_table,
 )
 from respkit.analysis import diff_models
@@ -24,7 +26,7 @@ from respkit.model import Model, RequirementRecord, TraceRef
 from respkit.reporting import TraceResolutionError, diff_report
 
 from dot_grammar import check_dot
-from strategies import models
+from strategies import model_pairs, models
 
 
 def build(text: str):
@@ -314,3 +316,62 @@ class TestCarriageReturns:
         assert report.splitlines()[2:5] == [
             "1. [R1] Say\\rit", "   *(why\\rnot)*",
             '   traces: responsibility "Say\\rwhen"']
+
+
+class TestLineEnds:
+    """Text, Markdown and DOT output write a backslash as ``\\\\`` and each
+    line end but ``\\n`` as its Python escape, once, so that no two names
+    render alike and each record keeps one line under any line-end rule."""
+
+    def test_backslash_r_differs_from_a_carriage_return(self):
+        model = build('responsibility "A\\\\rB" {}\nresponsibility "A\rB" {}')
+        assert findings_report(run_all(model), "text").splitlines()[:2] == [
+            'UNASSIGNED_RESP high a-b: responsibility "A\\rB" has no assigned agent',
+            'UNASSIGNED_RESP high a-rb: responsibility "A\\\\rB" has no assigned '
+            'agent']
+        assert '[shape=box, style=rounded, label="A\\\\rB"];' in to_dot(model)
+        assert '[shape=box, style=rounded, label="A\\rB"];' in to_dot(model)
+
+    @pytest.mark.parametrize("char", "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+    def test_each_line_end_is_escaped_once(self, char):
+        escape = repr(char)[1:-1]
+        model = build(f'responsibility "R" {{\n  requires |A{char}\\B| via "C|D"\n}}')
+        cells = table_to_markdown(information_required_table(model, "R"))
+        assert f"| A{escape}\\\\B |  | C\\|D |" in cells
+        assert f'label="|A{escape}\\\\B|"' in to_dot(model)
+        for text in (cells, to_dot(model), findings_report(run_all(model), "text")):
+            assert char not in text
+
+
+def _requirements(model: Model) -> list[RequirementRecord]:
+    """One requirement per duty, in its words, tracing it and its needs."""
+    return [RequirementRecord(
+        id=f"R-{number}", text=resp.name, rationale=" ".join(resp.notes),
+        traces=(TraceRef("responsibility", resp.name),
+                *(TraceRef("information", model.resource_name(need.resource))
+                  for need in resp.needs)))
+        for number, resp in enumerate(model.responsibilities)]
+
+
+class TestEveryFactIsReported:
+    @settings(max_examples=60, deadline=None)
+    @given(model_pairs())
+    def test_worksheets_tables_and_lines(self, pair):
+        model, other = pair
+        texts = [to_dot(model), requirements_report(model, _requirements(model)),
+                 findings_report(run_all(model), "text"),
+                 findings_report(validate(model, strict=True), "text"),
+                 diff_report(diff_models(model, other), "text")]
+        for resp in model.responsibilities:
+            worksheet = generate_worksheet(model, resp.name)
+            assert all(entry in worksheet.rows for entry in resp.hazards)
+            required = information_required_table(model, resp.name)
+            recorded = information_recorded_table(model, resp.name)
+            assert (sorted(row[0] for row in required.rows)
+                    == sorted(model.resource_name(n.resource) for n in resp.needs))
+            assert (sorted(row[0] for row in recorded.rows)
+                    == sorted(model.resource_name(p.resource) for p in resp.products))
+            texts += [table_to_markdown(table) for table in
+                      (required, recorded, worksheet_table(model, worksheet))]
+        for text in texts:
+            assert text.splitlines() == text.removesuffix("\n").split("\n")
