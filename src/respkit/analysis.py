@@ -231,7 +231,7 @@ class PerceptionInconsistency:
 
     def render(self) -> str:
         return escape_line_ends(f'{self.kind.value} "{self.responsibility}": '
-                         f"left: {self.left}; right: {self.right}")
+                                f"left: {self.left}; right: {self.right}")
 
     def swapped(self) -> "PerceptionInconsistency":
         return PerceptionInconsistency(self.kind, self.responsibility,

@@ -231,8 +231,6 @@ BUILD_ERRORS = [
         "t.resp:2:3: error: agents 'Ops' and 'ops' collide on id 'ops'"]),
     ('responsibility "R" {\n  hazard |Map| late "x"\n}', [
         't.resp:1:1: error: hazard on |Map| but "R" does not require it']),
-    ('responsibility "R" {\n  produces |Log|\n  hazard |Log| late "x"\n}', [
-        't.resp:1:1: error: hazard on |Log| but "R" does not require it']),
     ('responsibility "R" {\n  precedes "S"\n}', [
         "t.resp:2:3: error: precedes target 'S' is not a declared responsibility"]),
     ('channel "A" backup_of "B"', [
@@ -258,6 +256,8 @@ BUILD_ERRORS = [
      'channel "D" backup_of "C"', [
         "t.resp:2:1: error: backup chain through channel 'A' is cyclic",
         "t.resp:4:1: error: backup chain through channel 'C' is cyclic"]),
+    ('responsibility "R" {\n  produces |Log|\n  hazard |Log| late "x"\n}', [
+        't.resp:1:1: error: hazard on |Log| but "R" does not require it']),
 ]
 
 
