@@ -49,7 +49,9 @@ class ModelBuildError(ValueError):
         super().__init__("\n".join(i.render() for i in self.issues))
 
 
-Span = Optional[dsl.SourceSpan]
+# The declaration or clause a name or a problem comes from, or None in
+# ingest.  Its span is read only when a problem is reported.
+Site = Optional[Union[dsl.Declaration, dsl.Clause]]
 
 
 class SymbolTable:
@@ -59,11 +61,11 @@ class SymbolTable:
     It applies the slug rule, refuses a name whose id another name of the
     same kind already holds, refuses a resource used as both kinds, and
     declares an unknown name implicitly or, when ``strict``, refuses it.
-    Each problem goes to ``error(message, span)``: build collects them all,
-    ingest raises on the first.
+    Each problem goes to ``error(message, site)``: build collects them all
+    with the span of ``site``, ingest raises on the first.
     """
 
-    def __init__(self, error: Callable[[str, Span], None],
+    def __init__(self, error: Callable[[str, Site], None],
                  model: Optional[Model] = None, strict: bool = False):
         self.error = error
         self.strict = strict
@@ -73,10 +75,11 @@ class SymbolTable:
         self.channels: dict[str, Channel] = {c.id: c for c in model.channels}
         # Names are mentioned over and over; each is slugged once.
         self._slugs: dict[str, str] = {}
-        # Pending backup targets, resolved once all channels are known.
-        self.backup_names: dict[str, tuple[str, dsl.SourceSpan]] = {}
+        # Channel declarations with a backup target, resolved once all
+        # channels are known.
+        self.backups: dict[str, dsl.ChannelDecl] = {}
 
-    def slug(self, what: str, name: str, span: Span) -> Optional[str]:
+    def slug(self, what: str, name: str, site: Site) -> Optional[str]:
         """The id of ``name``, or None when it has no alphanumeric character."""
         slug = self._slugs.get(name)
         if slug is None:
@@ -84,13 +87,13 @@ class SymbolTable:
                 slug = self._slugs[name] = slugify(name)
             except ValueError:
                 self.error(f"{what} name {name!r} needs at least one alphanumeric "
-                           "character", span)
+                           "character", site)
         return slug
 
-    def _collide(self, what: str, existing, name: str, slug: str, span: Span) -> None:
+    def _collide(self, what: str, existing, name: str, slug: str, site: Site) -> None:
         """Report ``name`` whose id ``slug`` another name already holds."""
         self.error(f"{what}s {existing.name!r} and {name.strip()!r} "
-                   f"collide on id '{slug}'", span)
+                   f"collide on id '{slug}'", site)
 
     def elements(self) -> dict[str, tuple]:
         """The three element collections as ``Model`` fields, in canonical order."""
@@ -102,16 +105,16 @@ class SymbolTable:
 
     # -- mentions -------------------------------------------------------------
 
-    def agent(self, name: str, span: Span = None) -> Optional[str]:
-        slug = self.slug("agent", name, span)
+    def agent(self, name: str, site: Site = None) -> Optional[str]:
+        slug = self.slug("agent", name, site)
         if slug is None:
             return None
         existing = self.agents.get(slug)
         if existing is not None:
             if existing.name != name.strip():
-                self._collide("agent", existing, name, slug, span)
+                self._collide("agent", existing, name, slug, site)
         elif self.strict:
-            self.error(f"unknown agent <{name}>", span)
+            self.error(f"unknown agent <{name}>", site)
             return None
         else:
             self.agents[slug] = Agent(slug, name.strip(), AgentKind.ORGANIZATION,
@@ -119,35 +122,35 @@ class SymbolTable:
         return slug
 
     def resource(self, name: str, kind: ResourceKind,
-                 span: Span = None) -> Optional[str]:
-        slug = self.slug("resource", name, span)
+                 site: Site = None) -> Optional[str]:
+        slug = self.slug("resource", name, site)
         if slug is None:
             return None
         existing = self.resources.get(slug)
         if existing is not None:
             if existing.name != name.strip():
-                self._collide("resource", existing, name, slug, span)
+                self._collide("resource", existing, name, slug, site)
             elif existing.kind is not kind:
                 self.error(f"conflicting resource kind: {existing.name!r} is "
-                           f"{existing.kind.value} but is used as {kind.value}", span)
+                           f"{existing.kind.value} but is used as {kind.value}", site)
         elif self.strict:
             ref = f"|{name}|" if kind is ResourceKind.INFORMATION else f"[{name}]"
-            self.error(f"unknown {kind.value} resource {ref}", span)
+            self.error(f"unknown {kind.value} resource {ref}", site)
             return None
         else:
             self.resources[slug] = Resource(slug, name.strip(), kind, implicit=True)
         return slug
 
-    def channel(self, name: str, span: Span = None) -> Optional[str]:
-        slug = self.slug("channel", name, span)
+    def channel(self, name: str, site: Site = None) -> Optional[str]:
+        slug = self.slug("channel", name, site)
         if slug is None:
             return None
         existing = self.channels.get(slug)
         if existing is not None:
             if existing.name != name.strip():
-                self._collide("channel", existing, name, slug, span)
+                self._collide("channel", existing, name, slug, site)
         elif self.strict:
-            self.error(f'unknown channel "{name}"', span)
+            self.error(f'unknown channel "{name}"', site)
             return None
         else:
             self.channels[slug] = Channel(slug, name.strip(), implicit=True)
@@ -159,7 +162,7 @@ class SymbolTable:
     # a declaration never meets an implicit element.
 
     def declare_agent(self, decl: dsl.AgentDecl) -> None:
-        slug = self.slug("agent", decl.name, decl.span)
+        slug = self.slug("agent", decl.name, decl)
         if slug is None:
             return
         kind = decl.kind or AgentKind.ORGANIZATION
@@ -167,54 +170,55 @@ class SymbolTable:
         if existing is None:
             self.agents[slug] = Agent(slug, decl.name.strip(), kind)
         elif existing.name != decl.name.strip():
-            self._collide("agent", existing, decl.name, slug, decl.span)
+            self._collide("agent", existing, decl.name, slug, decl)
         elif decl.kind is not None and existing.kind is not kind:
             self.error(f"conflicting agent kind for <{existing.name}>: "
-                       f"{existing.kind.value} vs {kind.value}", decl.span)
+                       f"{existing.kind.value} vs {kind.value}", decl)
 
     def declare_resource(self, decl: dsl.ResourceDecl) -> None:
-        slug = self.slug("resource", decl.name, decl.span)
+        slug = self.slug("resource", decl.name, decl)
         if slug is None:
             return
         existing = self.resources.get(slug)
         if existing is None:
             self.resources[slug] = Resource(slug, decl.name.strip(), decl.kind)
         elif existing.name != decl.name.strip():
-            self._collide("resource", existing, decl.name, slug, decl.span)
+            self._collide("resource", existing, decl.name, slug, decl)
         elif existing.kind is not decl.kind:
             self.error(f"conflicting resource kind: {existing.name!r} is "
-                       f"{existing.kind.value} and {decl.kind.value}", decl.span)
+                       f"{existing.kind.value} and {decl.kind.value}", decl)
 
     def declare_channel(self, decl: dsl.ChannelDecl) -> None:
-        slug = self.slug("channel", decl.name, decl.span)
+        slug = self.slug("channel", decl.name, decl)
         if slug is None:
             return
         existing = self.channels.get(slug)
         if existing is None:
             self.channels[slug] = Channel(slug, decl.name.strip(), decl.medium)
             if decl.backup_of is not None:
-                self.backup_names[slug] = (decl.backup_of, decl.span)
+                self.backups[slug] = decl
         elif existing.name != decl.name.strip():
-            self._collide("channel", existing, decl.name, slug, decl.span)
+            self._collide("channel", existing, decl.name, slug, decl)
         else:
-            prior_backup = self.backup_names.get(slug, (None, None))[0]
+            prior = self.backups.get(slug)
+            prior_backup = prior.backup_of if prior else None
             if existing.medium != decl.medium or prior_backup != decl.backup_of:
                 self.error(f"conflicting re-declaration of channel "
-                           f"{existing.name!r}", decl.span)
+                           f"{existing.name!r}", decl)
 
     def resolve_backups(self) -> None:
-        for slug, (target_name, span) in self.backup_names.items():
+        for slug, decl in self.backups.items():
             channel = self.channels[slug]
             try:
-                target = slugify(target_name)
+                target = slugify(decl.backup_of)
             except ValueError:
                 target = None
             if target is None or target not in self.channels:
-                self.error(f"backup_of target {target_name!r} is not a declared "
-                           f"channel", span)
+                self.error(f"backup_of target {decl.backup_of!r} is not a declared "
+                           f"channel", decl)
                 continue
             if target == slug:
-                self.error(f"channel {channel.name!r} cannot back itself up", span)
+                self.error(f"channel {channel.name!r} cannot back itself up", decl)
                 continue
             self.channels[slug] = Channel(slug, channel.name, channel.medium,
                                           target, channel.implicit)
@@ -233,7 +237,7 @@ class SymbolTable:
                 cycles.append(min(path[path.index(slug):], key=order.get))
         for slug in sorted(cycles, key=order.get):
             self.error(f"backup chain through channel {self.channels[slug].name!r} "
-                       f"is cyclic", self.backup_names[slug][1])
+                       f"is cyclic", self.backups[slug])
 
 
 def fold_duty(duty: Responsibility, needs: Iterable[InfoNeed],
@@ -281,8 +285,8 @@ def build_model(declarations: list[dsl.Declaration]) -> Model:
     """Resolve declarations into a model, or raise ModelBuildError."""
     issues: list[BuildIssue] = []
 
-    def error(message: str, span: Span) -> None:
-        issues.append(BuildIssue(message, span))
+    def error(message: str, site: Site) -> None:
+        issues.append(BuildIssue(message, site.span))
 
     table = SymbolTable(error)
     name = ""
@@ -301,20 +305,20 @@ def build_model(declarations: list[dsl.Declaration]) -> Model:
             resp_decls.append(decl)
 
     responsibilities: dict[str, Responsibility] = {}
-    precedes: list[tuple[str, str, dsl.SourceSpan]] = []
+    precedes: list[tuple[str, dsl.PrecedesClause]] = []
     orphans: list[BuildIssue] = []
 
     for decl in resp_decls:
-        slug = table.slug("responsibility", decl.name, decl.span)
+        slug = table.slug("responsibility", decl.name, decl)
         if slug is None:
             continue
         if slug in responsibilities:
             other = responsibilities[slug].name
             if other == decl.name:
-                error(f"duplicate responsibility {decl.name!r}", decl.span)
+                error(f"duplicate responsibility {decl.name!r}", decl)
             else:
                 error(f"responsibilities {other!r} and {decl.name!r} "
-                      f"collide on id '{slug}'", decl.span)
+                      f"collide on id '{slug}'", decl)
             continue
         responsibilities[slug] = _build_responsibility(
             table, slug, decl, precedes, orphans)
@@ -323,11 +327,11 @@ def build_model(declarations: list[dsl.Declaration]) -> Model:
 
     links: list[tuple[str, str]] = []
     by_name = {r.name: slug for slug, r in responsibilities.items()}
-    for source_slug, target_name, span in precedes:
-        target = by_name.get(target_name)
+    for source_slug, clause in precedes:
+        target = by_name.get(clause.target)
         if target is None:
-            error(f"precedes target {target_name!r} is not a declared "
-                  f"responsibility", span)
+            error(f"precedes target {clause.target!r} is not a declared "
+                  f"responsibility", clause)
             continue
         links.append((source_slug, target))
 
@@ -355,7 +359,7 @@ def _build_responsibility(
     table: SymbolTable,
     slug: str,
     decl: dsl.ResponsibilityDecl,
-    precedes: list[tuple[str, str, dsl.SourceSpan]],
+    precedes: list[tuple[str, dsl.PrecedesClause]],
     orphans: list[BuildIssue],
 ) -> Responsibility:
     assigned: list[str] = []
@@ -368,39 +372,39 @@ def _build_responsibility(
     for item in decl.items:
         if isinstance(item, dsl.AssignClause):
             for agent_name in item.agents:
-                agent_id = table.agent(agent_name, item.span)
+                agent_id = table.agent(agent_name, item)
                 if agent_id:
                     assigned.append(agent_id)
         elif isinstance(item, dsl.RequireClause):
-            resource = table.resource(item.resource, ResourceKind.INFORMATION, item.span)
+            resource = table.resource(item.resource, ResourceKind.INFORMATION, item)
             if resource is None:
                 continue
-            sources = [s for s in (table.agent(a, item.span)
+            sources = [s for s in (table.agent(a, item)
                                    for a in item.sources) if s]
-            channels = [c for c in (table.channel(ch, item.span)
+            channels = [c for c in (table.channel(ch, item)
                                     for ch in item.channels) if c]
             needs.append(InfoNeed(resource, tuple(sources), tuple(channels),
                                   item.criticality))
         elif isinstance(item, dsl.ProduceClause):
-            resource = table.resource(item.resource, ResourceKind.INFORMATION, item.span)
+            resource = table.resource(item.resource, ResourceKind.INFORMATION, item)
             if resource is None:
                 continue
-            channels = [c for c in (table.channel(ch, item.span)
+            channels = [c for c in (table.channel(ch, item)
                                     for ch in item.channels) if c]
             products.append(InfoProduct(resource, tuple(channels), item.rationale))
         elif isinstance(item, dsl.UseClause):
-            resource = table.resource(item.resource, ResourceKind.PHYSICAL, item.span)
+            resource = table.resource(item.resource, ResourceKind.PHYSICAL, item)
             if resource:
                 uses.append(resource)
         elif isinstance(item, dsl.HazardClause):
-            resource = table.resource(item.item, ResourceKind.INFORMATION, item.span)
+            resource = table.resource(item.item, ResourceKind.INFORMATION, item)
             if resource is None:
                 continue
             entry = HazardEntry(decl.name, resource, item.guide_word,
                                 item.consequence, item.severity, item.mitigated_by)
             hazards.append((entry, table.resources[resource].name))
         elif isinstance(item, dsl.PrecedesClause):
-            precedes.append((slug, item.target, item.span))
+            precedes.append((slug, item))
         elif isinstance(item, dsl.NoteClause):
             notes.append(item.text)
 

@@ -21,8 +21,15 @@ kind, value and offset.  No token spans a line: only ``\\n`` ends one, and
 ``\\r``, ``\\x0b`` and ``\\u2028`` are ordinary characters.  Each scan error
 (a bad escape, an unterminated string or reference, an empty reference
 name, a run of characters that starts no token) is its own alternative of
-the regex.  A ``SourceSpan`` is built from an offset, by bisecting the line
-starts, only where a declaration, a clause or an error keeps one.
+the regex.
+
+Each parse shares one ``Source`` record, the file name and the text.  A
+declaration or clause keeps the offset of its first token and a reference
+to that record, and resolves its ``SourceSpan`` (file, line, column) only
+when its ``span`` is read.  The line-start table is built the first time a
+span is resolved, and each span after that is one bisect, so a document
+that parses and builds cleanly never computes a line number.  Scan and
+parse errors resolve their spans when they are found.
 
 The parsers read the lists through an index: each parse function takes
 the index of its first token and returns what it parsed with the index
@@ -35,6 +42,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple, Optional, Union
@@ -58,8 +66,8 @@ from .model import (
 # ---------------------------------------------------------------------------
 # Errors and spans
 # ---------------------------------------------------------------------------
-# Spans, errors, declarations and clauses are named tuples, as tokens are: the
-# cheapest immutable value to make, one per token or clause.  Equal fields
+# Spans, errors, declarations and clauses are named tuples: the cheapest
+# immutable value to make, one per declaration or clause.  Equal fields
 # compare equal across classes, so declaration kinds are told by isinstance.
 
 
@@ -70,6 +78,35 @@ class SourceSpan(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"
+
+
+@dataclass(frozen=True)
+class Source:
+    """The file name and text of one parsed document.
+
+    Two records are equal when their file names and texts are.  The
+    line-start table is built on first use and cached in the instance
+    ``__dict__``, which equality and hashing never read.
+    """
+
+    filename: str
+    text: str = field(repr=False)
+
+    @cached_property
+    def line_starts(self) -> list[int]:
+        return [0, *accumulate(len(line) + 1 for line in self.text.split("\n"))]
+
+    def span_at(self, offset: int) -> SourceSpan:
+        """The line and column of ``offset``; only ``\\n`` ends a line."""
+        starts = self.line_starts
+        line = bisect_right(starts, offset)
+        return SourceSpan(self.filename, line, offset - starts[line - 1] + 1)
+
+
+# Every declaration and clause keeps ``offset`` and ``source`` as its last
+# two fields and reads its span through this property.
+_SPAN = property(lambda self: self.source.span_at(self.offset),
+                 doc="Where the declaration or clause starts in its source.")
 
 
 class ParseError(NamedTuple):
@@ -96,31 +133,41 @@ class ParseFailure(ValueError):
 
 class ModelDecl(NamedTuple):
     name: str
-    span: SourceSpan
+    offset: int
+    source: Source
+    span = _SPAN
 
 
 class AgentDecl(NamedTuple):
     name: str
     kind: Optional[AgentKind]
-    span: SourceSpan
+    offset: int
+    source: Source
+    span = _SPAN
 
 
 class ResourceDecl(NamedTuple):
     name: str
     kind: ResourceKind
-    span: SourceSpan
+    offset: int
+    source: Source
+    span = _SPAN
 
 
 class ChannelDecl(NamedTuple):
     name: str
     medium: Optional[str]
     backup_of: Optional[str]
-    span: SourceSpan
+    offset: int
+    source: Source
+    span = _SPAN
 
 
 class AssignClause(NamedTuple):
     agents: tuple[str, ...]
-    span: SourceSpan
+    offset: int
+    source: Source
+    span = _SPAN
 
 
 class RequireClause(NamedTuple):
@@ -128,19 +175,25 @@ class RequireClause(NamedTuple):
     sources: tuple[str, ...]
     channels: tuple[str, ...]
     criticality: Optional[Severity]
-    span: SourceSpan
+    offset: int
+    source: Source
+    span = _SPAN
 
 
 class ProduceClause(NamedTuple):
     resource: str
     channels: tuple[str, ...]
     rationale: Optional[str]
-    span: SourceSpan
+    offset: int
+    source: Source
+    span = _SPAN
 
 
 class UseClause(NamedTuple):
     resource: str
-    span: SourceSpan
+    offset: int
+    source: Source
+    span = _SPAN
 
 
 class HazardClause(NamedTuple):
@@ -149,17 +202,23 @@ class HazardClause(NamedTuple):
     consequence: str
     severity: Severity
     mitigated_by: Optional[str]
-    span: SourceSpan
+    offset: int
+    source: Source
+    span = _SPAN
 
 
 class PrecedesClause(NamedTuple):
     target: str
-    span: SourceSpan
+    offset: int
+    source: Source
+    span = _SPAN
 
 
 class NoteClause(NamedTuple):
     text: str
-    span: SourceSpan
+    offset: int
+    source: Source
+    span = _SPAN
 
 
 Clause = Union[AssignClause, RequireClause, ProduceClause, UseClause,
@@ -169,7 +228,9 @@ Clause = Union[AssignClause, RequireClause, ProduceClause, UseClause,
 class ResponsibilityDecl(NamedTuple):
     name: str
     items: tuple[Clause, ...]
-    span: SourceSpan
+    offset: int
+    source: Source
+    span = _SPAN
 
 
 Declaration = Union[ModelDecl, AgentDecl, ResourceDecl, ChannelDecl,
@@ -232,28 +293,19 @@ class _SyntaxError(Exception):
 
 
 class _Tokens:
-    """A scanned document: the kind, value and offset of each token in three
-    parallel lists that end in one EOF token, and the scan errors."""
+    """A scanned document: its source, the kind, value and offset of each
+    token in three parallel lists that end in one EOF token, and the scan
+    errors."""
 
     def __init__(self, text: str, filename: str):
-        self.text = text
-        self.filename = filename
+        self.source = Source(filename, text)
         self.kinds: list[str] = []
         self.values: list[str] = []
         self.offsets: list[int] = []
         self.errors: list[ParseError] = []
 
-    @cached_property
-    def line_starts(self) -> list[int]:
-        return [0, *accumulate(len(line) + 1 for line in self.text.split("\n"))]
-
-    def span_at(self, offset: int) -> SourceSpan:
-        starts = self.line_starts
-        line = bisect_right(starts, offset)
-        return SourceSpan(self.filename, line, offset - starts[line - 1] + 1)
-
     def span(self, i: int) -> SourceSpan:
-        return self.span_at(self.offsets[i])
+        return self.source.span_at(self.offsets[i])
 
     def fail(self, i: int, expected: str) -> _SyntaxError:
         """The error for token ``i`` where ``expected`` was wanted."""
@@ -299,7 +351,7 @@ def _odd_token(tokens: _Tokens, m: re.Match, matches) -> Optional[tuple[str, str
     reporting a scan error: an identifier that starts outside ASCII, a
     string with escapes, a bad token."""
     group, start = m.lastgroup, m.end(1)
-    value, text = m[group], tokens.text
+    value, text, span_at = m[group], tokens.source.text, tokens.source.span_at
     if group == "word":
         if value[0].isalpha():
             return IDENT, value
@@ -311,7 +363,7 @@ def _odd_token(tokens: _Tokens, m: re.Match, matches) -> Optional[tuple[str, str
         for escape in _ESCAPE.finditer(value):
             if escape[1] not in ('"', "\\"):
                 tokens.errors.append(ParseError(
-                    tokens.span_at(start + 1 + escape.start()),
+                    span_at(start + 1 + escape.start()),
                     "escape '\\\"' or '\\\\'",
                     f"'\\{escape[1]}'" if escape[1]
                     else EOF if m.end() == len(text) else "end of line"))
@@ -325,7 +377,7 @@ def _odd_token(tokens: _Tokens, m: re.Match, matches) -> Optional[tuple[str, str
         expected, found = f"closing '{_CLOSERS[value]}'", "end of line"
     else:
         expected, found = "a valid token", repr(value)
-    tokens.errors.append(ParseError(tokens.span_at(start), expected, found))
+    tokens.errors.append(ParseError(span_at(start), expected, found))
     return None
 
 
@@ -466,6 +518,7 @@ def parse_model(text: str, filename: str = "<string>") -> list[Declaration]:
 
 def _declaration(tokens: _Tokens, i: int) -> tuple[Declaration, int]:
     kinds, values = tokens.kinds, tokens.values
+    at, source = tokens.offsets[i], tokens.source
     word = values[i] if kinds[i] == IDENT else None
     if word == "responsibility":
         return _responsibility(tokens, i)
@@ -473,7 +526,7 @@ def _declaration(tokens: _Tokens, i: int) -> tuple[Declaration, int]:
         name, kind, j = _expect(tokens, i + 1, AGENT_REF), None, i + 2
         if values[j] == "kind" and kinds[j] == IDENT:
             kind, j = _member(tokens, j + 1, *_AGENT_KIND), j + 2
-        return AgentDecl(name, kind, tokens.span(i)), j
+        return AgentDecl(name, kind, at, source), j
     if word == "resource":
         if kinds[i + 1] == PHYS_REF:
             kind = ResourceKind.PHYSICAL
@@ -481,49 +534,50 @@ def _declaration(tokens: _Tokens, i: int) -> tuple[Declaration, int]:
             kind = ResourceKind.INFORMATION
         else:
             raise tokens.fail(i + 1, "a resource reference ([name] or |name|)")
-        return ResourceDecl(values[i + 1], kind, tokens.span(i)), i + 2
+        return ResourceDecl(values[i + 1], kind, at, source), i + 2
     if word == "channel":
         name, medium, backup_of, j = _expect(tokens, i + 1, STRING), None, None, i + 2
         if values[j] == "medium" and kinds[j] == IDENT:
             medium, j = _expect(tokens, j + 1, IDENT, "a medium token"), j + 2
         if values[j] == "backup_of" and kinds[j] == IDENT:
             backup_of, j = _expect(tokens, j + 1, STRING).strip(), j + 2
-        return ChannelDecl(name.strip(), medium, backup_of, tokens.span(i)), j
+        return ChannelDecl(name.strip(), medium, backup_of, at, source), j
     if word == "model":
         # Every earlier declaration, good or bad, moved the parser on.
         if i > 0:
             raise tokens.fail(i, "at most one model declaration, first in the file")
-        return ModelDecl(_expect(tokens, i + 1, STRING).strip(), tokens.span(i)), i + 2
+        return ModelDecl(_expect(tokens, i + 1, STRING).strip(), at, source), i + 2
     raise tokens.fail(i, _DECLARATION)
 
 
 def _responsibility(tokens: _Tokens, i: int) -> tuple[ResponsibilityDecl, int]:
-    kinds, values, span = tokens.kinds, tokens.values, tokens.span
+    kinds, values, offsets, source = (tokens.kinds, tokens.values, tokens.offsets,
+                                      tokens.source)
     name = _expect(tokens, i + 1, STRING).strip()
     if kinds[i + 2] != LBRACE:
         raise tokens.fail(i + 2, LBRACE)
-    head, i = i, i + 3
+    start, i = offsets[i], i + 3
     items: list[Clause] = []
     add = items.append
     while kinds[i] != RBRACE:
         if kinds[i] != IDENT:
             raise tokens.fail(i, "'}'" if kinds[i] == EOF else _ITEM)
-        word, at = values[i], i
+        word, at = values[i], offsets[i]
         if word == "requires":
             resource = _expect(tokens, i + 1, INFO_REF)
             sources, channels, i = _need_tail(tokens, i + 2)
             criticality = None
             if values[i] == "criticality" and kinds[i] == IDENT:
                 criticality, i = _member(tokens, i + 1, *_SEVERITY), i + 2
-            add(RequireClause(resource, sources, channels, criticality, span(at)))
+            add(RequireClause(resource, sources, channels, criticality, at, source))
         elif word == "produces":
             resource = _expect(tokens, i + 1, INFO_REF)
             channels, rationale, i = _product_tail(tokens, i + 2)
-            add(ProduceClause(resource, channels, rationale, span(at)))
+            add(ProduceClause(resource, channels, rationale, at, source))
         elif word == "assigned":
             _keyword(tokens, i + 1, "to")
             agents, i = _list(tokens, i + 2, AGENT_REF)
-            add(AssignClause(agents, span(at)))
+            add(AssignClause(agents, at, source))
         elif word == "hazard":
             item = _expect(tokens, i + 1, INFO_REF)
             guide_word, consequence, severity, i = _hazard_tail(tokens, i + 2)
@@ -532,22 +586,22 @@ def _responsibility(tokens: _Tokens, i: int) -> tuple[ResponsibilityDecl, int]:
                 mitigated_by = _expect(tokens, i + 1, IDENT, "a requirement id")
                 i += 2
             add(HazardClause(item, guide_word, consequence, severity,
-                             mitigated_by, span(at)))
+                             mitigated_by, at, source))
         elif word == "uses":
-            add(UseClause(_expect(tokens, i + 1, PHYS_REF), span(at)))
+            add(UseClause(_expect(tokens, i + 1, PHYS_REF), at, source))
             i += 2
         elif word == "precedes":
-            add(PrecedesClause(_expect(tokens, i + 1, STRING).strip(), span(at)))
+            add(PrecedesClause(_expect(tokens, i + 1, STRING).strip(), at, source))
             i += 2
         elif word == "note":
-            add(NoteClause(_expect(tokens, i + 1, STRING), span(at)))
+            add(NoteClause(_expect(tokens, i + 1, STRING), at, source))
             i += 2
         elif word == "responsibility":
             raise tokens.fail(i, "'}' before the next responsibility "
                                  "(responsibility blocks do not nest)")
         else:
             raise tokens.fail(i, _ITEM)
-    return ResponsibilityDecl(name, tuple(items), span(head)), i + 1
+    return ResponsibilityDecl(name, tuple(items), start, source), i + 1
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,7 @@ class IngestError(ValueError):
     pass
 
 
-def _refuse(message: str, span: object) -> None:
+def _refuse(message: str, site: object) -> None:
     raise IngestError(message)
 
 

@@ -324,11 +324,9 @@ class Model:
         return _first_by(self.responsibilities, "name")
 
     @cached_property
-    def required_or_produced(self) -> frozenset[str]:
-        """Ids of the resources some responsibility requires or produces."""
-        return frozenset(
-            [n.resource for r in self.responsibilities for n in r.needs]
-            + [p.resource for r in self.responsibilities for p in r.products])
+    def required_items(self) -> frozenset[str]:
+        """Ids of the resources some responsibility requires."""
+        return frozenset(n.resource for r in self.responsibilities for n in r.needs)
 
     @cached_property
     def channels_with_backup(self) -> frozenset[str]:

@@ -15,9 +15,7 @@ produce).  Sequence links are dashed arrows.  Assignment and physical
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 
 from .analysis import Finding, PerceptionInconsistency
 from .elicitation import InfoTable
@@ -107,6 +105,8 @@ def table_to_markdown(table: InfoTable) -> str:
 
 def table_to_csv(table: InfoTable) -> str:
     """RFC 4180 CSV: CRLF line endings, minimal double-quote quoting."""
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\r\n")
     writer.writerow(table.columns)
@@ -150,8 +150,9 @@ def resolve_trace(model: Model, ref: TraceRef) -> bool:
     """Check one trace link against the model.
 
     Hazard traces resolve when the item is an information resource that at
-    least one responsibility requires or produces, i.e. the referenced
-    deviation row exists in some worksheet (assessed or not).
+    least one responsibility requires, i.e. the referenced deviation row
+    exists in some worksheet (assessed or not): worksheets have rows for
+    required items only.
     """
     if ref.kind == "agent":
         return model.agent_named(ref.name) is not None
@@ -166,7 +167,7 @@ def resolve_trace(model: Model, ref: TraceRef) -> bool:
         resource = model.resource_named(ref.name)
         if resource is None or resource.kind is not ResourceKind.INFORMATION:
             return False
-        return resource.id in model.required_or_produced
+        return resource.id in model.required_items
     return False
 
 
@@ -208,6 +209,8 @@ def requirements_report(model: Model, records: list[RequirementRecord]) -> str:
 
 def findings_report(findings: list[Finding], fmt: str = "text") -> str:
     if fmt == "json":
+        import json
+
         payload = [
             {
                 "code": f.code,
@@ -229,6 +232,8 @@ def findings_report(findings: list[Finding], fmt: str = "text") -> str:
 def diff_report(inconsistencies: list[PerceptionInconsistency],
                 fmt: str = "text") -> str:
     if fmt == "json":
+        import json
+
         payload = [
             {
                 "kind": item.kind.value,

@@ -9,7 +9,7 @@ error for error, on arbitrary text.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from respkit.dsl import (
     AGENT_REF,
@@ -55,6 +55,22 @@ from respkit.model import (
 )
 
 from reference_scanner import Token, scan as _scan
+
+
+class _Spot(NamedTuple):
+    """A stand-in ``Source`` that puts every offset at one span, since the
+    reference scanner gives each token a span rather than an offset."""
+
+    span: SourceSpan
+
+    def span_at(self, offset: int) -> SourceSpan:
+        return self.span
+
+
+def _at(span: SourceSpan) -> tuple[int, _Spot]:
+    """The ``offset`` and ``source`` fields of a declaration or clause whose
+    ``span`` is ``span``."""
+    return 0, _Spot(span)
 
 
 class _SyntaxError(Exception):
@@ -195,7 +211,7 @@ def parse_model(text: str, filename: str = "<string>") -> list[Declaration]:
                     raise parser.fail("at most one model declaration, first in the file")
                 parser.advance()
                 name = parser.expect(STRING).value
-                declarations.append(ModelDecl(name.strip(), tok.span))
+                declarations.append(ModelDecl(name.strip(), *_at(tok.span)))
                 saw_model = True
             elif tok.value == "agent":
                 parser.advance()
@@ -209,17 +225,19 @@ def parse_model(text: str, filename: str = "<string>") -> list[Declaration]:
                         raise _SyntaxError(ParseError(
                             kind_tok.span, f"one of {_AGENT_KINDS}",
                             f"{kind_tok.value!r}"))
-                declarations.append(AgentDecl(name, kind, tok.span))
+                declarations.append(AgentDecl(name, kind, *_at(tok.span)))
             elif tok.value == "resource":
                 parser.advance()
                 if parser.at(PHYS_REF):
                     ref = parser.advance()
                     declarations.append(
-                        ResourceDecl(ref.value, ResourceKind.PHYSICAL, tok.span))
+                        ResourceDecl(ref.value, ResourceKind.PHYSICAL,
+                                     *_at(tok.span)))
                 elif parser.at(INFO_REF):
                     ref = parser.advance()
                     declarations.append(
-                        ResourceDecl(ref.value, ResourceKind.INFORMATION, tok.span))
+                        ResourceDecl(ref.value, ResourceKind.INFORMATION,
+                                     *_at(tok.span)))
                 else:
                     raise parser.fail("a resource reference ([name] or |name|)")
             elif tok.value == "channel":
@@ -231,7 +249,7 @@ def parse_model(text: str, filename: str = "<string>") -> list[Declaration]:
                     medium = parser.expect(IDENT, expected="a medium token").value
                 if parser.accept(IDENT, "backup_of"):
                     backup_of = parser.expect(STRING).value.strip()
-                declarations.append(ChannelDecl(name, medium, backup_of, tok.span))
+                declarations.append(ChannelDecl(name, medium, backup_of, *_at(tok.span)))
             elif tok.value == "responsibility":
                 declarations.append(_parse_responsibility(parser))
             else:
@@ -273,7 +291,7 @@ def _parse_responsibility(parser: _Parser) -> ResponsibilityDecl:
             parser.advance()
             parser.expect_keyword("to")
             agents = parser.comma_list(AGENT_REF)
-            items.append(AssignClause(agents, tok.span))
+            items.append(AssignClause(agents, *_at(tok.span)))
         elif word == "requires":
             parser.advance()
             resource = parser.expect(INFO_REF).value
@@ -281,15 +299,16 @@ def _parse_responsibility(parser: _Parser) -> ResponsibilityDecl:
             criticality = None
             if parser.accept(IDENT, "criticality"):
                 criticality = parser.severity_token()
-            items.append(RequireClause(resource, sources, channels, criticality, tok.span))
+            items.append(RequireClause(resource, sources, channels, criticality,
+                                       *_at(tok.span)))
         elif word == "produces":
             parser.advance()
             resource = parser.expect(INFO_REF).value
-            items.append(ProduceClause(resource, *_product_tail(parser), tok.span))
+            items.append(ProduceClause(resource, *_product_tail(parser), *_at(tok.span)))
         elif word == "uses":
             parser.advance()
             resource = parser.expect(PHYS_REF).value
-            items.append(UseClause(resource, tok.span))
+            items.append(UseClause(resource, *_at(tok.span)))
         elif word == "hazard":
             parser.advance()
             item = parser.expect(INFO_REF).value
@@ -302,18 +321,18 @@ def _parse_responsibility(parser: _Parser) -> ResponsibilityDecl:
             if parser.accept(IDENT, "mitigated_by"):
                 mitigated_by = parser.expect(IDENT, expected="a requirement id").value
             items.append(HazardClause(item, guide_word, consequence, severity,
-                                      mitigated_by, tok.span))
+                                      mitigated_by, *_at(tok.span)))
         elif word == "precedes":
             parser.advance()
             target = parser.expect(STRING).value.strip()
-            items.append(PrecedesClause(target, tok.span))
+            items.append(PrecedesClause(target, *_at(tok.span)))
         elif word == "note":
             parser.advance()
-            items.append(NoteClause(parser.expect(STRING).value, tok.span))
+            items.append(NoteClause(parser.expect(STRING).value, *_at(tok.span)))
         else:
             raise parser.fail("an item keyword (assigned, requires, produces, "
                               "uses, hazard, precedes, note) or '}'")
-    return ResponsibilityDecl(name, tuple(items), start.span)
+    return ResponsibilityDecl(name, tuple(items), *_at(start.span))
 
 
 # ---------------------------------------------------------------------------

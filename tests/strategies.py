@@ -24,12 +24,13 @@ from respkit.dsl import (
     RequireClause,
     ResourceDecl,
     ResponsibilityDecl,
-    SourceSpan,
+    Source,
     UseClause,
 )
 from respkit.model import AgentKind, GuideWord, ResourceKind, Severity
 
-SPAN = SourceSpan("<generated>", 1, 1)
+# Every generated declaration and clause starts at line 1, column 1.
+AT = (0, Source("<generated>", ""))
 
 # Characters the grammar or Unicode treat specially, drawn often so that
 # every name form meets them: comment and string delimiters, the escape,
@@ -90,18 +91,18 @@ def declarations(draw,
     channel_names = draw(name_list(names, 0, 3))
     resp_names = resp_pool if resp_pool is not None else draw(name_list(names, 1, 4))
 
-    decls = [ModelDecl(draw(names | st.just("")), SPAN)]
+    decls = [ModelDecl(draw(names | st.just("")), *AT)]
     for agent in agents:
-        decls.append(AgentDecl(agent, draw(st.sampled_from(list(AgentKind))), SPAN))
+        decls.append(AgentDecl(agent, draw(st.sampled_from(list(AgentKind))), *AT))
     for info in info_names:
-        decls.append(ResourceDecl(info, ResourceKind.INFORMATION, SPAN))
+        decls.append(ResourceDecl(info, ResourceKind.INFORMATION, *AT))
     for phys in phys_names:
-        decls.append(ResourceDecl(phys, ResourceKind.PHYSICAL, SPAN))
+        decls.append(ResourceDecl(phys, ResourceKind.PHYSICAL, *AT))
     for index, channel in enumerate(channel_names):
         backup = None
         if index > 0 and draw(st.booleans()):
             backup = draw(st.sampled_from(channel_names[:index]))
-        decls.append(ChannelDecl(channel, draw(mediums), backup, SPAN))
+        decls.append(ChannelDecl(channel, draw(mediums), backup, *AT))
 
     def subset(pool, max_size=3):
         if not pool:
@@ -113,7 +114,7 @@ def declarations(draw,
         items = []
         assigned = draw(subset(agents))
         if assigned:
-            items.append(AssignClause(tuple(assigned), SPAN))
+            items.append(AssignClause(tuple(assigned), *AT))
         needed = draw(subset(info_names))
         for resource in needed:
             items.append(RequireClause(
@@ -121,7 +122,7 @@ def declarations(draw,
                 tuple(draw(subset(agents, 2))),
                 tuple(draw(subset(channel_names, 2))),
                 draw(st.none() | severities),
-                SPAN,
+                *AT,
             ))
         produced = draw(subset(info_names, 2))
         for resource in produced:
@@ -129,21 +130,21 @@ def declarations(draw,
                 resource,
                 tuple(draw(subset(channel_names, 2))),
                 draw(st.none() | names),
-                SPAN,
+                *AT,
             ))
         for resource in draw(subset(phys_names, 2)):
-            items.append(UseClause(resource, SPAN))
+            items.append(UseClause(resource, *AT))
         # Only a needed item has worksheet rows, so only it may carry a hazard.
         for item in draw(subset(needed, 2)):
             items.append(HazardClause(
                 item, draw(guide_words), draw(names | st.just("")),
-                draw(severities), None, SPAN,
+                draw(severities), None, *AT,
             ))
         for target in draw(subset(resp_names, 2)):
-            items.append(PrecedesClause(target, SPAN))
+            items.append(PrecedesClause(target, *AT))
         for note in draw(st.lists(names, max_size=1)):
-            items.append(NoteClause(note, SPAN))
-        decls.append(ResponsibilityDecl(resp_name, tuple(items), SPAN))
+            items.append(NoteClause(note, *AT))
+        decls.append(ResponsibilityDecl(resp_name, tuple(items), *AT))
     return decls
 
 

@@ -1,6 +1,9 @@
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +15,20 @@ from respkit import build_model, cli, load_model
 from respkit.dsl import parse_model, parse_requirements
 
 from strategies import answers_text, dsl_text, one_in, reqs_text, resp_text
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_import_loads_neither_json_nor_csv():
+    """Only the JSON and CSV renderers import ``json`` and ``csv``."""
+    path = filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = "import sys, respkit.cli; print(sorted({'json', 'csv'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=env,
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 class TestCheck:

@@ -9,6 +9,7 @@ from respkit.dsl import (
     ModelDecl,
     ParseFailure,
     ResponsibilityDecl,
+    Source,
     SourceSpan,
     UseClause,
     _scan,
@@ -33,7 +34,8 @@ def build(text: str) -> Model:
 class TestParseModel:
     def test_model_line_alone(self):
         decls = parse_model('model "M"')
-        assert decls == [ModelDecl("M", decls[0].span)]
+        assert decls == [ModelDecl("M", 0, Source("<string>", 'model "M"'))]
+        assert decls[0].span == SourceSpan("<string>", 1, 1)
 
     def test_bracket_notation_block(self):
         decls = parse_model(
@@ -262,9 +264,12 @@ class TestScannerFuzz:
 
 def _typed(value):
     """``value`` with the class of each named tuple in it spelled out, since
-    named tuples with equal fields compare equal across classes."""
+    named tuples with equal fields compare equal across classes, and with the
+    ``offset`` and ``source`` of each declaration and clause read as its
+    ``span``."""
     if hasattr(value, "_fields"):
-        return (type(value).__name__, *map(_typed, value))
+        fields = (*value[:-2], value.span) if "source" in value._fields else value
+        return (type(value).__name__, *map(_typed, fields))
     if isinstance(value, (list, tuple)):
         return [_typed(item) for item in value]
     return value

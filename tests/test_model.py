@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -5,8 +7,9 @@ import hypothesis.strategies as st
 from dataclasses import replace
 
 from respkit import build_model, load_model, slugify, validate
+from respkit import dsl
 from respkit.build import ModelBuildError
-from respkit.dsl import parse_model
+from respkit.dsl import SourceSpan, parse_model
 from respkit.model import (
     Agent,
     AgentKind,
@@ -21,6 +24,7 @@ from respkit.model import (
 )
 
 from strategies import names
+from test_scaling import _model_text
 
 
 def build(text: str):
@@ -258,6 +262,18 @@ BUILD_ERRORS = [
         "t.resp:4:1: error: backup chain through channel 'C' is cyclic"]),
     ('responsibility "R" {\n  produces |Log|\n  hazard |Log| late "x"\n}', [
         't.resp:1:1: error: hazard on |Log| but "R" does not require it']),
+    # Offset to line:column: the last line with no final newline, a tab, and
+    # line-like characters in a string, which end no line.
+    ('agent <A>\nresponsibility "R" { assigned to <a!> }', [
+        "t.resp:2:22: error: agents 'A' and 'a!' collide on id 'a'"]),
+    ('responsibility "R" {\n\tprecedes "S"\n}', [
+        "t.resp:2:2: error: precedes target 'S' is not a declared responsibility"]),
+    ('responsibility "R" {\n  note "a\rb" precedes "S"\n}', [
+        "t.resp:2:14: error: precedes target 'S' is not a declared responsibility"]),
+    ('responsibility "R" {\n  note "a\x0bb" precedes "S"\n}', [
+        "t.resp:2:14: error: precedes target 'S' is not a declared responsibility"]),
+    ('responsibility "R" {\n  note "a\u2028b" precedes "S"\n}', [
+        "t.resp:2:14: error: precedes target 'S' is not a declared responsibility"]),
 ]
 
 
@@ -266,6 +282,27 @@ def test_build_errors_render_exactly(text, rendered):
     with pytest.raises(ModelBuildError) as excinfo:
         build_model(parse_model(text, "t.resp"))
     assert str(excinfo.value) == "\n".join(rendered)
+
+
+@pytest.mark.parametrize("source", ["corpus", "generated"])
+def test_clean_build_resolves_no_span(source, resp_path, monkeypatch):
+    """A model that parses and builds cleanly makes no ``SourceSpan`` and
+    no line-start table; a span read afterwards still resolves."""
+    if source == "corpus":
+        text = resp_path.read_text(encoding="utf-8")
+    else:
+        text = _model_text(random.Random(1000), 1000)
+    made = []
+    monkeypatch.setattr(dsl, "SourceSpan",
+                        lambda *fields: made.append(fields) or SourceSpan(*fields))
+    declarations = parse_model(text, "m.resp")
+    build_model(declarations)
+    assert made == []
+    assert "line_starts" not in vars(declarations[0].source)
+    last = declarations[-1]
+    assert last.span == ("m.resp", text[:last.offset].count("\n") + 1,
+                         last.offset - text.rfind("\n", 0, last.offset))
+    assert len(made) == 1
 
 
 def _use_every_map(model: Model) -> None:
@@ -277,7 +314,7 @@ def _use_every_map(model: Model) -> None:
         model.channel_by_id(channel.id), model.channel_named(channel.name)
     for resp in model.responsibilities:
         model.responsibility_by_id(resp.id), model.responsibility_named(resp.name)
-    model.required_or_produced, model.channels_with_backup
+    model.required_items, model.channels_with_backup
 
 
 class TestLookupMaps:

@@ -245,6 +245,16 @@ class TestRequirementsReport:
         with pytest.raises(TraceResolutionError):
             requirements_report(evacuation, [bad])
 
+    def test_hazard_trace_to_a_produced_only_item_is_unresolved(self):
+        from respkit.model import GuideWord
+        model = build('responsibility "R" { produces |Log| }')
+        assert generate_worksheet(model, "R").rows == ()
+        record = RequirementRecord(
+            id="R1", text="t", rationale="r",
+            traces=(TraceRef("hazard", "Log", GuideWord.LATE),))
+        with pytest.raises(TraceResolutionError, match=r"R1: hazard \|Log\| late"):
+            requirements_report(model, [record])
+
 
 class TestFindingsReport:
     def test_empty_text_and_json(self):

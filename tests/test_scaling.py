@@ -5,6 +5,8 @@ of three runs each.  A layer fails when the larger input costs more than 20
 times the smaller one; linear code measures about 10, quadratic code about
 100.  The models use every clause kind the layers read: assignments,
 sources, channels with backups, products, uses, hazards and sequence links.
+One more layer builds a model with one build error per duty and renders
+the error, so every span it resolves is timed.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import is_dataclass, replace
 import pytest
 
 from respkit import (
+    ModelBuildError,
     build_model,
     diff_models,
     generate_worksheet,
@@ -118,11 +121,14 @@ def _inputs(n: int) -> dict:
         for r in model.responsibilities))
     answers_text = _answers_text(rng, n)
     answers = parse_answers(answers_text)
+    # Every duty precedes a duty that does not exist: one error per duty.
+    broken = parse_model(model_text.replace('precedes "Duty ', 'precedes "Gone '))
     return {
         "parse_model": (parse_model, model_text),
         "parse_answers": (parse_answers, answers_text),
         "parse_requirements": (parse_requirements, requirements_text),
         "build_model": (build_model, declarations),
+        "build_errors": (_rendered_build_errors, broken),
         "to_dot": (to_dot, model),
         "print_model": (print_model, model),
         "diff_models": (diff_models, model, other),
@@ -134,6 +140,14 @@ def _inputs(n: int) -> dict:
         "information_recorded_table": (_every_duty(information_recorded_table), model),
         "generate_worksheet": (_every_duty(generate_worksheet), model),
     }
+
+
+def _rendered_build_errors(declarations) -> str:
+    try:
+        build_model(declarations)
+    except ModelBuildError as error:
+        return str(error)
+    raise AssertionError("the model should not build")
 
 
 def _every_duty(per_duty):
