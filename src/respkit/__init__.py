@@ -15,6 +15,7 @@ from .analysis import (
 )
 from .build import ModelBuildError, build_model, load_model
 from .dsl import (
+    ElicitationRecord,
     ParseError,
     ParseFailure,
     SourceSpan,
@@ -40,7 +41,6 @@ from .model import (
     Agent,
     AgentKind,
     Channel,
-    ElicitationRecord,
     GuideWord,
     HazardEntry,
     InfoNeed,

@@ -5,10 +5,13 @@ implicit declarations: agents default to kind organization, channels carry
 no medium, resource kinds follow the bracket notation they were written
 with.  Explicit declarations anywhere in the file win over implicit ones.
 
-Names resolve through a ``SymbolTable`` and clauses merge into a duty
-through ``fold_duty``.  ``elicitation.ingest_all`` folds answers back into
-a model through the same two, so a name, a flow and a hazard follow the
-same rules in a ``.resp`` file and in a ``.answers`` file.
+Names resolve through a ``SymbolTable``, a ``requires``, ``produces`` or
+``hazard`` clause resolves into a need, product or hazard through
+``resolve_flow``, and these merge into a duty through ``fold_duty``.
+``.answers`` lines parse into the same clauses, and
+``elicitation.ingest_all`` folds them back into a model through the same
+three, so a name, a flow and a hazard follow the same rules in a ``.resp``
+file and in a ``.answers`` file.
 """
 
 from __future__ import annotations
@@ -49,9 +52,13 @@ class ModelBuildError(ValueError):
         super().__init__("\n".join(i.render() for i in self.issues))
 
 
-# The declaration or clause a name or a problem comes from, or None in
-# ingest.  Its span is read only when a problem is reported.
-Site = Optional[Union[dsl.Declaration, dsl.Clause]]
+# The declaration or clause a name or a problem comes from.  Its span is
+# read only when a problem is reported.
+Site = Union[dsl.Declaration, dsl.Clause]
+# A clause that adds a need, a product or a hazard to its duty, and what it
+# resolves to.
+Flow = Union[dsl.RequireClause, dsl.ProduceClause, dsl.HazardClause]
+Resolved = Optional[Union[InfoNeed, InfoProduct, HazardEntry]]
 
 
 class SymbolTable:
@@ -105,7 +112,7 @@ class SymbolTable:
 
     # -- mentions -------------------------------------------------------------
 
-    def agent(self, name: str, site: Site = None) -> Optional[str]:
+    def agent(self, name: str, site: Site) -> Optional[str]:
         slug = self.slug("agent", name, site)
         if slug is None:
             return None
@@ -121,8 +128,7 @@ class SymbolTable:
                                       implicit=True)
         return slug
 
-    def resource(self, name: str, kind: ResourceKind,
-                 site: Site = None) -> Optional[str]:
+    def resource(self, name: str, kind: ResourceKind, site: Site) -> Optional[str]:
         slug = self.slug("resource", name, site)
         if slug is None:
             return None
@@ -141,7 +147,7 @@ class SymbolTable:
             self.resources[slug] = Resource(slug, name.strip(), kind, implicit=True)
         return slug
 
-    def channel(self, name: str, site: Site = None) -> Optional[str]:
+    def channel(self, name: str, site: Site) -> Optional[str]:
         slug = self.slug("channel", name, site)
         if slug is None:
             return None
@@ -240,38 +246,67 @@ class SymbolTable:
                        f"is cyclic", self.backups[slug])
 
 
-def fold_duty(duty: Responsibility, needs: Iterable[InfoNeed],
-              products: Iterable[InfoProduct],
-              hazards: Iterable[tuple[HazardEntry, str]],
-              orphan: Callable[[str], None]) -> dict[str, tuple]:
-    """The needs, products and hazards of ``duty`` with the given ones merged
-    in, as ``Responsibility`` fields.
+def resolve_flow(table: SymbolTable, clause: Flow, duty: str) -> Resolved:
+    """The ``InfoNeed``, ``InfoProduct`` or ``HazardEntry`` that ``clause``
+    adds to the duty named ``duty``, or None when its item does not resolve.
 
-    A need or product for an item ``duty`` already has, or a hazard for an
-    (item, guide word) it already has, merges into it; a new one is
-    appended.  Each hazard comes with its item's name as the caller reports
-    it: ``orphan`` is called with that name for each new hazard whose item
-    the merged duty does not require, since a worksheet has rows for
+    Names resolve in the order the clause gives them: the item, then the
+    sources, then the channels.  A name repeated in one list counts once,
+    so sources and channels are ordered sets.
+    """
+    # Each flow clause names its information item first.
+    resource = table.resource(clause[0], ResourceKind.INFORMATION, clause)
+    if resource is None:
+        return None
+    if isinstance(clause, dsl.HazardClause):
+        return HazardEntry(duty, resource, clause.guide_word, clause.consequence,
+                           clause.severity, clause.mitigated_by)
+    if isinstance(clause, dsl.ProduceClause):
+        return InfoProduct(resource, _ids(table.channel, clause.channels, clause),
+                           clause.rationale)
+    sources = _ids(table.agent, clause.sources, clause)
+    return InfoNeed(resource, sources, _ids(table.channel, clause.channels, clause),
+                    clause.criticality)
+
+
+def _ids(resolve: Callable[[str, Site], Optional[str]], names: tuple[str, ...],
+         clause: Flow) -> tuple[str, ...]:
+    """The id of each of ``names`` that resolves, each id once."""
+    return dedupe(filter(None, (resolve(name, clause) for name in names)))
+
+
+def fold_duty(duty: Responsibility, flows: Iterable[tuple[Resolved, Flow]],
+              orphan: Callable[[dsl.HazardClause], None]) -> dict[str, tuple]:
+    """The needs, products and hazards of ``duty`` with ``flows`` merged in,
+    as ``Responsibility`` fields.
+
+    ``flows`` pairs each clause with what ``resolve_flow`` made of it; a
+    clause that resolved to None is skipped.  A need or product for an item
+    ``duty`` already has, or a hazard for an (item, guide word) it already
+    has, merges into it; a new one is appended.  Hazards merge after every
+    need, and ``orphan`` is called with the clause of each new hazard whose
+    item the merged duty does not require, since a worksheet has rows for
     required items only.
     """
     merged_needs = {n.resource: n for n in duty.needs}
-    for need in needs:
-        old = merged_needs.get(need.resource)
-        merged_needs[need.resource] = need if old is None else old.merged_with(need)
     merged_products = {p.resource: p for p in duty.products}
-    for product in products:
-        old = merged_products.get(product.resource)
-        merged_products[product.resource] = \
-            product if old is None else old.merged_with(product)
     merged_hazards = {(h.item, h.guide_word): h for h in duty.hazards}
-    for entry, item_name in hazards:
+    hazards = []
+    for flow, clause in flows:
+        if isinstance(flow, HazardEntry):
+            hazards.append((flow, clause))
+        elif flow is not None:
+            merged = merged_needs if isinstance(flow, InfoNeed) else merged_products
+            old = merged.get(flow.resource)
+            merged[flow.resource] = flow if old is None else old.merged_with(flow)
+    for entry, clause in hazards:
         key = (entry.item, entry.guide_word)
         old = merged_hazards.get(key)
         if old is not None:
             merged_hazards[key] = old.merged_with(entry)
             continue
         if entry.item not in merged_needs:
-            orphan(item_name)
+            orphan(clause)
         merged_hazards[key] = entry
     return {"needs": tuple(merged_needs.values()),
             "products": tuple(merged_products.values()),
@@ -363,59 +398,35 @@ def _build_responsibility(
     orphans: list[BuildIssue],
 ) -> Responsibility:
     assigned: list[str] = []
-    needs: list[InfoNeed] = []
-    products: list[InfoProduct] = []
+    flows: list[tuple[Resolved, Flow]] = []
     uses: list[str] = []
     notes: list[str] = []
-    hazards: list[tuple[HazardEntry, str]] = []
 
     for item in decl.items:
-        if isinstance(item, dsl.AssignClause):
+        if isinstance(item, (dsl.RequireClause, dsl.ProduceClause, dsl.HazardClause)):
+            flows.append((resolve_flow(table, item, decl.name), item))
+        elif isinstance(item, dsl.AssignClause):
             for agent_name in item.agents:
                 agent_id = table.agent(agent_name, item)
                 if agent_id:
                     assigned.append(agent_id)
-        elif isinstance(item, dsl.RequireClause):
-            resource = table.resource(item.resource, ResourceKind.INFORMATION, item)
-            if resource is None:
-                continue
-            sources = [s for s in (table.agent(a, item)
-                                   for a in item.sources) if s]
-            channels = [c for c in (table.channel(ch, item)
-                                    for ch in item.channels) if c]
-            needs.append(InfoNeed(resource, tuple(sources), tuple(channels),
-                                  item.criticality))
-        elif isinstance(item, dsl.ProduceClause):
-            resource = table.resource(item.resource, ResourceKind.INFORMATION, item)
-            if resource is None:
-                continue
-            channels = [c for c in (table.channel(ch, item)
-                                    for ch in item.channels) if c]
-            products.append(InfoProduct(resource, tuple(channels), item.rationale))
         elif isinstance(item, dsl.UseClause):
             resource = table.resource(item.resource, ResourceKind.PHYSICAL, item)
             if resource:
                 uses.append(resource)
-        elif isinstance(item, dsl.HazardClause):
-            resource = table.resource(item.item, ResourceKind.INFORMATION, item)
-            if resource is None:
-                continue
-            entry = HazardEntry(decl.name, resource, item.guide_word,
-                                item.consequence, item.severity, item.mitigated_by)
-            hazards.append((entry, table.resources[resource].name))
         elif isinstance(item, dsl.PrecedesClause):
             precedes.append((slug, item))
         elif isinstance(item, dsl.NoteClause):
             notes.append(item.text)
 
-    def orphan(item_name: str) -> None:
+    def orphan(clause: dsl.HazardClause) -> None:
         orphans.append(BuildIssue(
-            f'hazard on |{item_name}| but "{decl.name}" does not require it',
+            f'hazard on |{clause.item}| but "{decl.name}" does not require it',
             decl.span))
 
     return Responsibility(slug, decl.name, dedupe(assigned), uses=dedupe(uses),
                           notes=tuple(notes),
-                          **fold_duty(_NO_DUTY, needs, products, hazards, orphan))
+                          **fold_duty(_NO_DUTY, flows, orphan))
 
 
 def load_model(source: Union[str, Path], filename: Optional[str] = None) -> Model:

@@ -19,7 +19,7 @@ from typing import Optional, TextIO
 from . import analysis, elicitation, hazards, reporting
 from .build import ModelBuildError, load_model
 from .dsl import ParseFailure, parse_answers, parse_requirements, print_model, print_requirements
-from .elicitation import IngestError, ingest_all
+from .elicitation import ingest_all
 from .model import Model, Severity, UnknownResponsibility, validate
 from .reporting import TraceResolutionError
 
@@ -145,10 +145,10 @@ def run(argv: list[str], stdin: Optional[TextIO] = None,
     gc.disable()
     try:
         return _dispatch(args, stdout, stderr)
-    except (ParseFailure, ModelBuildError) as exc:
+    except (ParseFailure, ModelBuildError) as exc:  # and IngestError
         stderr.write(str(exc) + "\n")
         return 2
-    except (IngestError, UnknownResponsibility, TraceResolutionError) as exc:
+    except (UnknownResponsibility, TraceResolutionError) as exc:
         stderr.write(f"error: {exc}\n")
         return 2
     except OSError as exc:

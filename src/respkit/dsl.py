@@ -6,6 +6,11 @@ Three file formats share one tokenizer:
 * ``.answers`` -- structured elicitation answers
 * ``.reqs``    -- requirement records with trace links
 
+An answers session parses into an ``ElicitationRecord`` whose ``needs``,
+``records`` and ``hazards`` lines are the ``RequireClause``,
+``ProduceClause`` and ``HazardClause`` of a ``.resp`` responsibility block:
+one grammar for each line after its keyword, and one resolver in ``build``.
+
 Element references reuse the diagram notation literally: agent names in
 angle brackets, physical resources in square brackets, information
 resources between vertical bars.  Reference names are taken verbatim minus
@@ -49,13 +54,9 @@ from typing import NamedTuple, Optional, Union
 
 from .model import (
     AgentKind,
-    ElicitationRecord,
     GuideWord,
     GUIDE_WORD_TOKENS,
-    HazardAnswer,
     Model,
-    NeedAnswer,
-    RecordAnswer,
     RequirementRecord,
     ResourceKind,
     Severity,
@@ -127,7 +128,7 @@ class ParseFailure(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Declarations produced by parse_model
+# Declarations produced by parse_model and sessions produced by parse_answers
 # ---------------------------------------------------------------------------
 
 
@@ -235,6 +236,23 @@ class ResponsibilityDecl(NamedTuple):
 
 Declaration = Union[ModelDecl, AgentDecl, ResourceDecl, ChannelDecl,
                     ResponsibilityDecl]
+
+
+class ElicitationRecord(NamedTuple):
+    """Answers captured for one responsibility in one session.  Its
+    ``needs``, ``records`` and ``hazards`` lines are ``requires``,
+    ``produces`` and ``hazard`` clauses with no criticality and no
+    mitigation."""
+
+    responsibility: str
+    by: Optional[str]
+    date: Optional[str]
+    needs: tuple[RequireClause, ...]
+    records: tuple[ProduceClause, ...]
+    hazards: tuple[HazardClause, ...]
+    offset: int
+    source: Source
+    span = _SPAN
 
 
 # ---------------------------------------------------------------------------
@@ -615,20 +633,21 @@ def parse_answers(text: str, filename: str = "<string>") -> list[ElicitationReco
 
 
 def _session(tokens: _Tokens, i: int) -> tuple[ElicitationRecord, int]:
-    kinds, values = tokens.kinds, tokens.values
+    kinds, values, offsets, source = (tokens.kinds, tokens.values, tokens.offsets,
+                                      tokens.source)
     _keyword(tokens, i, "elicitation")
     responsibility = _expect(tokens, i + 1, STRING).strip()
     meta = {"by": None, "date": None}
-    i += 2
+    start, i = offsets[i], i + 2
     while values[i] in meta and kinds[i] == IDENT:
         meta[values[i]] = _expect(tokens, i + 1, STRING)
         i += 2
     if kinds[i] != LBRACE:
         raise tokens.fail(i, LBRACE)
     i += 1
-    needs: list[NeedAnswer] = []
-    recorded: list[RecordAnswer] = []
-    hazards: list[HazardAnswer] = []
+    needs: list[RequireClause] = []
+    recorded: list[ProduceClause] = []
+    hazards: list[HazardClause] = []
     while kinds[i] != RBRACE:
         word = values[i] if kinds[i] == IDENT else None
         if word in ("needs", "records"):
@@ -638,14 +657,17 @@ def _session(tokens: _Tokens, i: int) -> tuple[ElicitationRecord, int]:
             while kinds[i] != RBRACE:
                 if kinds[i] == EOF:
                     raise tokens.fail(i, "'}'")
+                at = offsets[i]
                 resource = _expect(tokens, i, INFO_REF,
                                    "an information item (|name|) or '}'")
                 if word == "needs":
                     sources, channels, i = _need_tail(tokens, i + 1)
-                    needs.append(NeedAnswer(resource, sources, channels))
+                    needs.append(RequireClause(resource, sources, channels, None,
+                                               at, source))
                 else:
                     channels, rationale, i = _product_tail(tokens, i + 1)
-                    recorded.append(RecordAnswer(resource, channels, rationale))
+                    recorded.append(ProduceClause(resource, channels, rationale,
+                                                  at, source))
         elif word == "hazards":
             item = _expect(tokens, i + 1, INFO_REF)
             if kinds[i + 2] != LBRACE:
@@ -654,20 +676,16 @@ def _session(tokens: _Tokens, i: int) -> tuple[ElicitationRecord, int]:
             while kinds[i] != RBRACE:
                 if kinds[i] == EOF:
                     raise tokens.fail(i, "'}'")
+                at = offsets[i]
                 guide_word, consequence, severity, i = _hazard_tail(tokens, i)
-                hazards.append(HazardAnswer(item, guide_word, consequence, severity))
+                hazards.append(HazardClause(item, guide_word, consequence, severity,
+                                            None, at, source))
         else:
             raise tokens.fail(i, "'}'" if kinds[i] == EOF
                               else "a block keyword (needs, records, hazards) or '}'")
         i += 1
-    return ElicitationRecord(
-        responsibility=responsibility,
-        by=meta["by"],
-        date=meta["date"],
-        needs=tuple(needs),
-        records=tuple(recorded),
-        hazards=tuple(hazards),
-    ), i + 1
+    return ElicitationRecord(responsibility, meta["by"], meta["date"], tuple(needs),
+                             tuple(recorded), tuple(hazards), start, source), i + 1
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +780,7 @@ def format_need_clause(model: Model, need, keyword: str = "requires",
         parts.append("from " + _agent_refs([model.agent_name(a) for a in need.sources]))
     if need.channels:
         parts.append("via " + _channel_refs([model.channel_name(c) for c in need.channels]))
-    if with_criticality and getattr(need, "criticality", None) is not None:
+    if with_criticality and need.criticality is not None:
         parts.append(f"criticality {need.criticality.token}")
     return " ".join(parts)
 

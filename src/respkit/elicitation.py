@@ -5,6 +5,12 @@ structured answers back into the model, and renders the two summary tables
 (information required / information recorded).  Channel questions are
 captured through the ``via`` clauses of need and record lines rather than
 as free text, so channel coverage stays analysable.
+
+An answers session holds the same ``requires``, ``produces`` and ``hazard``
+clauses as a ``.resp`` responsibility block, and ingest resolves and merges
+them through ``build.resolve_flow`` and ``build.fold_duty``, so an answer
+obeys the rules its clause obeys in a model file.  An ingest error names
+the line of the answer it refuses, as a build error does.
 """
 
 from __future__ import annotations
@@ -12,14 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import dsl
-from .build import SymbolTable, fold_duty
+from .build import (BuildIssue, ModelBuildError, Site, SymbolTable, fold_duty,
+                    resolve_flow)
 from .model import (
-    ElicitationRecord,
     HazardEntry,
     InfoNeed,
     InfoProduct,
     Model,
-    ResourceKind,
     Responsibility,
     UnknownResponsibility,
 )
@@ -88,7 +93,6 @@ def generate_questionnaire(model: Model, responsibility: str) -> Questionnaire:
 def answers_skeleton(model: Model, responsibility: str) -> str:
     """Render the questionnaire as a commented answers file to edit in place."""
     sheet = generate_questionnaire(model, responsibility)
-    resp = _require(model, responsibility)
 
     lines = [f"# Elicitation sheet for responsibility {dsl.quote(sheet.responsibility)}."]
     lines.append("# Work through the questions below; lines already present were")
@@ -109,7 +113,7 @@ def answers_skeleton(model: Model, responsibility: str) -> str:
     for need in sheet.draft_needs:
         item_name = model.resource_name(need.resource)
         lines.append(f"  hazards |{item_name}| {{")
-        for entry in resp.hazards:
+        for entry in sheet.draft_hazards:
             if entry.item != need.resource:
                 continue
             line = (f"    {entry.guide_word.value} {dsl.quote(entry.consequence)}"
@@ -125,39 +129,29 @@ def answers_skeleton(model: Model, responsibility: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-class IngestError(ValueError):
-    pass
+class IngestError(ModelBuildError):
+    """An answer the model cannot take; renders as
+    ``<file>:<line>:<col>: error: <message>`` at the answer's line."""
 
 
-def _refuse(message: str, site: object) -> None:
-    raise IngestError(message)
+def _refuse(message: str, site: Site) -> None:
+    raise IngestError([BuildIssue(message, site.span)])
 
 
-def _merge(resp: Responsibility, record: ElicitationRecord,
+def _merge(resp: Responsibility, record: dsl.ElicitationRecord,
            table: SymbolTable) -> Responsibility:
     """Fold one answer record into one responsibility."""
-    info = ResourceKind.INFORMATION
 
-    def orphan(item_name: str) -> None:
-        raise IngestError(f"hazard block for |{item_name}| but "
-                          f'"{resp.name}" does not require it')
+    def orphan(clause: dsl.HazardClause) -> None:
+        _refuse(f'hazard block for |{clause.item}| but "{resp.name}" does not '
+                "require it", clause)
 
-    return replace(resp, **fold_duty(
-        resp,
-        (InfoNeed(table.resource(a.resource, info),
-                  tuple(table.agent(s) for s in a.sources),
-                  tuple(table.channel(c) for c in a.channels))
-         for a in record.needs),
-        (InfoProduct(table.resource(a.resource, info),
-                     tuple(table.channel(c) for c in a.channels), a.rationale)
-         for a in record.records),
-        ((HazardEntry(resp.name, table.resource(a.item, info), a.guide_word,
-                      a.consequence, a.severity), a.item)
-         for a in record.hazards),
-        orphan))
+    flows = [(resolve_flow(table, clause, resp.name), clause)
+             for clause in (*record.needs, *record.records, *record.hazards)]
+    return replace(resp, **fold_duty(resp, flows, orphan))
 
 
-def ingest_all(model: Model, records: list[ElicitationRecord],
+def ingest_all(model: Model, records: list[dsl.ElicitationRecord],
                strict: bool = False) -> Model:
     """Merge answer records into the model in order, returning a new model.
 
@@ -181,7 +175,7 @@ def ingest_all(model: Model, records: list[ElicitationRecord],
     )
 
 
-def ingest(model: Model, record: ElicitationRecord, strict: bool = False) -> Model:
+def ingest(model: Model, record: dsl.ElicitationRecord, strict: bool = False) -> Model:
     """Merge one answer record into the model; see ``ingest_all``."""
     return ingest_all(model, [record], strict)
 

@@ -410,49 +410,6 @@ class UnknownResponsibility(KeyError):
 
 
 # ---------------------------------------------------------------------------
-# Answer records
-# ---------------------------------------------------------------------------
-#
-# Structured answers reference elements by display name, not id: an answer
-# may mention elements the model has not declared yet, and materializing
-# those as implicit declarations needs the verbatim name.
-
-
-@dataclass(frozen=True)
-class NeedAnswer:
-    resource: str
-    sources: tuple[str, ...] = ()
-    channels: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class RecordAnswer:
-    resource: str
-    channels: tuple[str, ...] = ()
-    rationale: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class HazardAnswer:
-    item: str
-    guide_word: GuideWord
-    consequence: str
-    severity: Severity = Severity.NONE
-
-
-@dataclass(frozen=True)
-class ElicitationRecord:
-    """Answers captured for one responsibility in one session."""
-
-    responsibility: str
-    by: Optional[str] = None
-    date: Optional[str] = None
-    needs: tuple[NeedAnswer, ...] = ()
-    records: tuple[RecordAnswer, ...] = ()
-    hazards: tuple[HazardAnswer, ...] = ()
-
-
-# ---------------------------------------------------------------------------
 # Requirements
 # ---------------------------------------------------------------------------
 

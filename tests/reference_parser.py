@@ -26,6 +26,7 @@ from respkit.dsl import (
     ChannelDecl,
     Clause,
     Declaration,
+    ElicitationRecord,
     HazardClause,
     ModelDecl,
     NoteClause,
@@ -41,12 +42,8 @@ from respkit.dsl import (
 )
 from respkit.model import (
     AgentKind,
-    ElicitationRecord,
     GuideWord,
     GUIDE_WORD_TOKENS,
-    HazardAnswer,
-    NeedAnswer,
-    RecordAnswer,
     RequirementRecord,
     ResourceKind,
     Severity,
@@ -360,7 +357,7 @@ def parse_answers(text: str, filename: str = "<string>") -> list[ElicitationReco
 
 
 def _parse_session(parser: _Parser) -> ElicitationRecord:
-    parser.expect(IDENT, "elicitation", expected="'elicitation'")
+    start = parser.expect(IDENT, "elicitation", expected="'elicitation'")
     responsibility = parser.expect(STRING).value.strip()
     by = None
     date = None
@@ -373,9 +370,9 @@ def _parse_session(parser: _Parser) -> ElicitationRecord:
             date = value
     parser.expect(LBRACE)
 
-    needs: list[NeedAnswer] = []
-    recorded: list[RecordAnswer] = []
-    hazards: list[HazardAnswer] = []
+    needs: list[RequireClause] = []
+    recorded: list[ProduceClause] = []
+    hazards: list[HazardClause] = []
 
     while not parser.accept(RBRACE):
         if parser.at(EOF):
@@ -385,40 +382,38 @@ def _parse_session(parser: _Parser) -> ElicitationRecord:
             while not parser.accept(RBRACE):
                 if parser.at(EOF):
                     raise _SyntaxError(ParseError(parser.current.span, "'}'", EOF))
-                resource = parser.expect(
-                    INFO_REF, expected="an information item (|name|) or '}'").value
-                needs.append(NeedAnswer(resource, *_need_tail(parser)))
+                tok = parser.expect(
+                    INFO_REF, expected="an information item (|name|) or '}'")
+                needs.append(RequireClause(tok.value, *_need_tail(parser), None,
+                                           *_at(tok.span)))
         elif parser.accept(IDENT, "records"):
             parser.expect(LBRACE)
             while not parser.accept(RBRACE):
                 if parser.at(EOF):
                     raise _SyntaxError(ParseError(parser.current.span, "'}'", EOF))
-                resource = parser.expect(
-                    INFO_REF, expected="an information item (|name|) or '}'").value
-                recorded.append(RecordAnswer(resource, *_product_tail(parser)))
+                tok = parser.expect(
+                    INFO_REF, expected="an information item (|name|) or '}'")
+                recorded.append(ProduceClause(tok.value, *_product_tail(parser),
+                                              *_at(tok.span)))
         elif parser.accept(IDENT, "hazards"):
             item = parser.expect(INFO_REF).value
             parser.expect(LBRACE)
             while not parser.accept(RBRACE):
                 if parser.at(EOF):
                     raise _SyntaxError(ParseError(parser.current.span, "'}'", EOF))
+                span = parser.current.span
                 guide_word = parser.guide_word_token()
                 consequence = parser.expect(STRING).value
                 severity = Severity.NONE
                 if parser.accept(IDENT, "severity"):
                     severity = parser.severity_token()
-                hazards.append(HazardAnswer(item, guide_word, consequence, severity))
+                hazards.append(HazardClause(item, guide_word, consequence, severity,
+                                            None, *_at(span)))
         else:
             raise parser.fail("a block keyword (needs, records, hazards) or '}'")
 
-    return ElicitationRecord(
-        responsibility=responsibility,
-        by=by,
-        date=date,
-        needs=tuple(needs),
-        records=tuple(recorded),
-        hazards=tuple(hazards),
-    )
+    return ElicitationRecord(responsibility, by, date, tuple(needs), tuple(recorded),
+                             tuple(hazards), *_at(start.span))
 
 
 # ---------------------------------------------------------------------------

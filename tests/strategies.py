@@ -3,7 +3,8 @@
 Models are generated as declaration lists and resolved through the normal
 builder, so they carry exactly the invariants real parsed models have.
 References only name declared elements; implicit-declaration behaviour is
-covered by unit tests instead.  The text strategies feed the scanner,
+covered by unit tests instead.  A ``from`` or ``via`` list now and then
+names one element twice, which must count once.  The text strategies feed the scanner,
 parsers and command line with arbitrary input weighted towards the DSL.
 """
 
@@ -11,11 +12,12 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 
-from respkit import build_model, slugify
+from respkit import build_model, ingest_all, slugify
 from respkit.dsl import (
     AgentDecl,
     AssignClause,
     ChannelDecl,
+    ElicitationRecord,
     HazardClause,
     ModelDecl,
     NoteClause,
@@ -110,6 +112,11 @@ def declarations(draw,
         return st.lists(st.sampled_from(pool), max_size=max_size,
                         unique_by=slugify)
 
+    def flow_list(pool):
+        """A ``from`` or ``via`` list; one in four repeats its first name."""
+        return st.builds(lambda chosen, repeat: tuple(chosen + chosen[:1] * repeat),
+                         subset(pool, 2), one_in(4))
+
     for resp_name in resp_names:
         items = []
         assigned = draw(subset(agents))
@@ -119,8 +126,8 @@ def declarations(draw,
         for resource in needed:
             items.append(RequireClause(
                 resource,
-                tuple(draw(subset(agents, 2))),
-                tuple(draw(subset(channel_names, 2))),
+                draw(flow_list(agents)),
+                draw(flow_list(channel_names)),
                 draw(st.none() | severities),
                 *AT,
             ))
@@ -128,7 +135,7 @@ def declarations(draw,
         for resource in produced:
             items.append(ProduceClause(
                 resource,
-                tuple(draw(subset(channel_names, 2))),
+                draw(flow_list(channel_names)),
                 draw(st.none() | names),
                 *AT,
             ))
@@ -151,6 +158,31 @@ def declarations(draw,
 @st.composite
 def models(draw):
     return build_model(draw(declarations()))
+
+
+_FLOWS = (RequireClause, ProduceClause, HazardClause)
+
+
+@st.composite
+def ingested_declarations(draw):
+    """A model built from ``declarations()`` without their ``requires``,
+    ``produces`` and ``hazard`` clauses, the answer sessions that hold those
+    clauses, one per duty, and the declarations themselves."""
+    decls = draw(declarations())
+    base, sessions = [], []
+    for decl in decls:
+        if isinstance(decl, ResponsibilityDecl):
+            flows = [tuple(c for c in decl.items if isinstance(c, kind)) for kind in _FLOWS]
+            sessions.append(ElicitationRecord(decl.name, None, None, *flows, *AT))
+            decl = decl._replace(items=tuple(c for c in decl.items
+                                             if not isinstance(c, _FLOWS)))
+        base.append(decl)
+    return build_model(base), sessions, decls
+
+
+def ingested_models():
+    """Models whose needs, products and hazards all came in by ingest."""
+    return ingested_declarations().map(lambda drawn: ingest_all(*drawn[:2]))
 
 
 @st.composite

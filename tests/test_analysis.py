@@ -77,6 +77,11 @@ class TestFindSingleChannel:
             '}')
         assert find_single_channel(model) == []
 
+    def test_channel_named_twice_is_one_channel(self):
+        model = build('responsibility "R" { requires |A| from <X> via "c", "c" }')
+        (finding,) = find_single_channel(model)
+        assert finding.subjects == ("r/a",)
+
     def test_corpus_area_map_flagged(self, evacuation):
         findings = find_single_channel(evacuation)
         assert "evacuate-area/area-map" in [f.subject for f in findings]

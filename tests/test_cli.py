@@ -200,13 +200,15 @@ class TestIngest:
                                                     tmp_path, block, message,
                                                     strict):
         answers = tmp_path / "a.answers"
-        answers.write_text(f'elicitation "Evacuate area" {{ {block} }}',
-                           encoding="utf-8")
+        text = f'elicitation "Evacuate area" {{ {block} }}'
+        answers.write_text(text, encoding="utf-8")
         status, out, err = run_cli("ingest", str(resp_path), str(answers), *strict)
         assert status == 2
         assert out == ""
-        assert err.splitlines() == [
-            f"error: {message} needs at least one alphanumeric character"]
+        # The answer refused is the line after the block's last "{ ".
+        column = text.rindex("{ ") + 3
+        assert err.splitlines() == [f"{answers}:1:{column}: error: {message} "
+                                    "needs at least one alphanumeric character"]
 
     def test_bad_reference_is_status_2(self, run_cli, resp_path, tmp_path):
         answers = tmp_path / "a.answers"

@@ -14,21 +14,21 @@ from respkit import (
     ingest_all,
     print_model,
 )
-from respkit.dsl import parse_answers, parse_model
+from respkit.dsl import parse_answers, parse_model, quote
 from respkit.elicitation import IngestError
-from respkit.model import (
-    ElicitationRecord,
-    GuideWord,
-    NeedAnswer,
-    Severity,
-    UnknownResponsibility,
-)
+from respkit.model import GuideWord, InfoNeed, Severity, UnknownResponsibility
 
-from strategies import models
+from strategies import ingested_declarations, ingested_models, models
 
 
 def build(text: str):
     return build_model(parse_model(text))
+
+
+def session(duty: str, body: str = ""):
+    """The one answer record of an ``elicitation`` block for ``duty``."""
+    (record,) = parse_answers(f"elicitation {quote(duty)} {{ {body} }}", "a.answers")
+    return record
 
 
 class TestQuestionnaire:
@@ -144,7 +144,7 @@ class TestIngestAll:
     def test_unknown_duty_in_a_later_session(self, evacuation,
                                             evacuation_answers):
         sessions = _sessions(evacuation_answers)
-        sessions.insert(2, ElicitationRecord(responsibility="Ghost duty"))
+        sessions.insert(2, session("Ghost duty"))
         with pytest.raises(UnknownResponsibility, match="Ghost duty"):
             ingest_all(evacuation, sessions)
 
@@ -158,7 +158,7 @@ class TestIngest:
         assert len(resp.hazards) == 5
 
     def test_empty_record_is_identity(self, evacuation):
-        record = ElicitationRecord(responsibility="Evacuate area")
+        record = session("Evacuate area")
         merged = ingest(evacuation, record)
         assert print_model(merged) == print_model(evacuation)
 
@@ -175,26 +175,33 @@ class TestIngest:
             n.resource for n in after.needs)
 
     def test_new_need_is_appended(self, evacuation):
-        record = ElicitationRecord(
-            responsibility="Collect evacuee information",
-            needs=(NeedAnswer("Evacuee register", ("Police",), ()),),
-        )
+        record = session("Collect evacuee information",
+                         "needs { |Evacuee register| from <Police> }")
         merged = ingest(evacuation, record)
         resp = merged.responsibility_named("Collect evacuee information")
         assert [merged.resource_name(n.resource) for n in resp.needs] == [
             "Evacuee register"]
         assert merged.resource_named("Evacuee register").implicit
 
+    def test_name_repeated_in_one_line_counts_once(self, evacuation):
+        record = session("Collect evacuee information",
+                         'needs { |Evacuee register| from <X>, <X> via "c", "c" }'
+                         ' records { |Head count| via "d", "d" }')
+        once = ingest(evacuation, record)
+        resp = once.responsibility_named("Collect evacuee information")
+        assert resp.needs == (InfoNeed("evacuee-register", ("x",), ("c",)),)
+        assert resp.products[0].channels == ("d",)
+        assert repr(ingest(once, record)) == repr(once)
+        assert information_required_table(
+            once, "Collect evacuee information").rows == (("Evacuee register", "X", "c"),)
+
     def test_unknown_responsibility_rejected(self, evacuation):
-        record = ElicitationRecord(responsibility="Ghost duty")
+        record = session("Ghost duty")
         with pytest.raises(UnknownResponsibility):
             ingest(evacuation, record)
 
     def test_strict_mode_rejects_new_references(self, evacuation):
-        record = ElicitationRecord(
-            responsibility="Collect evacuee information",
-            needs=(NeedAnswer("Never declared", (), ()),),
-        )
+        record = session("Collect evacuee information", "needs { |Never declared| }")
         with pytest.raises(IngestError, match="unknown information resource"):
             ingest(evacuation, record, strict=True)
 
@@ -238,9 +245,26 @@ class TestIngest:
     def test_empty_record_identity_property(self, model):
         if not model.responsibilities:
             return
-        record = ElicitationRecord(
-            responsibility=model.responsibilities[0].name)
+        record = session(model.responsibilities[0].name)
         assert print_model(ingest(model, record)) == print_model(model)
+
+
+class TestOneClauseGrammar:
+    """Answers hold ``.resp`` clauses and resolve through the same resolver."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(ingested_declarations())
+    def test_ingesting_the_flow_clauses_equals_building_with_them(self, drawn):
+        model, sessions, decls = drawn
+        assert ingest_all(model, sessions) == build_model(decls)
+
+    @settings(max_examples=40, deadline=None)
+    @given(models() | ingested_models())
+    def test_no_flow_lists_a_source_or_channel_twice(self, model):
+        for resp in model.responsibilities:
+            lists = ([n.sources for n in resp.needs]
+                     + [flow.channels for flow in resp.needs + resp.products])
+            assert all(len(set(ids)) == len(ids) for ids in lists), resp
 
 
 INGEST_BASE = """
@@ -275,10 +299,24 @@ INGEST_ERRORS = [
 
 @pytest.mark.parametrize("block, strict, message", INGEST_ERRORS)
 def test_ingest_errors_exactly(block, strict, message):
-    records = parse_answers(f'elicitation "R" {{ {block} }}')
+    text = f'elicitation "R" {{ {block} }}'
     with pytest.raises(IngestError) as excinfo:
-        ingest_all(build(INGEST_BASE), records, strict=strict)
-    assert str(excinfo.value) == message
+        ingest_all(build(INGEST_BASE), parse_answers(text, "a.answers"), strict=strict)
+    # The answer refused is the line after the block's last "{ ".
+    column = text.rindex("{ ") + 3
+    assert str(excinfo.value) == f"a.answers:1:{column}: error: {message}"
+
+
+def test_ingest_error_names_the_line_it_refuses():
+    text = ('elicitation "R" {\n'
+            '  needs {\n'
+            '    |Map| from <Ops>\n'
+            '    |Map| via "Radio", "radio!"\n'
+            '  }\n'
+            '}\n')
+    with pytest.raises(IngestError) as excinfo:
+        ingest_all(build(INGEST_BASE), parse_answers(text, "a.answers"))
+    assert excinfo.value.issues[0].span == ("a.answers", 4, 5)
 
 
 class TestInformationTables:

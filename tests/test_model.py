@@ -167,6 +167,15 @@ class TestBuildModel:
                       '}')
         assert once == twice
 
+    def test_name_repeated_in_one_clause_counts_once(self):
+        model = build('responsibility "R" {\n'
+                      '  requires |A| from <X>, <X> via "c", "c"\n'
+                      '  produces |B| via "d", "e", "d"\n'
+                      '}')
+        (resp,) = model.responsibilities
+        assert resp.needs == (InfoNeed("a", ("x",), ("c",)),)
+        assert resp.products[0].channels == ("d", "e")
+
     def test_duplicate_uses_and_precedes_collapse(self):
         model = build('responsibility "R" {\n'
                       '  uses [Truck]\n'
