@@ -241,8 +241,8 @@ Declaration = Union[ModelDecl, AgentDecl, ResourceDecl, ChannelDecl,
 class ElicitationRecord(NamedTuple):
     """Answers captured for one responsibility in one session.  Its
     ``needs``, ``records`` and ``hazards`` lines are ``requires``,
-    ``produces`` and ``hazard`` clauses with no criticality and no
-    mitigation."""
+    ``produces`` and ``hazard`` clauses; an answers file gives them no
+    criticality and no mitigation."""
 
     responsibility: str
     by: Optional[str]

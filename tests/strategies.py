@@ -4,8 +4,9 @@ Models are generated as declaration lists and resolved through the normal
 builder, so they carry exactly the invariants real parsed models have.
 References only name declared elements; implicit-declaration behaviour is
 covered by unit tests instead.  A ``from`` or ``via`` list now and then
-names one element twice, which must count once.  The text strategies feed the scanner,
-parsers and command line with arbitrary input weighted towards the DSL.
+names one element twice, which must count once.  The text strategies feed
+the scanner, parsers and command line with arbitrary input weighted
+towards the DSL.
 """
 
 from __future__ import annotations
