@@ -6,12 +6,13 @@ run concurrently over one shared model.  Findings carry a code from
 canonical order (code, then subject).  ``Finding``, the catalog and the two
 checks that ``validate`` shares, ``find_unassigned`` and
 ``find_unsourced_info``, live in ``model`` and are re-exported here.
+``PerceptionInconsistency``, like ``Finding``, is a named tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .model import (
     FINDING_CATALOG,
@@ -222,8 +223,7 @@ class InconsistencyKind(Enum):
     CHANNEL_MISMATCH = "ChannelMismatch"
 
 
-@dataclass(frozen=True)
-class PerceptionInconsistency:
+class PerceptionInconsistency(NamedTuple):
     kind: InconsistencyKind
     responsibility: str
     left: str

@@ -82,6 +82,11 @@ class SymbolTable:
         self.channels: dict[str, Channel] = {c.id: c for c in model.channels}
         # Names are mentioned over and over; each is slugged once.
         self._slugs: dict[str, str] = {}
+        # The id of each raw name that resolved with no problem, per kind of
+        # mention.  A mention with a problem is not kept: each site reports.
+        self._agent_ids: dict[str, str] = {}
+        self._resource_ids = {kind: {} for kind in ResourceKind}
+        self._channel_ids: dict[str, str] = {}
         # Channel declarations with a backup target, resolved once all
         # channels are known.
         self.backups: dict[str, dsl.ChannelDecl] = {}
@@ -113,6 +118,8 @@ class SymbolTable:
     # -- mentions -------------------------------------------------------------
 
     def agent(self, name: str, site: Site) -> Optional[str]:
+        if name in self._agent_ids:
+            return self._agent_ids[name]
         slug = self.slug("agent", name, site)
         if slug is None:
             return None
@@ -120,15 +127,20 @@ class SymbolTable:
         if existing is not None:
             if existing.name != name.strip():
                 self._collide("agent", existing, name, slug, site)
+                return slug
         elif self.strict:
             self.error(f"unknown agent <{name}>", site)
             return None
         else:
             self.agents[slug] = Agent(slug, name.strip(), AgentKind.ORGANIZATION,
                                       implicit=True)
+        self._agent_ids[name] = slug
         return slug
 
     def resource(self, name: str, kind: ResourceKind, site: Site) -> Optional[str]:
+        known = self._resource_ids[kind]
+        if name in known:
+            return known[name]
         slug = self.slug("resource", name, site)
         if slug is None:
             return None
@@ -136,18 +148,23 @@ class SymbolTable:
         if existing is not None:
             if existing.name != name.strip():
                 self._collide("resource", existing, name, slug, site)
-            elif existing.kind is not kind:
+                return slug
+            if existing.kind is not kind:
                 self.error(f"conflicting resource kind: {existing.name!r} is "
                            f"{existing.kind.value} but is used as {kind.value}", site)
+                return slug
         elif self.strict:
             ref = f"|{name}|" if kind is ResourceKind.INFORMATION else f"[{name}]"
             self.error(f"unknown {kind.value} resource {ref}", site)
             return None
         else:
             self.resources[slug] = Resource(slug, name.strip(), kind, implicit=True)
+        known[name] = slug
         return slug
 
     def channel(self, name: str, site: Site) -> Optional[str]:
+        if name in self._channel_ids:
+            return self._channel_ids[name]
         slug = self.slug("channel", name, site)
         if slug is None:
             return None
@@ -155,11 +172,13 @@ class SymbolTable:
         if existing is not None:
             if existing.name != name.strip():
                 self._collide("channel", existing, name, slug, site)
+                return slug
         elif self.strict:
             self.error(f'unknown channel "{name}"', site)
             return None
         else:
             self.channels[slug] = Channel(slug, name.strip(), implicit=True)
+        self._channel_ids[name] = slug
         return slug
 
     # -- explicit declarations ------------------------------------------------
@@ -258,10 +277,10 @@ def resolve_flow(table: SymbolTable, clause: Flow, duty: str) -> Resolved:
     resource = table.resource(clause[0], ResourceKind.INFORMATION, clause)
     if resource is None:
         return None
-    if isinstance(clause, dsl.HazardClause):
+    if type(clause) is dsl.HazardClause:
         return HazardEntry(duty, resource, clause.guide_word, clause.consequence,
                            clause.severity, clause.mitigated_by)
-    if isinstance(clause, dsl.ProduceClause):
+    if type(clause) is dsl.ProduceClause:
         return InfoProduct(resource, _ids(table.channel, clause.channels, clause),
                            clause.rationale)
     sources = _ids(table.agent, clause.sources, clause)
@@ -272,7 +291,12 @@ def resolve_flow(table: SymbolTable, clause: Flow, duty: str) -> Resolved:
 def _ids(resolve: Callable[[str, Site], Optional[str]], names: tuple[str, ...],
          clause: Flow) -> tuple[str, ...]:
     """The id of each of ``names`` that resolves, each id once."""
-    return dedupe(filter(None, (resolve(name, clause) for name in names)))
+    ids = {}
+    for name in names:
+        found = resolve(name, clause)
+        if found:
+            ids[found] = None
+    return tuple(ids)
 
 
 def fold_duty(duty: Responsibility, flows: Iterable[tuple[Resolved, Flow]],
@@ -293,10 +317,10 @@ def fold_duty(duty: Responsibility, flows: Iterable[tuple[Resolved, Flow]],
     merged_hazards = {(h.item, h.guide_word): h for h in duty.hazards}
     hazards = []
     for flow, clause in flows:
-        if isinstance(flow, HazardEntry):
+        if type(flow) is HazardEntry:
             hazards.append((flow, clause))
         elif flow is not None:
-            merged = merged_needs if isinstance(flow, InfoNeed) else merged_products
+            merged = merged_needs if type(flow) is InfoNeed else merged_products
             old = merged.get(flow.resource)
             merged[flow.resource] = flow if old is None else old.merged_with(flow)
     for entry, clause in hazards:
@@ -314,6 +338,7 @@ def fold_duty(duty: Responsibility, flows: Iterable[tuple[Resolved, Flow]],
 
 
 _NO_DUTY = Responsibility("", "")
+_FLOWS = frozenset((dsl.RequireClause, dsl.ProduceClause, dsl.HazardClause))
 
 
 def build_model(declarations: list[dsl.Declaration]) -> Model:
@@ -326,18 +351,15 @@ def build_model(declarations: list[dsl.Declaration]) -> Model:
     table = SymbolTable(error)
     name = ""
     resp_decls: list[dsl.ResponsibilityDecl] = []
+    declare = {dsl.AgentDecl: table.declare_agent, dsl.ResourceDecl: table.declare_resource,
+               dsl.ChannelDecl: table.declare_channel,
+               dsl.ResponsibilityDecl: resp_decls.append}
 
     for decl in declarations:
-        if isinstance(decl, dsl.ModelDecl):
+        if type(decl) is dsl.ModelDecl:
             name = decl.name
-        elif isinstance(decl, dsl.AgentDecl):
-            table.declare_agent(decl)
-        elif isinstance(decl, dsl.ResourceDecl):
-            table.declare_resource(decl)
-        elif isinstance(decl, dsl.ChannelDecl):
-            table.declare_channel(decl)
-        elif isinstance(decl, dsl.ResponsibilityDecl):
-            resp_decls.append(decl)
+        else:
+            declare[type(decl)](decl)
 
     responsibilities: dict[str, Responsibility] = {}
     precedes: list[tuple[str, dsl.PrecedesClause]] = []
@@ -403,20 +425,21 @@ def _build_responsibility(
     notes: list[str] = []
 
     for item in decl.items:
-        if isinstance(item, (dsl.RequireClause, dsl.ProduceClause, dsl.HazardClause)):
+        kind = type(item)
+        if kind in _FLOWS:
             flows.append((resolve_flow(table, item, decl.name), item))
-        elif isinstance(item, dsl.AssignClause):
+        elif kind is dsl.AssignClause:
             for agent_name in item.agents:
                 agent_id = table.agent(agent_name, item)
                 if agent_id:
                     assigned.append(agent_id)
-        elif isinstance(item, dsl.UseClause):
+        elif kind is dsl.UseClause:
             resource = table.resource(item.resource, ResourceKind.PHYSICAL, item)
             if resource:
                 uses.append(resource)
-        elif isinstance(item, dsl.PrecedesClause):
+        elif kind is dsl.PrecedesClause:
             precedes.append((slug, item))
-        elif isinstance(item, dsl.NoteClause):
+        elif kind is dsl.NoteClause:
             notes.append(item.text)
 
     def orphan(clause: dsl.HazardClause) -> None:

@@ -56,10 +56,12 @@ from .model import (
     AgentKind,
     GuideWord,
     GUIDE_WORD_TOKENS,
+    GUIDE_WORDS_BY_TOKEN,
     Model,
     RequirementRecord,
     ResourceKind,
     Severity,
+    SEVERITIES,
     SEVERITY_TOKENS,
     TraceRef,
 )
@@ -69,7 +71,7 @@ from .model import (
 # ---------------------------------------------------------------------------
 # Spans, errors, declarations and clauses are named tuples: the cheapest
 # immutable value to make, one per declaration or clause.  Equal fields
-# compare equal across classes, so declaration kinds are told by isinstance.
+# compare equal across classes, so declaration kinds are told by type().
 
 
 class SourceSpan(NamedTuple):
@@ -298,6 +300,10 @@ _TOKEN = re.compile(r"""
     | (?P<open_ref>[<\[|]).*
     | (?P<run>""" + _RUN.pattern + r""")
     )""", re.VERBOSE)
+# The token kind of each group of _TOKEN by group number, or None.
+_GROUP_NAMES = {index: name for name, index in _TOKEN.groupindex.items()}
+_KIND_AT = [_KINDS.get(_GROUP_NAMES.get(i)) for i in range(_TOKEN.groups + 1)]
+_END = _TOKEN.groupindex["end"]
 _ESCAPE = re.compile(r"\\(.?)")
 _VALID_ESCAPE = re.compile(r'\\(["\\])')
 
@@ -341,16 +347,16 @@ def _scan(text: str, filename: str) -> _Tokens:
     """
     tokens = _Tokens(text, filename)
     add_kind, add_value = tokens.kinds.append, tokens.values.append
-    add_offset, kind_of = tokens.offsets.append, _KINDS.get
+    add_offset, kind_at = tokens.offsets.append, _KIND_AT
     matches = _TOKEN.finditer(text)
     for m in matches:
-        group = m.lastgroup
-        kind = kind_of(group)
+        group = m.lastindex
+        kind = kind_at[group]
         if kind is not None:
             add_kind(kind)
             add_value(m[group])
             add_offset(m.end(1))
-        elif group != "end":
+        elif group != _END:
             token = _odd_token(tokens, m, matches)
             if token is not None:
                 add_kind(token[0])
@@ -451,20 +457,19 @@ def _keyword(tokens: _Tokens, i: int, word: str) -> None:
         raise tokens.fail(i, f"'{word}'")
 
 
-def _member(tokens: _Tokens, i: int, parse, expected: str, choices: str):
-    """``parse`` of identifier ``i``, which must name one of ``choices``."""
+def _member(tokens: _Tokens, i: int, members: dict, expected: str, choices: str):
+    """The member that identifier ``i`` names exactly, one of ``choices``."""
     value = _expect(tokens, i, IDENT, expected)
-    try:
-        return parse(value)
-    except ValueError:
+    if value not in members:
         raise _SyntaxError(ParseError(
-            tokens.span(i), f"one of {choices}", repr(value)), i + 1) from None
+            tokens.span(i), f"one of {choices}", repr(value)), i + 1)
+    return members[value]
 
 
 _AGENT_KINDS = ", ".join(k.value for k in AgentKind)
-_AGENT_KIND = (AgentKind, f"one of {_AGENT_KINDS}", _AGENT_KINDS)
-_SEVERITY = (Severity.from_token, f"a severity ({SEVERITY_TOKENS})", SEVERITY_TOKENS)
-_GUIDE_WORD = (GuideWord.from_token, f"a guide word ({GUIDE_WORD_TOKENS})",
+_AGENT_KIND = ({k.value: k for k in AgentKind}, f"one of {_AGENT_KINDS}", _AGENT_KINDS)
+_SEVERITY = (SEVERITIES, f"a severity ({SEVERITY_TOKENS})", SEVERITY_TOKENS)
+_GUIDE_WORD = (GUIDE_WORDS_BY_TOKEN, f"a guide word ({GUIDE_WORD_TOKENS})",
                GUIDE_WORD_TOKENS)
 
 

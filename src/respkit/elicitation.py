@@ -10,12 +10,15 @@ An answers session holds the same ``requires``, ``produces`` and ``hazard``
 clauses as a ``.resp`` responsibility block, and ingest resolves and merges
 them through ``build.resolve_flow`` and ``build.fold_duty``, so an answer
 obeys the rules its clause obeys in a model file.  An ingest error names
-the line of the answer it refuses, as a build error does.
+the line of the answer it refuses, as a build error does.  ``Question``,
+``Questionnaire`` and ``InfoTable`` are named tuples, cheap to define and
+to make: they compare and unpack as tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 from . import dsl
 from .build import (BuildIssue, ModelBuildError, Site, SymbolTable, fold_duty,
@@ -30,8 +33,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class Question:
+class Question(NamedTuple):
     number: int
     prompt: str
 
@@ -60,8 +62,7 @@ _ANSWER_HINTS = {
 }
 
 
-@dataclass(frozen=True)
-class Questionnaire:
+class Questionnaire(NamedTuple):
     """Six questions for one responsibility, with drafts from the model."""
 
     responsibility: str
@@ -185,8 +186,7 @@ def ingest(model: Model, record: dsl.ElicitationRecord, strict: bool = False) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InfoTable:
+class InfoTable(NamedTuple):
     title: str
     columns: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]

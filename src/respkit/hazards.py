@@ -9,7 +9,7 @@ products are modelled from the consuming responsibility's side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .elicitation import _require
 from .model import (
@@ -26,8 +26,7 @@ from .model import (
 DEFAULT_MITIGATION_THRESHOLD = Severity.MEDIUM
 
 
-@dataclass(frozen=True)
-class Worksheet:
+class Worksheet(NamedTuple):
     responsibility: str
     rows: tuple[HazardEntry, ...]
 

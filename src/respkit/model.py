@@ -3,6 +3,8 @@
 A model holds agents, resources, channels and responsibilities, plus the
 sequencing links between responsibilities.  Values are frozen dataclasses:
 once built they are safe to share between threads and between analyses.
+``Finding``, the report value of ``check`` and ``analyze``, is a named
+tuple instead, cheaper to define and to make: it compares as a tuple.
 
 Element identifiers are deterministic slugs of display names, so two
 elements of the same kind may not have names that collapse to the same
@@ -21,7 +23,7 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 class Severity(IntEnum):
@@ -39,15 +41,15 @@ class Severity(IntEnum):
 
     @classmethod
     def from_token(cls, token: str) -> "Severity":
-        try:
-            return cls[token.upper()]
-        except KeyError:
+        if token not in SEVERITIES:
             raise ValueError(
-                f"unknown severity {token!r}; expected one of {SEVERITY_TOKENS}"
-            ) from None
+                f"unknown severity {token!r}; expected one of {SEVERITY_TOKENS}")
+        return SEVERITIES[token]
 
 
-SEVERITY_TOKENS = ", ".join(s.token for s in Severity)
+#: Each severity by its token, matched exactly: ``HIGH`` is not ``high``.
+SEVERITIES = {s.token: s for s in Severity}
+SEVERITY_TOKENS = ", ".join(SEVERITIES)
 
 
 class AgentKind(Enum):
@@ -74,16 +76,15 @@ class GuideWord(Enum):
 
     @classmethod
     def from_token(cls, token: str) -> "GuideWord":
-        try:
-            return cls(token)
-        except ValueError:
+        if token not in GUIDE_WORDS_BY_TOKEN:
             raise ValueError(
-                f"unknown guide word {token!r}; expected one of {GUIDE_WORD_TOKENS}"
-            ) from None
+                f"unknown guide word {token!r}; expected one of {GUIDE_WORD_TOKENS}")
+        return GUIDE_WORDS_BY_TOKEN[token]
 
 
 GUIDE_WORDS = tuple(GuideWord)
-GUIDE_WORD_TOKENS = ", ".join(g.value for g in GuideWord)
+GUIDE_WORDS_BY_TOKEN = {g.value: g for g in GuideWord}
+GUIDE_WORD_TOKENS = ", ".join(GUIDE_WORDS_BY_TOKEN)
 
 # A maximal run of str.isalnum() characters: \w without the underscore.
 _ALNUM_RUN = re.compile(r"[^\W_]+")
@@ -471,7 +472,8 @@ FINDING_CATALOG: dict[str, Severity] = {
 
 
 # The backslash, then every character besides "\n" that str.splitlines()
-# ends a line at, each with its Python escape.
+# ends a line at, each with its Python escape.  Each line end is a control
+# or separator character, which str.isprintable() rejects.
 _ESCAPES = [(char, repr(char)[1:-1])
             for char in "\\\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"]
 
@@ -480,13 +482,14 @@ def escape_line_ends(text: str) -> str:
     """Write a backslash as ``\\\\`` and each line end but ``\\n`` as its
     Python escape, such as ``\\r`` or ``\\u2028``.  A name may hold one,
     and text output keeps one record a line under any line-end rule."""
+    if text.isprintable() and "\\" not in text:
+        return text
     for char, escape in _ESCAPES:
         text = text.replace(char, escape)
     return text
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """One weakness that ``check`` or ``analyze`` reports: a catalog code,
     its fixed severity, the ids of the elements concerned and a sentence."""
 

@@ -113,6 +113,30 @@ class TestParseModel:
         text = 'model "M"\nagent <A> kind role\n'
         assert parse_model(text) == parse_model(text)
 
+    # Severities, guide words and agent kinds match their lowercase token
+    # exactly.  "h\u0131gh" (dotless i) upper-cases to "HIGH".
+    @pytest.mark.parametrize("text, rendered", [
+        ('responsibility "R" { requires |Map| criticality h\u0131gh }',
+         "t.resp:1:49: error: expected one of none, low, medium, high, critical, "
+         "found 'h\u0131gh'"),
+        ('responsibility "R" { requires |Map| criticality HIGH }',
+         "t.resp:1:49: error: expected one of none, low, medium, high, critical, "
+         "found 'HIGH'"),
+        ('responsibility "R" { hazard |Map| late "x" severity Low }',
+         "t.resp:1:53: error: expected one of none, low, medium, high, critical, "
+         "found 'Low'"),
+        ('responsibility "R" { hazard |Map| LATE "x" }',
+         "t.resp:1:35: error: expected one of unavailable, inaccurate, incomplete, "
+         "late, early, found 'LATE'"),
+        ("agent <A> kind Role",
+         "t.resp:1:16: error: expected one of organization, role, person, system, "
+         "group, found 'Role'"),
+    ], ids=["dotless-i", "upper", "title", "guide-word", "agent-kind"])
+    def test_enum_words_match_exactly(self, text, rendered):
+        with pytest.raises(ParseFailure) as excinfo:
+            parse_model(text, "t.resp")
+        assert str(excinfo.value) == rendered
+
 
 EVERY_KIND = (
     'model "M"\nagent <Ops> kind role\nresource |Map|\n'

@@ -307,6 +307,14 @@ def test_ingest_errors_exactly(block, strict, message):
     assert str(excinfo.value) == f"a.answers:1:{column}: error: {message}"
 
 
+def test_strict_ingest_refuses_an_unknown_agent_at_its_first_session():
+    text = ('elicitation "R" {\n  needs { |Map| from <Nobody> }\n}\n'
+            'elicitation "R" {\n  needs { |Map| from <Nobody> }\n}\n')
+    with pytest.raises(IngestError) as excinfo:
+        ingest_all(build(INGEST_BASE), parse_answers(text, "a.answers"), strict=True)
+    assert str(excinfo.value) == "a.answers:2:11: error: unknown agent <Nobody>"
+
+
 def test_ingest_error_names_the_line_it_refuses():
     text = ('elicitation "R" {\n'
             '  needs {\n'

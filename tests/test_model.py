@@ -1,3 +1,6 @@
+import dataclasses
+import importlib
+import pkgutil
 import random
 
 import pytest
@@ -6,6 +9,7 @@ import hypothesis.strategies as st
 
 from dataclasses import replace
 
+import respkit
 from respkit import build_model, load_model, slugify, validate
 from respkit import dsl
 from respkit.build import ModelBuildError
@@ -21,6 +25,7 @@ from respkit.model import (
     ResourceKind,
     Responsibility,
     Severity,
+    escape_line_ends,
 )
 
 from strategies import names
@@ -83,6 +88,12 @@ class TestSeverity:
     def test_unknown_token(self):
         with pytest.raises(ValueError):
             Severity.from_token("fatal")
+
+    @pytest.mark.parametrize("token", ["HIGH", "High", "h\u0131gh"])
+    def test_token_matches_exactly(self, token):
+        # "h\u0131gh" (dotless i) upper-cases to "HIGH".
+        with pytest.raises(ValueError):
+            Severity.from_token(token)
 
 
 class TestGuideWords:
@@ -283,6 +294,26 @@ BUILD_ERRORS = [
         "t.resp:2:14: error: precedes target 'S' is not a declared responsibility"]),
     ('responsibility "R" {\n  note "a\u2028b" precedes "S"\n}', [
         "t.resp:2:14: error: precedes target 'S' is not a declared responsibility"]),
+    # A name that resolved once resolves again without a second look, but a
+    # mention with a problem is reported at every site that repeats it.
+    ('agent <Ops>\nresponsibility "R" {\n  assigned to <ops>\n'
+     '  requires |Map| from <ops>\n}\nresponsibility "S" {\n'
+     '  assigned to <ops>, <Ops>\n}', [
+        "t.resp:3:3: error: agents 'Ops' and 'ops' collide on id 'ops'",
+        "t.resp:4:3: error: agents 'Ops' and 'ops' collide on id 'ops'",
+        "t.resp:7:3: error: agents 'Ops' and 'ops' collide on id 'ops'"]),
+    ('resource [Kit]\nresponsibility "R" {\n  requires |Kit|\n  produces |Kit|\n}\n'
+     'responsibility "S" {\n  uses [Kit]\n  requires |Kit|\n}', [
+        "t.resp:3:3: error: conflicting resource kind: 'Kit' is physical but is used "
+        "as information",
+        "t.resp:4:3: error: conflicting resource kind: 'Kit' is physical but is used "
+        "as information",
+        "t.resp:8:3: error: conflicting resource kind: 'Kit' is physical but is used "
+        "as information"]),
+    ('channel "Radio"\nresponsibility "R" {\n'
+     '  requires |Map| via "radio!", "Radio", "radio!"\n}', [
+        "t.resp:3:3: error: channels 'Radio' and 'radio!' collide on id 'radio'",
+        "t.resp:3:3: error: channels 'Radio' and 'radio!' collide on id 'radio'"]),
 ]
 
 
@@ -502,3 +533,35 @@ class TestNeedMerge:
         right = InfoNeed("x", criticality=Severity.HIGH)
         assert left.merged_with(right).criticality is Severity.HIGH
         assert right.merged_with(left).criticality is Severity.HIGH
+
+
+# Each character that escape_line_ends escapes, the backslash first.  It
+# returns a printable text with no backslash as it is; that must be every
+# text in which one replace per character changes nothing.
+_LINE_ENDS = "\\\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@given(st.text(alphabet=st.sampled_from(_LINE_ENDS + "\n\t\x00 rux2\u00e9")) | st.text())
+def test_escape_line_ends_equals_one_replace_per_character(text):
+    expected = text
+    for char in _LINE_ENDS:
+        expected = expected.replace(char, repr(char)[1:-1])
+    assert escape_line_ends(text) == expected
+
+
+def test_only_the_domain_model_is_a_dataclass():
+    """Defining a dataclass costs about five times a named tuple at import.
+    The domain model stays frozen dataclasses; so do the requirement
+    records, whose fields may need leaving out of equality, and
+    ``dsl.Source``, which caches its line table in its ``__dict__``.
+    Report values are named tuples."""
+    defined = set()
+    for info in pkgutil.iter_modules(respkit.__path__):
+        module = importlib.import_module(f"respkit.{info.name}")
+        defined |= {f"{info.name}.{name}" for name, value in vars(module).items()
+                    if isinstance(value, type) and value.__module__ == module.__name__
+                    and dataclasses.is_dataclass(value)}
+    assert defined == {
+        "model.Agent", "model.Resource", "model.Channel", "model.InfoNeed",
+        "model.InfoProduct", "model.HazardEntry", "model.Responsibility",
+        "model.Model", "model.TraceRef", "model.RequirementRecord", "dsl.Source"}
