@@ -43,8 +43,6 @@ the first error of each declaration is reported rather than only the
 first error of the file.
 """
 
-from __future__ import annotations
-
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field

@@ -111,15 +111,15 @@ def answers_skeleton(model: Model, responsibility: str) -> str:
     for product in sheet.draft_products:
         lines.append("    " + dsl.format_product_clause(model, product, keyword=""))
     lines.append("  }")
+    hazards_of: dict[str, list[str]] = {}
+    for entry in sheet.draft_hazards:
+        hazards_of.setdefault(entry.item, []).append(
+            f"    {entry.guide_word.value} {dsl.quote(entry.consequence)}"
+            f" severity {entry.severity.token}")
     for need in sheet.draft_needs:
         item_name = model.resource_name(need.resource)
         lines.append(f"  hazards |{item_name}| {{")
-        for entry in sheet.draft_hazards:
-            if entry.item != need.resource:
-                continue
-            line = (f"    {entry.guide_word.value} {dsl.quote(entry.consequence)}"
-                    f" severity {entry.severity.token}")
-            lines.append(line)
+        lines += hazards_of.get(need.resource, ())
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

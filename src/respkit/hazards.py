@@ -42,12 +42,15 @@ def generate_worksheet(model: Model, responsibility: str) -> Worksheet:
     severity none; the row count is always (number of needs) x 5.
     """
     resp = _require(model, responsibility)
+    recorded: dict[tuple[str, GuideWord], HazardEntry] = {}
+    for entry in resp.hazards:
+        recorded.setdefault((entry.item, entry.guide_word), entry)
     items = sorted((need.resource for need in resp.needs),
                    key=model.resource_name)
     rows = []
     for item in items:
         for guide_word in GUIDE_WORDS:
-            existing = resp.hazard_for(item, guide_word)
+            existing = recorded.get((item, guide_word))
             rows.append(existing if existing is not None
                         else HazardEntry(resp.name, item, guide_word))
     return Worksheet(responsibility=resp.name, rows=tuple(rows))

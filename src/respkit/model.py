@@ -269,12 +269,6 @@ class Responsibility:
                 return product
         return None
 
-    def hazard_for(self, item: str, guide_word: GuideWord) -> Optional[HazardEntry]:
-        for entry in self.hazards:
-            if entry.item == item and entry.guide_word == guide_word:
-                return entry
-        return None
-
 
 @dataclass(frozen=True)
 class Model:

@@ -467,6 +467,25 @@ class TestCollectorGuard:
         assert seen == [False]
         assert gc.isenabled() is collecting
 
+    def test_run_freezes_nothing(self, run_cli, collecting, resp_path):
+        frozen = gc.get_freeze_count()
+        assert run_cli("check", str(resp_path))[0] == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, collecting)
+
+    def test_entry_point_freezes_the_heap_before_exit(self):
+        """``main`` freezes the heap once ``run`` returns; exit handlers
+        still run and the exit status is the run's."""
+        path = filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        code = ("import atexit, gc, sys\n"
+                "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+                "from respkit.cli import main\n"
+                "main()")
+        done = subprocess.run([sys.executable, "-c", code, "check", "no/such.resp"],
+                              cwd=REPO, env=env, stdin=subprocess.DEVNULL,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (2, "True\n"), done.stderr
+
 
 # ---------------------------------------------------------------------------
 # Fuzzing the whole command line

@@ -6,7 +6,8 @@ output of ``ingest`` on the corpus answers to a temporary file.
 
 The same snapshots are checked once more for every form on a copy of the
 corpus with CRLF line ends, and through the real entry point, as a fresh
-process under several ``PYTHONHASHSEED`` values, for a few forms.
+process: every form once, and a few forms under several ``PYTHONHASHSEED``
+values.
 
 To regenerate the snapshots after an intended output change, run
 ``PYTHONPATH=src python tests/test_cli_golden.py`` from the repository root
@@ -117,10 +118,12 @@ def test_crlf_corpus_matches_golden(name, statuses, at_crlf_copy):
 
 ENTRY = "from respkit.cli import main; main()"  # the `respkit` console script
 PROCESS_FORMS = ("check_strict", "analyze_json", "dot", "ingest", "diff")
+# Every form goes through the entry point once; a few under several seeds.
+ENTRY_CASES = [(name, hashseed) for name in PROCESS_FORMS for hashseed in "012"]
+ENTRY_CASES += [(name, "0") for name in sorted(FORMS) if name not in PROCESS_FORMS]
 
 
-@pytest.mark.parametrize("hashseed", ["0", "1", "2"])
-@pytest.mark.parametrize("name", PROCESS_FORMS)
+@pytest.mark.parametrize("name, hashseed", ENTRY_CASES)
 def test_entry_point_matches_golden(name, hashseed, statuses, tmp_path):
     merged = tmp_path / "merged.resp"
     merged.write_bytes((GOLDEN_CLI / "ingest.out").read_bytes())

@@ -135,7 +135,9 @@ class TestIngestAll:
         (need,) = resp.needs
         assert need.sources == ("red-cross", "police")
         assert need.channels == ("pager", "satellite-phone")
-        late = resp.hazard_for("evacuee-register", GuideWord.LATE)
+        late = next(entry for entry in resp.hazards
+                    if (entry.item, entry.guide_word)
+                    == ("evacuee-register", GuideWord.LATE))
         assert late.consequence == "Register is stale."
         assert late.severity is Severity.CRITICAL
         assert merged.agent_named("Red Cross").implicit
@@ -173,6 +175,24 @@ class TestIngest:
         after = merged.responsibility_named("Evacuate area")
         assert set(n.resource for n in before.needs) <= set(
             n.resource for n in after.needs)
+
+    @pytest.mark.parametrize("header", [
+        "", ' by "Requirements team"', ' date "2005-01"',
+        ' date "1999-12-31" by "Someone else"', ' by "" date ""',
+    ], ids=["absent", "by-only", "date-only", "other-values", "empty"])
+    def test_session_metadata_leaves_ingest_output_unchanged(
+            self, run_cli, resp_path, answers_path, tmp_path, header):
+        """``by`` and ``date`` are notes on the session: ingest prints the
+        same bytes with them absent, present or set to other values."""
+        text = answers_path.read_text(encoding="utf-8")
+        written = ' by "Requirements team" date "2005-01"'
+        assert text.count(written) == 1
+        answers = tmp_path / "session.answers"
+        answers.write_text(text.replace(written, header), encoding="utf-8",
+                           newline="")
+        expected = run_cli("ingest", str(resp_path), str(answers_path))
+        assert expected[0] == 0
+        assert run_cli("ingest", str(resp_path), str(answers)) == expected
 
     def test_new_need_is_appended(self, evacuation):
         record = session("Collect evacuee information",

@@ -6,7 +6,9 @@ times the smaller one; linear code measures about 10, quadratic code about
 100.  The models use every clause kind the layers read: assignments,
 sources, channels with backups, products, uses, hazards and sequence links.
 One more layer builds a model with one build error per duty and renders
-the error, so every span it resolves is timed.
+the error, so every span it resolves is timed.  The worksheet and the
+answers skeleton also run on one duty that requires N and 10 x N items,
+each with hazards, so their cost per duty is gated as well.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import pytest
 
 from respkit import (
     ModelBuildError,
+    answers_skeleton,
     build_model,
     diff_models,
     generate_worksheet,
@@ -104,6 +107,18 @@ def _requirements_text(rng: random.Random, n: int) -> str:
     return "\n".join(blocks)
 
 
+def _one_duty_text(n: int) -> str:
+    """One duty that requires n items, with two hazards on each."""
+    words = ["unavailable", "inaccurate", "incomplete", "late", "early"]
+    lines = ['model "one duty"', 'responsibility "Duty" {']
+    for i in range(n):
+        lines.append(f"  requires |Item {i:05d}|")
+        for word in (words[i % 5], words[(i + 2) % 5]):
+            lines.append(f'  hazard |Item {i:05d}| {word} "Harm {i}." severity high')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def _inputs(n: int) -> dict:
     rng = random.Random(n)
     model_text = _model_text(rng, n)
@@ -123,6 +138,7 @@ def _inputs(n: int) -> dict:
     answers = parse_answers(answers_text)
     # Every duty precedes a duty that does not exist: one error per duty.
     broken = parse_model(model_text.replace('precedes "Duty ', 'precedes "Gone '))
+    one_duty = build_model(parse_model(_one_duty_text(n)))
     return {
         "parse_model": (parse_model, model_text),
         "parse_answers": (parse_answers, answers_text),
@@ -139,6 +155,8 @@ def _inputs(n: int) -> dict:
         "information_required_table": (_every_duty(information_required_table), model),
         "information_recorded_table": (_every_duty(information_recorded_table), model),
         "generate_worksheet": (_every_duty(generate_worksheet), model),
+        "generate_worksheet_one_duty": (generate_worksheet, one_duty, "Duty"),
+        "answers_skeleton_one_duty": (answers_skeleton, one_duty, "Duty"),
     }
 
 
