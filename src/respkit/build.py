@@ -7,11 +7,12 @@ with.  Explicit declarations anywhere in the file win over implicit ones.
 
 Names resolve through a ``SymbolTable``, a ``requires``, ``produces`` or
 ``hazard`` clause resolves into a need, product or hazard through
-``resolve_flow``, and these merge into a duty through ``fold_duty``.
-``.answers`` lines parse into the same clauses, and
+``resolve_flow``, and a ``DutyFold`` merges a duty's flows, each item
+once.  ``.answers`` lines parse into the same clauses, and
 ``elicitation.ingest_all`` folds them back into a model through the same
-three, so a name, a flow and a hazard follow the same rules in a ``.resp``
-file and in a ``.answers`` file.
+three, one fold per duty across all sessions, so a name, a flow and a
+hazard follow the same rules in a ``.resp`` file and in a ``.answers``
+file.
 """
 
 from __future__ import annotations
@@ -299,45 +300,92 @@ def _ids(resolve: Callable[[str, Site], Optional[str]], names: tuple[str, ...],
     return tuple(ids)
 
 
-def fold_duty(duty: Responsibility, flows: Iterable[tuple[Resolved, Flow]],
-              orphan: Callable[[dsl.HazardClause], None]) -> dict[str, tuple]:
-    """The needs, products and hazards of ``duty`` with ``flows`` merged in,
-    as ``Responsibility`` fields.
+class DutyFold:
+    """The needs, products and hazards of one duty, gathered from any number
+    of ``add`` calls and merged once, each item once, by ``fields``.
 
-    ``flows`` pairs each clause with what ``resolve_flow`` made of it; a
-    clause that resolved to None is skipped.  A need or product for an item
-    ``duty`` already has, or a hazard for an (item, guide word) it already
-    has, merges into it; a new one is appended.  Hazards merge after every
-    need, and ``orphan`` is called with the clause of each new hazard whose
-    item the merged duty does not require, since a worksheet has rows for
-    required items only.
+    ``add`` takes flows, each clause paired with what ``resolve_flow`` made
+    of it; a clause that resolved to None is skipped.  The values met for
+    an item, or for an (item, guide word) hazard, are kept in first-mention
+    order, after those ``duty`` already has.  Hazards go in after every
+    need of the same ``add``, and ``orphan`` is called with the clause of
+    each new hazard whose item the duty does not require by then, since a
+    worksheet has rows for required items only.
     """
-    merged_needs = {n.resource: n for n in duty.needs}
-    merged_products = {p.resource: p for p in duty.products}
-    merged_hazards = {(h.item, h.guide_word): h for h in duty.hazards}
-    hazards = []
-    for flow, clause in flows:
-        if type(flow) is HazardEntry:
-            hazards.append((flow, clause))
-        elif flow is not None:
-            merged = merged_needs if type(flow) is InfoNeed else merged_products
-            old = merged.get(flow.resource)
-            merged[flow.resource] = flow if old is None else old.merged_with(flow)
-    for entry, clause in hazards:
-        key = (entry.item, entry.guide_word)
-        old = merged_hazards.get(key)
-        if old is not None:
-            merged_hazards[key] = old.merged_with(entry)
-            continue
-        if entry.item not in merged_needs:
-            orphan(clause)
-        merged_hazards[key] = entry
-    return {"needs": tuple(merged_needs.values()),
-            "products": tuple(merged_products.values()),
-            "hazards": tuple(merged_hazards.values())}
+
+    def __init__(self, duty: Responsibility = Responsibility("", "")):
+        # First value per item; every value of an item met again, by (type, item).
+        self.needs = {n.resource: n for n in duty.needs}
+        self.products = {p.resource: p for p in duty.products}
+        self.hazards = {(h.item, h.guide_word): h for h in duty.hazards}
+        self.more: dict[tuple, list] = {}
+
+    def add(self, flows: Iterable[tuple[Resolved, Flow]],
+            orphan: Callable[[dsl.HazardClause], None]) -> None:
+        needs, hazards = self.needs, []
+        for flow, clause in flows:
+            kind = type(flow)
+            if kind is HazardEntry:
+                hazards.append((flow, clause))
+            elif flow is not None:
+                first = (needs if kind is InfoNeed else self.products).setdefault(
+                    flow.resource, flow)
+                if first is not flow:
+                    self.more.setdefault((kind, flow.resource), [first]).append(flow)
+        for entry, clause in hazards:
+            key = (entry.item, entry.guide_word)
+            first = self.hazards.setdefault(key, entry)
+            if first is not entry:
+                self.more.setdefault((HazardEntry, key), [first]).append(entry)
+            elif entry.item not in needs:
+                orphan(clause)
+
+    def fields(self) -> dict[str, tuple]:
+        """The ``Responsibility`` fields, merged in place after the last ``add``."""
+        first = {InfoNeed: self.needs, InfoProduct: self.products,
+                 HazardEntry: self.hazards}
+        for (kind, key), values in self.more.items():
+            first[kind][key] = _MERGE[kind](values)
+        return {"needs": tuple(self.needs.values()),
+                "products": tuple(self.products.values()),
+                "hazards": tuple(self.hazards.values())}
 
 
-_NO_DUTY = Responsibility("", "")
+# The merge rules: sources and channels unite in first-mention order,
+# criticality and severity take the highest, and consequence, rationale
+# and mitigation keep the first non-empty value, else the last.
+
+
+def _first(values: list):
+    """``a if a else b`` folded from the left: ``""`` and None stay apart."""
+    return next((value for value in values if value), values[-1])
+
+
+def _merge_needs(needs: list[InfoNeed]) -> InfoNeed:
+    return InfoNeed(needs[0].resource, dedupe(s for n in needs for s in n.sources),
+                    dedupe(c for n in needs for c in n.channels),
+                    max((n.criticality for n in needs if n.criticality is not None),
+                        default=None))
+
+
+def _merge_products(products: list[InfoProduct]) -> InfoProduct:
+    return InfoProduct(products[0].resource,
+                       dedupe(c for p in products for c in p.channels),
+                       _first([p.rationale for p in products]))
+
+
+def _merge_hazards(entries: list[HazardEntry]) -> HazardEntry:
+    first = entries[0]
+    return HazardEntry(first.responsibility, first.item, first.guide_word,
+                       _first([h.consequence for h in entries]),
+                       max(h.severity for h in entries),
+                       _first([h.mitigation for h in entries]))
+
+
+_MERGE = {InfoNeed: _merge_needs, InfoProduct: _merge_products,
+          HazardEntry: _merge_hazards}
+
+
 _FLOWS = frozenset((dsl.RequireClause, dsl.ProduceClause, dsl.HazardClause))
 
 
@@ -447,9 +495,10 @@ def _build_responsibility(
             f'hazard on |{clause.item}| but "{decl.name}" does not require it',
             decl.span))
 
+    fold = DutyFold()
+    fold.add(flows, orphan)
     return Responsibility(slug, decl.name, dedupe(assigned), uses=dedupe(uses),
-                          notes=tuple(notes),
-                          **fold_duty(_NO_DUTY, flows, orphan))
+                          notes=tuple(notes), **fold.fields())
 
 
 def load_model(source: Union[str, Path], filename: Optional[str] = None) -> Model:

@@ -793,7 +793,7 @@ def format_product_clause(model: Model, product, keyword: str = "produces") -> s
     parts = [keyword, ref] if keyword else [ref]
     if product.channels:
         parts.append("via " + _channel_refs([model.channel_name(c) for c in product.channels]))
-    if product.rationale:
+    if product.rationale is not None:
         parts.append("rationale " + quote(product.rationale))
     return " ".join(parts)
 

@@ -7,12 +7,13 @@ captured through the ``via`` clauses of need and record lines rather than
 as free text, so channel coverage stays analysable.
 
 An answers session holds the same ``requires``, ``produces`` and ``hazard``
-clauses as a ``.resp`` responsibility block, and ingest resolves and merges
-them through ``build.resolve_flow`` and ``build.fold_duty``, so an answer
-obeys the rules its clause obeys in a model file.  An ingest error names
-the line of the answer it refuses, as a build error does.  ``Question``,
-``Questionnaire`` and ``InfoTable`` are named tuples, cheap to define and
-to make: they compare and unpack as tuples.
+clauses as a ``.resp`` responsibility block.  Ingest resolves them through
+``build.resolve_flow`` and merges each duty's answers from every session in
+one ``build.DutyFold``, so an answer obeys the rules its clause obeys in a
+model file.  An ingest error names the line of the answer it refuses, as a
+build error does.  ``Question``, ``Questionnaire`` and ``InfoTable`` are
+named tuples, cheap to define and to make: they compare and unpack as
+tuples.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import replace
 from typing import NamedTuple
 
 from . import dsl
-from .build import (BuildIssue, ModelBuildError, Site, SymbolTable, fold_duty,
+from .build import (BuildIssue, DutyFold, ModelBuildError, Site, SymbolTable,
                     resolve_flow)
 from .model import (
     HazardEntry,
@@ -139,19 +140,6 @@ def _refuse(message: str, site: Site) -> None:
     raise IngestError([BuildIssue(message, site.span)])
 
 
-def _merge(resp: Responsibility, record: dsl.ElicitationRecord,
-           table: SymbolTable) -> Responsibility:
-    """Fold one answer record into one responsibility."""
-
-    def orphan(clause: dsl.HazardClause) -> None:
-        _refuse(f'hazard block for |{clause.item}| but "{resp.name}" does not '
-                "require it", clause)
-
-    flows = [(resolve_flow(table, clause, resp.name), clause)
-             for clause in (*record.needs, *record.records, *record.hazards)]
-    return replace(resp, **fold_duty(resp, flows, orphan))
-
-
 def ingest_all(model: Model, records: list[dsl.ElicitationRecord],
                strict: bool = False) -> Model:
     """Merge answer records into the model in order, returning a new model.
@@ -160,18 +148,24 @@ def ingest_all(model: Model, records: list[dsl.ElicitationRecord],
     recorded is removed, and applying the same records twice equals
     applying them once.  Strict mode refuses references the model cannot
     resolve; otherwise they are declared implicitly.  All records share one
-    symbol table and the new model is built once, at the end.
+    symbol table, each duty answered has one ``DutyFold`` across all its
+    sessions, and the new model is built once, at the end.
     """
     if not records:
         return model
     table = SymbolTable(_refuse, model, strict)
-    merged: dict[str, Responsibility] = {}
+    folds: dict[str, DutyFold] = {}
     for record in records:
         resp = _require(model, record.responsibility)
-        merged[resp.id] = _merge(merged.get(resp.id, resp), record, table)
+        fold = folds.get(resp.id) or folds.setdefault(resp.id, DutyFold(resp))
+        fold.add([(resolve_flow(table, clause, resp.name), clause)
+                  for clause in (*record.needs, *record.records, *record.hazards)],
+                 lambda clause: _refuse(f'hazard block for |{clause.item}| but '
+                                        f'"{resp.name}" does not require it', clause))
     return replace(
         model,
-        responsibilities=tuple(merged.get(r.id, r) for r in model.responsibilities),
+        responsibilities=tuple(replace(r, **folds[r.id].fields()) if r.id in folds else r
+                               for r in model.responsibilities),
         **table.elements(),
     )
 

@@ -20,7 +20,7 @@ and caches on the instance.  The maps are not fields: equality, hashing and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
@@ -131,23 +131,12 @@ class Agent:
     # round trips compare equal.
     implicit: bool = field(default=False, compare=False)
 
-    @classmethod
-    def of(cls, name: str, kind: AgentKind = AgentKind.ORGANIZATION,
-           implicit: bool = False) -> "Agent":
-        return cls(slugify(name), name.strip(), kind, implicit)
-
-
 @dataclass(frozen=True)
 class Resource:
     id: str
     name: str
     kind: ResourceKind
     implicit: bool = field(default=False, compare=False)
-
-    @classmethod
-    def of(cls, name: str, kind: ResourceKind, implicit: bool = False) -> "Resource":
-        return cls(slugify(name), name.strip(), kind, implicit)
-
 
 @dataclass(frozen=True)
 class Channel:
@@ -156,12 +145,6 @@ class Channel:
     medium: Optional[str] = None
     backup_of: Optional[str] = None
     implicit: bool = field(default=False, compare=False)
-
-    @classmethod
-    def of(cls, name: str, medium: Optional[str] = None,
-           backup_of: Optional[str] = None, implicit: bool = False) -> "Channel":
-        return cls(slugify(name), name.strip(), medium, backup_of, implicit)
-
 
 @dataclass(frozen=True)
 class InfoNeed:
@@ -176,20 +159,6 @@ class InfoNeed:
     channels: tuple[str, ...] = ()
     criticality: Optional[Severity] = None
 
-    def merged_with(self, other: "InfoNeed") -> "InfoNeed":
-        if other.resource != self.resource:
-            raise ValueError("cannot merge needs for different resources")
-        crit = self.criticality
-        if other.criticality is not None and (crit is None or other.criticality > crit):
-            crit = other.criticality
-        return InfoNeed(
-            resource=self.resource,
-            sources=dedupe(self.sources + other.sources),
-            channels=dedupe(self.channels + other.channels),
-            criticality=crit,
-        )
-
-
 @dataclass(frozen=True)
 class InfoProduct:
     """Information created or recorded while discharging a responsibility."""
@@ -197,16 +166,6 @@ class InfoProduct:
     resource: str
     channels: tuple[str, ...] = ()
     rationale: Optional[str] = None
-
-    def merged_with(self, other: "InfoProduct") -> "InfoProduct":
-        if other.resource != self.resource:
-            raise ValueError("cannot merge products for different resources")
-        return InfoProduct(
-            resource=self.resource,
-            channels=dedupe(self.channels + other.channels),
-            rationale=self.rationale if self.rationale else other.rationale,
-        )
-
 
 @dataclass(frozen=True)
 class HazardEntry:
@@ -227,19 +186,6 @@ class HazardEntry:
     def assessed(self) -> bool:
         return bool(self.consequence)
 
-    def merged_with(self, other: "HazardEntry") -> "HazardEntry":
-        if (other.item, other.guide_word) != (self.item, self.guide_word):
-            raise ValueError("cannot merge unrelated hazard entries")
-        return HazardEntry(
-            responsibility=self.responsibility,
-            item=self.item,
-            guide_word=self.guide_word,
-            consequence=self.consequence if self.consequence else other.consequence,
-            severity=max(self.severity, other.severity),
-            mitigation=self.mitigation if self.mitigation else other.mitigation,
-        )
-
-
 @dataclass(frozen=True)
 class Responsibility:
     """A named duty, optionally assigned to agents.
@@ -256,19 +202,6 @@ class Responsibility:
     uses: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
     hazards: tuple[HazardEntry, ...] = ()
-
-    def need_for(self, resource_id: str) -> Optional[InfoNeed]:
-        for need in self.needs:
-            if need.resource == resource_id:
-                return need
-        return None
-
-    def product_for(self, resource_id: str) -> Optional[InfoProduct]:
-        for product in self.products:
-            if product.resource == resource_id:
-                return product
-        return None
-
 
 @dataclass(frozen=True)
 class Model:
@@ -371,13 +304,6 @@ class Model:
     def channel_name(self, channel_id: str) -> str:
         channel = self._channels_by_id.get(channel_id)
         return channel.name if channel else channel_id
-
-    def with_responsibility(self, updated: Responsibility) -> "Model":
-        """Replace one responsibility, keeping canonical collection order."""
-        resps = tuple(updated if r.id == updated.id else r
-                      for r in self.responsibilities)
-        return replace(self, responsibilities=resps)
-
 
 def _first_by(elements: tuple, attr: str) -> dict:
     """Map each value of ``attr`` to the first element that has it."""

@@ -137,7 +137,7 @@ def declarations(draw,
             items.append(ProduceClause(
                 resource,
                 draw(flow_list(channel_names)),
-                draw(st.none() | names),
+                draw(st.none() | names | st.just("")),
                 *AT,
             ))
         for resource in draw(subset(phys_names, 2)):

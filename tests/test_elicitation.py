@@ -335,6 +335,25 @@ def test_strict_ingest_refuses_an_unknown_agent_at_its_first_session():
     assert str(excinfo.value) == "a.answers:2:11: error: unknown agent <Nobody>"
 
 
+def test_hazard_block_before_the_session_that_adds_its_need_is_refused():
+    text = ('elicitation "R" {\n  hazards |X| { late "x" }\n}\n'
+            'elicitation "R" {\n  needs { |X| }\n}\n')
+    with pytest.raises(IngestError) as excinfo:
+        ingest_all(build(INGEST_BASE), parse_answers(text, "a.answers"))
+    assert str(excinfo.value) == ('a.answers:2:17: error: hazard block for |X| '
+                                  'but "R" does not require it')
+
+
+def test_strict_ingest_refuses_an_orphan_hazard_before_a_later_unknown_agent():
+    text = ('elicitation "R" {\n  hazards |Log| { late "x" }\n}\n'
+            'elicitation "R" {\n  needs { |Map| from <Nobody> }\n}\n')
+    with pytest.raises(IngestError) as excinfo:
+        ingest_all(build(INGEST_BASE + "resource |Log|\n"),
+                   parse_answers(text, "a.answers"), strict=True)
+    assert str(excinfo.value) == ('a.answers:2:19: error: hazard block for |Log| '
+                                  'but "R" does not require it')
+
+
 def test_ingest_error_names_the_line_it_refuses():
     text = ('elicitation "R" {\n'
             '  needs {\n'

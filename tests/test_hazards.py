@@ -110,7 +110,9 @@ class TestDeriveMitigations:
             replace(entry, mitigation=stubs.get(
                 (assessed.resource_name(entry.item), entry.guide_word)))
             for entry in resp.hazards)
-        model = assessed.with_responsibility(replace(resp, hazards=linked))
+        model = replace(assessed, responsibilities=tuple(
+            replace(r, hazards=linked) if r is resp else r
+            for r in assessed.responsibilities))
         assert derive_mitigations(model, "Evacuate area") == []
 
     def test_unassessed_rows_never_stubbed(self, assessed):

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 from dataclasses import replace
 
 import respkit
-from respkit import build_model, load_model, slugify, validate
+from respkit import build_model, ingest_all, load_model, slugify, validate
 from respkit import dsl
 from respkit.build import ModelBuildError
 from respkit.dsl import SourceSpan, parse_model
@@ -19,7 +19,9 @@ from respkit.model import (
     AgentKind,
     Channel,
     GuideWord,
+    HazardEntry,
     InfoNeed,
+    InfoProduct,
     Model,
     Resource,
     ResourceKind,
@@ -385,9 +387,9 @@ class TestLookupMaps:
     def test_replaced_model_sees_new_elements(self, resp_path):
         model = load_model(resp_path)
         _use_every_map(model)
-        coastguard = Agent.of("Coastguard")
-        flares = Resource.of("Flares", ResourceKind.PHYSICAL)
-        pager = Channel.of("Pager", backup_of="radio-from-silver-command")
+        coastguard = Agent("coastguard", "Coastguard")
+        flares = Resource("flares", "Flares", ResourceKind.PHYSICAL)
+        pager = Channel("pager", "Pager", backup_of="radio-from-silver-command")
         grown = replace(model, agents=model.agents + (coastguard,),
                         resources=model.resources + (flares,),
                         channels=model.channels + (pager,))
@@ -520,19 +522,66 @@ def test_validation_messages_exactly():
         UNSOURCED_LINE + " in the model"]
 
 
-class TestNeedMerge:
-    def test_union_keeps_first_mention_order(self):
-        left = InfoNeed("x", ("a", "b"), ("c1",))
-        right = InfoNeed("x", ("b", "z"), ("c2", "c1"))
-        merged = left.merged_with(right)
-        assert merged.sources == ("a", "b", "z")
-        assert merged.channels == ("c1", "c2")
+# Each case is one duty's flow clauses, in order, and the one need, product
+# or hazard they merge into.  A need on |X| comes first where a hazard
+# needs it.
+_X = 'requires |X|'
+MERGE_RULES = [
+    pytest.param(['requires |X| from <A>, <B> via "C1"',
+                  'requires |X| from <B>, <Z> via "C2", "C1"'],
+                 InfoNeed("x", ("a", "b", "z"), ("c1", "c2")), id="need-union"),
+    pytest.param(["requires |X| criticality low", "requires |X| criticality high"],
+                 InfoNeed("x", criticality=Severity.HIGH), id="need-low-then-high"),
+    pytest.param(["requires |X| criticality high", "requires |X| criticality low"],
+                 InfoNeed("x", criticality=Severity.HIGH), id="need-high-then-low"),
+    pytest.param(["requires |X|", "requires |X| criticality medium", "requires |X|"],
+                 InfoNeed("x", criticality=Severity.MEDIUM), id="need-none-then-medium"),
+    pytest.param(['produces |K| via "C1"', 'produces |K| via "C2", "C1"'],
+                 InfoProduct("k", ("c1", "c2")), id="product-union"),
+    pytest.param(['produces |K| rationale ""', 'produces |K| rationale "why"'],
+                 InfoProduct("k", rationale="why"), id="rationale-empty-then-why"),
+    pytest.param(['produces |K| rationale "why"', 'produces |K| rationale ""'],
+                 InfoProduct("k", rationale="why"), id="rationale-why-then-empty"),
+    pytest.param(['produces |K|', 'produces |K| rationale ""'],
+                 InfoProduct("k", rationale=""), id="rationale-none-then-empty"),
+    pytest.param([_X, 'hazard |X| late "" severity low',
+                  'hazard |X| late "First." severity high',
+                  'hazard |X| late "Second." severity medium'],
+                 HazardEntry("R", "x", GuideWord.LATE, "First.", Severity.HIGH),
+                 id="hazard-consequence-and-severity"),
+    pytest.param([_X, 'hazard |X| late "A." mitigated_by REQ-1',
+                  'hazard |X| late "B." mitigated_by REQ-2'],
+                 HazardEntry("R", "x", GuideWord.LATE, "A.", mitigation="REQ-1"),
+                 id="hazard-first-mitigation"),
+    pytest.param([_X, 'hazard |X| late "A."', 'hazard |X| late "B." mitigated_by REQ-2'],
+                 HazardEntry("R", "x", GuideWord.LATE, "A.", mitigation="REQ-2"),
+                 id="hazard-none-then-mitigation"),
+]
 
-    def test_criticality_takes_maximum(self):
-        left = InfoNeed("x", criticality=Severity.LOW)
-        right = InfoNeed("x", criticality=Severity.HIGH)
-        assert left.merged_with(right).criticality is Severity.HIGH
-        assert right.merged_with(left).criticality is Severity.HIGH
+
+class TestMergeRules:
+    """The values one duty holds for one item merge alike whether they come
+    from repeated clauses in one block or from one answer session each."""
+
+    @pytest.mark.parametrize("clauses, merged", MERGE_RULES)
+    def test_build_and_ingest_merge_alike(self, clauses, merged):
+        decls = parse_model('responsibility "R" {\n  ' + "\n  ".join(clauses) + "\n}")
+        (block,) = decls
+        built = build_model(decls)
+        ingested = ingest_all(build_model([block._replace(items=())]),
+                              [_session(clause) for clause in block.items])
+        (resp,) = built.responsibilities
+        assert ingested.responsibilities == built.responsibilities
+        field = {InfoNeed: resp.needs, InfoProduct: resp.products,
+                 HazardEntry: resp.hazards}[type(merged)]
+        assert field == (merged,)
+
+
+def _session(clause):
+    """The answer session for duty "R" that holds ``clause`` alone."""
+    flows = [(clause,) if type(clause) is kind else ()
+             for kind in (dsl.RequireClause, dsl.ProduceClause, dsl.HazardClause)]
+    return dsl.ElicitationRecord("R", None, None, *flows, clause.offset, clause.source)
 
 
 # Each character that escape_line_ends escapes, the backslash first.  It

@@ -8,7 +8,10 @@ sources, channels with backups, products, uses, hazards and sequence links.
 One more layer builds a model with one build error per duty and renders
 the error, so every span it resolves is timed.  The worksheet and the
 answers skeleton also run on one duty that requires N and 10 x N items,
-each with hazards, so their cost per duty is gated as well.
+each with hazards, so their cost per duty is gated as well.  So is the
+merge of repeated flows: a build of one duty that requires one item N
+times, each from a new agent, and an ingest of N sessions that each add a
+need and a hazard to one duty.
 """
 
 from __future__ import annotations
@@ -119,6 +122,23 @@ def _one_duty_text(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _one_item_text(n: int) -> str:
+    """One duty that requires the same item n times, each from a new agent."""
+    lines = ['responsibility "Duty" {']
+    lines += [f"  requires |Item| from <Agent {i:05d}>" for i in range(n)]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def _one_duty_sessions(n: int) -> str:
+    """n sessions for one duty, each adding a need and a hazard on it."""
+    return "".join(
+        f'elicitation "Duty" {{\n'
+        f"  needs {{\n    |Item {i:05d}| from <Src {i % 7}>\n  }}\n"
+        f'  hazards |Item {i:05d}| {{\n    late "Delay {i}." severity high\n  }}\n'
+        f"}}\n"
+        for i in range(n))
+
+
 def _inputs(n: int) -> dict:
     rng = random.Random(n)
     model_text = _model_text(rng, n)
@@ -139,6 +159,8 @@ def _inputs(n: int) -> dict:
     # Every duty precedes a duty that does not exist: one error per duty.
     broken = parse_model(model_text.replace('precedes "Duty ', 'precedes "Gone '))
     one_duty = build_model(parse_model(_one_duty_text(n)))
+    empty_duty = build_model(parse_model('responsibility "Duty" {}'))
+    one_duty_sessions = parse_answers(_one_duty_sessions(n))
     return {
         "parse_model": (parse_model, model_text),
         "parse_answers": (parse_answers, answers_text),
@@ -157,6 +179,8 @@ def _inputs(n: int) -> dict:
         "generate_worksheet": (_every_duty(generate_worksheet), model),
         "generate_worksheet_one_duty": (generate_worksheet, one_duty, "Duty"),
         "answers_skeleton_one_duty": (answers_skeleton, one_duty, "Duty"),
+        "build_model_one_item": (build_model, parse_model(_one_item_text(n))),
+        "ingest_all_one_duty": (ingest_all, empty_duty, one_duty_sessions),
     }
 
 
