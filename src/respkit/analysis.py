@@ -9,8 +9,6 @@ checks that ``validate`` shares, ``find_unassigned`` and
 ``PerceptionInconsistency``, like ``Finding``, is a named tuple.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from typing import NamedTuple
 

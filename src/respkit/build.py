@@ -15,8 +15,6 @@ hazard follow the same rules in a ``.resp`` file and in a ``.answers``
 file.
 """
 
-from __future__ import annotations
-
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 

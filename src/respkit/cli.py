@@ -7,8 +7,6 @@ inconsistencies at or above the failure level, 2 means a usage, parse or
 resolution error.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import gc

@@ -41,6 +41,11 @@ the index of its first token and returns what it parsed with the index
 after it.  They recover at top-level declaration boundaries, so at least
 the first error of each declaration is reported rather than only the
 first error of the file.
+
+Printing mirrors parsing: each clause tail has one formatter, right after
+the parse tail it mirrors, and ``print_model`` and
+``elicitation.answers_skeleton`` both call it.  Only ``print_model`` adds
+the ``.resp``-only ``criticality`` and ``mitigated_by``.
 """
 
 import re
@@ -55,6 +60,9 @@ from .model import (
     GuideWord,
     GUIDE_WORD_TOKENS,
     GUIDE_WORDS_BY_TOKEN,
+    HazardEntry,
+    InfoNeed,
+    InfoProduct,
     Model,
     RequirementRecord,
     ResourceKind,
@@ -488,6 +496,13 @@ def _channels(tokens: _Tokens, i: int) -> tuple[tuple[str, ...], int]:
     return (), i
 
 
+def _via(model: Model, channels: tuple[str, ...]) -> str:
+    """`` via "channel", ...`` as ``_channels`` reads it, or nothing."""
+    if not channels:
+        return ""
+    return " via " + ", ".join(quote(model.channel_name(c)) for c in channels)
+
+
 def _need_tail(tokens: _Tokens, i: int):
     """``[from <agent>, ...] [via "channel", ...]`` after a needed item, in
     a ``requires`` clause and an answers ``needs`` line alike."""
@@ -496,6 +511,15 @@ def _need_tail(tokens: _Tokens, i: int):
         sources, i = _list(tokens, i + 1, AGENT_REF)
     channels, i = _channels(tokens, i)
     return sources, channels, i
+
+
+def format_need_tail(model: Model, need: InfoNeed) -> str:
+    """``|item| [from <agent>, ...] [via "channel", ...]``, read by ``_need_tail``."""
+    text = _ref(model.resource_name(need.resource), "|", "|")
+    if need.sources:
+        text += " from " + ", ".join(_ref(model.agent_name(a), "<", ">")
+                                     for a in need.sources)
+    return text + _via(model, need.channels)
 
 
 def _product_tail(tokens: _Tokens, i: int):
@@ -507,6 +531,15 @@ def _product_tail(tokens: _Tokens, i: int):
     return channels, None, i
 
 
+def format_product_tail(model: Model, product: InfoProduct) -> str:
+    """``|item| [via "channel", ...] [rationale "why"]``, read by ``_product_tail``."""
+    text = _ref(model.resource_name(product.resource), "|", "|")
+    text += _via(model, product.channels)
+    if product.rationale is not None:
+        text += " rationale " + quote(product.rationale)
+    return text
+
+
 def _hazard_tail(tokens: _Tokens, i: int):
     """``GUIDEWORD "consequence" [severity LEVEL]``, after the item in a
     ``hazard`` clause and as an answers ``hazards`` line alike."""
@@ -516,6 +549,12 @@ def _hazard_tail(tokens: _Tokens, i: int):
     if tokens.values[i] == "severity" and tokens.kinds[i] == IDENT:
         return guide_word, consequence, _member(tokens, i + 1, *_SEVERITY), i + 2
     return guide_word, consequence, Severity.NONE, i
+
+
+def format_hazard_tail(entry: HazardEntry) -> str:
+    """``GUIDEWORD "consequence" severity LEVEL``, read by ``_hazard_tail``."""
+    return (f"{entry.guide_word.value} {quote(entry.consequence)}"
+            f" severity {entry.severity.token}")
 
 
 # ---------------------------------------------------------------------------
@@ -762,42 +801,6 @@ def _ref(name: str, opener: str, closer: str) -> str:
     return f"{opener}{name}{closer}"
 
 
-def _agent_refs(names: list[str]) -> str:
-    return ", ".join(_ref(n, "<", ">") for n in names)
-
-
-def _channel_refs(names: list[str]) -> str:
-    return ", ".join(quote(n) for n in names)
-
-
-def format_need_clause(model: Model, need, keyword: str = "requires",
-                       with_criticality: bool = True) -> str:
-    """Render one need as a DSL clause (shared by printer and skeletons).
-
-    Answer files carry no criticality clause, so skeleton rendering turns
-    it off.
-    """
-    ref = _ref(model.resource_name(need.resource), "|", "|")
-    parts = [keyword, ref] if keyword else [ref]
-    if need.sources:
-        parts.append("from " + _agent_refs([model.agent_name(a) for a in need.sources]))
-    if need.channels:
-        parts.append("via " + _channel_refs([model.channel_name(c) for c in need.channels]))
-    if with_criticality and need.criticality is not None:
-        parts.append(f"criticality {need.criticality.token}")
-    return " ".join(parts)
-
-
-def format_product_clause(model: Model, product, keyword: str = "produces") -> str:
-    ref = _ref(model.resource_name(product.resource), "|", "|")
-    parts = [keyword, ref] if keyword else [ref]
-    if product.channels:
-        parts.append("via " + _channel_refs([model.channel_name(c) for c in product.channels]))
-    if product.rationale is not None:
-        parts.append("rationale " + quote(product.rationale))
-    return " ".join(parts)
-
-
 def print_model(model: Model) -> str:
     """Canonical textual form of a model.
 
@@ -837,18 +840,20 @@ def print_model(model: Model) -> str:
     for resp in model.responsibilities:
         lines = [f"responsibility {quote(resp.name)} {{"]
         if resp.assigned_to:
-            lines.append("  assigned to "
-                         + _agent_refs([model.agent_name(a) for a in resp.assigned_to]))
+            lines.append("  assigned to " + ", ".join(
+                _ref(model.agent_name(a), "<", ">") for a in resp.assigned_to))
         for need in resp.needs:
-            lines.append("  " + format_need_clause(model, need))
+            line = "  requires " + format_need_tail(model, need)
+            if need.criticality is not None:
+                line += f" criticality {need.criticality.token}"
+            lines.append(line)
         for product in resp.products:
-            lines.append("  " + format_product_clause(model, product))
+            lines.append("  produces " + format_product_tail(model, product))
         for used in resp.uses:
             lines.append("  uses " + _ref(model.resource_name(used), "[", "]"))
         for entry in resp.hazards:
-            line = ("  hazard " + _ref(model.resource_name(entry.item), "|", "|")
-                    + f" {entry.guide_word.value} {quote(entry.consequence)}"
-                    f" severity {entry.severity.token}")
+            line = (f"  hazard {_ref(model.resource_name(entry.item), '|', '|')} "
+                    + format_hazard_tail(entry))
             if entry.mitigation:
                 line += f" mitigated_by {entry.mitigation}"
             lines.append(line)

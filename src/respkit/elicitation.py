@@ -16,8 +16,6 @@ named tuples, cheap to define and to make: they compare and unpack as
 tuples.
 """
 
-from __future__ import annotations
-
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -104,22 +102,19 @@ def answers_skeleton(model: Model, responsibility: str) -> str:
         lines.append(f"#    ({_ANSWER_HINTS[question.number]})")
     lines.append(f"elicitation {dsl.quote(sheet.responsibility)} {{")
     lines.append("  needs {")
-    for need in sheet.draft_needs:
-        lines.append("    " + dsl.format_need_clause(
-            model, need, keyword="", with_criticality=False))
+    lines += ["    " + dsl.format_need_tail(model, need) for need in sheet.draft_needs]
     lines.append("  }")
     lines.append("  records {")
-    for product in sheet.draft_products:
-        lines.append("    " + dsl.format_product_clause(model, product, keyword=""))
+    lines += ["    " + dsl.format_product_tail(model, product)
+              for product in sheet.draft_products]
     lines.append("  }")
     hazards_of: dict[str, list[str]] = {}
     for entry in sheet.draft_hazards:
         hazards_of.setdefault(entry.item, []).append(
-            f"    {entry.guide_word.value} {dsl.quote(entry.consequence)}"
-            f" severity {entry.severity.token}")
+            "    " + dsl.format_hazard_tail(entry))
     for need in sheet.draft_needs:
-        item_name = model.resource_name(need.resource)
-        lines.append(f"  hazards |{item_name}| {{")
+        item = dsl._ref(model.resource_name(need.resource), "|", "|")
+        lines.append(f"  hazards {item} {{")
         lines += hazards_of.get(need.resource, ())
         lines.append("  }")
     lines.append("}")

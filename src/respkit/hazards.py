@@ -7,8 +7,6 @@ early).  Guide words are applied to required information only; hazards on
 products are modelled from the consuming responsibility's side.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .elicitation import _require

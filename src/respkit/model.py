@@ -17,8 +17,6 @@ and caches on the instance.  The maps are not fields: equality, hashing and
 ``dataclasses.replace`` see only the collections they are built from.
 """
 
-from __future__ import annotations
-
 import re
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum

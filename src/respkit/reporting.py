@@ -13,8 +13,6 @@ produce).  Sequence links are dashed arrows.  Assignment and physical
 ``uses`` edges are drawn without arrowheads.
 """
 
-from __future__ import annotations
-
 import io
 
 from .analysis import Finding, PerceptionInconsistency

@@ -2,7 +2,7 @@ from functools import reduce
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from respkit import (
     answers_skeleton,
@@ -66,6 +66,71 @@ class TestQuestionnaire:
         blocks = [line for line in skeleton.splitlines()
                   if line.startswith("  hazards |")]
         assert len(blocks) == 8
+
+    def test_skeleton_text(self):
+        # Needs drop their criticality, an empty rationale stays, a hazard
+        # always writes its severity and hazards keep their recorded order.
+        model = build(r"""
+agent <Ops>
+agent <Police>
+resource |Map|
+resource |Log|
+resource |Plan|
+resource |Weather|
+channel "Radio"
+channel "Say \"hi\" \\ back"
+responsibility "Plan route" {
+  requires |Map| from <Ops>, <Police> via "Radio", "Say \"hi\" \\ back" criticality high
+  requires |Weather|
+  produces |Log| rationale ""
+  produces |Plan|
+  hazard |Map| late ""
+  hazard |Map| unavailable "No route." severity critical
+}
+""")
+        assert answers_skeleton(model, "Plan route") == SKELETON_TEXT
+
+    @settings(max_examples=40, deadline=None)
+    @given(models() | ingested_models(), st.data())
+    def test_skeleton_ingests_into_its_own_model(self, model, data):
+        duty = data.draw(st.sampled_from(model.responsibilities))
+        records = parse_answers(answers_skeleton(model, duty.name))
+        assert ingest_all(model, records) == model
+        assert ingest_all(model, records, strict=True) == model
+
+
+SKELETON_TEXT = r"""# Elicitation sheet for responsibility "Plan route".
+# Work through the questions below; lines already present were
+# drafted from the current model.
+# 1. What information needs to be provided to discharge this responsibility?
+#    (answer with one |item| line per information need, inside needs { })
+# 2. What channels are used to communicate this information?
+#    (annotate each need line with via "channel" clauses)
+# 3. Where does this information come from?
+#    (annotate each need line with from <agent> clauses)
+# 4. What information is generated and recorded in the discharge of this responsibility and why?
+#    (answer with one |item| line per record, inside records { }; capture the why in a rationale clause)
+# 5. What channels are used to communicate this recorded information?
+#    (annotate each record line with via "channel" clauses)
+# 6. What are the consequences if the information required is unavailable, inaccurate, incomplete, late, early?
+#    (fill one hazards |item| block per required information item)
+elicitation "Plan route" {
+  needs {
+    |Map| from <Ops>, <Police> via "Radio", "Say \"hi\" \\ back"
+    |Weather|
+  }
+  records {
+    |Log| rationale ""
+    |Plan|
+  }
+  hazards |Map| {
+    late "" severity none
+    unavailable "No route." severity critical
+  }
+  hazards |Weather| {
+  }
+}
+"""
 
 
 # Sessions that exercise every merge rule: a duty answered twice, items,
