@@ -10,7 +10,7 @@ checks that ``validate`` shares, ``find_unassigned`` and
 """
 
 from enum import Enum
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
 from .model import (
     FINDING_CATALOG,
@@ -19,6 +19,7 @@ from .model import (
     Responsibility,
     _finding,
     _sorted,
+    channel_flows,
     escape_line_ends,
     find_unassigned,
     find_unsourced_info,
@@ -26,12 +27,6 @@ from .model import (
 
 #: Agents assigned strictly more responsibilities than this are overloaded.
 DEFAULT_LOAD_THRESHOLD = 5
-
-
-def _effective_channel_count(model: Model, channels: tuple[str, ...]) -> int:
-    if len(channels) == 1 and channels[0] in model.channels_with_backup:
-        return 2
-    return len(channels)
 
 
 def find_single_channel(model: Model) -> list[Finding]:
@@ -42,11 +37,10 @@ def find_single_channel(model: Model) -> list[Finding]:
     concern, not a finding.
     """
     findings = []
+    with_backup = model.channels_with_backup
     for resp in model.responsibilities:
-        flows = [(need.resource, need.channels, "required") for need in resp.needs]
-        flows += [(p.resource, p.channels, "produced") for p in resp.products]
-        for resource, channels, how in flows:
-            if _effective_channel_count(model, channels) == 1:
+        for resource, channels, how in channel_flows(resp):
+            if len(channels) == 1 and channels[0] not in with_backup:
                 channel_name = model.channel_name(channels[0])
                 findings.append(_finding(
                     "SINGLE_CHANNEL", (f"{resp.id}/{resource}",),
@@ -236,26 +230,34 @@ class PerceptionInconsistency(NamedTuple):
                                        self.right, self.left)
 
 
-def _describe_agents(model: Model, agent_ids: tuple[str, ...]) -> str:
-    if not agent_ids:
-        return "unassigned"
-    names = sorted(model.agent_name(a) for a in agent_ids)
-    return ", ".join(f"<{n}>" for n in names)
-
-
-def _describe_names(names: set[str], wrap: str, empty: str) -> str:
+def _listing(names: Collection[str], wrap: str, empty: str) -> str:
+    """``names`` sorted, each between the two characters of ``wrap``, or
+    ``empty`` when there are none."""
     if not names:
         return empty
-    if wrap == "<>":
-        return ", ".join(f"<{n}>" for n in sorted(names))
-    return ", ".join(f'"{n}"' for n in sorted(names))
+    opener, closer = wrap
+    return ", ".join(f"{opener}{n}{closer}" for n in sorted(names))
+
+
+def _flows(model: Model, resp: Responsibility) -> dict:
+    """A duty's flows keyed by (verb, item name), verb "required" or
+    "produced": each maps to its source names (None for a product) and
+    its channel names."""
+    agent, channel, resource = model.agent_name, model.channel_name, model.resource_name
+    flows = {("required", resource(n.resource)):
+             (set(map(agent, n.sources)), set(map(channel, n.channels)))
+             for n in resp.needs}
+    for p in resp.products:
+        flows["produced", resource(p.resource)] = (None, set(map(channel, p.channels)))
+    return flows
 
 
 def diff_models(left: Model, right: Model) -> list[PerceptionInconsistency]:
     """Compare how two models perceive the same responsibilities.
 
-    Responsibilities are matched by exact (trimmed) name.  The result is
-    symmetric: diff(a, b) equals diff(b, a) with left and right swapped.
+    Responsibilities are matched by exact (trimmed) name, flows by verb and
+    item name.  The result is symmetric: diff(a, b) equals diff(b, a) with
+    left and right swapped.
     """
     results: list[PerceptionInconsistency] = []
     left_by_name = {r.name: r for r in left.responsibilities}
@@ -271,76 +273,48 @@ def diff_models(left: Model, right: Model) -> list[PerceptionInconsistency]:
                 "present" if right_resp else "absent"))
             continue
 
-        left_assigned = {left.agent_name(a) for a in left_resp.assigned_to}
-        right_assigned = {right.agent_name(a) for a in right_resp.assigned_to}
-        if left_assigned != right_assigned:
+        left_assigned = [left.agent_name(a) for a in left_resp.assigned_to]
+        right_assigned = [right.agent_name(a) for a in right_resp.assigned_to]
+        if set(left_assigned) != set(right_assigned):
             results.append(PerceptionInconsistency(
                 InconsistencyKind.ASSIGNMENT_MISMATCH, name,
-                _describe_agents(left, left_resp.assigned_to),
-                _describe_agents(right, right_resp.assigned_to)))
+                _listing(left_assigned, "<>", "unassigned"),
+                _listing(right_assigned, "<>", "unassigned")))
 
-        left_needs = {left.resource_name(n.resource): n for n in left_resp.needs}
-        right_needs = {right.resource_name(n.resource): n for n in right_resp.needs}
-        for resource in sorted(left_needs.keys() | right_needs.keys()):
-            l_need = left_needs.get(resource)
-            r_need = right_needs.get(resource)
-            if l_need is None or r_need is None:
-                present = (f"|{resource}| required from "
-                           + _describe_names(
-                               {(left if l_need else right).agent_name(a)
-                                for a in (l_need or r_need).sources},
-                               "<>", "no recorded source"))
+        left_flows, right_flows = _flows(left, left_resp), _flows(right, right_resp)
+        if left_flows == right_flows:  # one comparison settles a duty that agrees
+            continue
+        for key in sorted(left_flows.keys() | right_flows.keys()):
+            verb, item = key
+            l_flow, r_flow = left_flows.get(key), right_flows.get(key)
+            if l_flow is None or r_flow is None:
+                # A one-sided need differs in its sources, a product in its
+                # channels.
+                sources, channels = l_flow or r_flow
+                if sources is None:
+                    kind = InconsistencyKind.CHANNEL_MISMATCH
+                    present = (f"|{item}| produced via "
+                               + _listing(channels, '""', "no channel"))
+                else:
+                    kind = InconsistencyKind.SOURCE_MISMATCH
+                    present = (f"|{item}| required from "
+                               + _listing(sources, "<>", "no recorded source"))
+                absent = f"|{item}| not {verb}"
                 results.append(PerceptionInconsistency(
-                    InconsistencyKind.SOURCE_MISMATCH, name,
-                    present if l_need else f"|{resource}| not required",
-                    present if r_need else f"|{resource}| not required"))
+                    kind, name, present if l_flow else absent,
+                    present if r_flow else absent))
                 continue
-            l_sources = {left.agent_name(a) for a in l_need.sources}
-            r_sources = {right.agent_name(a) for a in r_need.sources}
+            (l_sources, l_channels), (r_sources, r_channels) = l_flow, r_flow
             if l_sources != r_sources:
                 results.append(PerceptionInconsistency(
                     InconsistencyKind.SOURCE_MISMATCH, name,
-                    f"|{resource}| from "
-                    + _describe_names(l_sources, "<>", "no recorded source"),
-                    f"|{resource}| from "
-                    + _describe_names(r_sources, "<>", "no recorded source")))
-            l_channels = {left.channel_name(c) for c in l_need.channels}
-            r_channels = {right.channel_name(c) for c in r_need.channels}
+                    f"|{item}| from " + _listing(l_sources, "<>", "no recorded source"),
+                    f"|{item}| from " + _listing(r_sources, "<>", "no recorded source")))
             if l_channels != r_channels:
                 results.append(PerceptionInconsistency(
                     InconsistencyKind.CHANNEL_MISMATCH, name,
-                    f"|{resource}| required via "
-                    + _describe_names(l_channels, '"', "no channel"),
-                    f"|{resource}| required via "
-                    + _describe_names(r_channels, '"', "no channel")))
-
-        left_products = {left.resource_name(p.resource): p
-                         for p in left_resp.products}
-        right_products = {right.resource_name(p.resource): p
-                          for p in right_resp.products}
-        for resource in sorted(left_products.keys() | right_products.keys()):
-            l_prod = left_products.get(resource)
-            r_prod = right_products.get(resource)
-            if l_prod is None or r_prod is None:
-                produced = (f"|{resource}| produced via "
-                            + _describe_names(
-                                {(left if l_prod else right).channel_name(c)
-                                 for c in (l_prod or r_prod).channels},
-                                '"', "no channel"))
-                results.append(PerceptionInconsistency(
-                    InconsistencyKind.CHANNEL_MISMATCH, name,
-                    produced if l_prod else f"|{resource}| not produced",
-                    produced if r_prod else f"|{resource}| not produced"))
-                continue
-            l_channels = {left.channel_name(c) for c in l_prod.channels}
-            r_channels = {right.channel_name(c) for c in r_prod.channels}
-            if l_channels != r_channels:
-                results.append(PerceptionInconsistency(
-                    InconsistencyKind.CHANNEL_MISMATCH, name,
-                    f"|{resource}| produced via "
-                    + _describe_names(l_channels, '"', "no channel"),
-                    f"|{resource}| produced via "
-                    + _describe_names(r_channels, '"', "no channel")))
+                    f"|{item}| {verb} via " + _listing(l_channels, '""', "no channel"),
+                    f"|{item}| {verb} via " + _listing(r_channels, '""', "no channel")))
 
     results.sort(key=lambda r: (r.kind.value, r.responsibility,
                                 min(r.left, r.right), max(r.left, r.right)))

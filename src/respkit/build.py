@@ -32,6 +32,7 @@ from .model import (
     Responsibility,
     canonical_elements,
     dedupe,
+    escape_line_ends,
     slugify,
 )
 
@@ -128,7 +129,7 @@ class SymbolTable:
                 self._collide("agent", existing, name, slug, site)
                 return slug
         elif self.strict:
-            self.error(f"unknown agent <{name}>", site)
+            self.error(escape_line_ends(f"unknown agent <{name}>"), site)
             return None
         else:
             self.agents[slug] = Agent(slug, name.strip(), AgentKind.ORGANIZATION,
@@ -154,7 +155,7 @@ class SymbolTable:
                 return slug
         elif self.strict:
             ref = f"|{name}|" if kind is ResourceKind.INFORMATION else f"[{name}]"
-            self.error(f"unknown {kind.value} resource {ref}", site)
+            self.error(escape_line_ends(f"unknown {kind.value} resource {ref}"), site)
             return None
         else:
             self.resources[slug] = Resource(slug, name.strip(), kind, implicit=True)
@@ -173,7 +174,7 @@ class SymbolTable:
                 self._collide("channel", existing, name, slug, site)
                 return slug
         elif self.strict:
-            self.error(f'unknown channel "{name}"', site)
+            self.error(escape_line_ends(f'unknown channel "{name}"'), site)
             return None
         else:
             self.channels[slug] = Channel(slug, name.strip(), implicit=True)
@@ -196,8 +197,8 @@ class SymbolTable:
         elif existing.name != decl.name.strip():
             self._collide("agent", existing, decl.name, slug, decl)
         elif decl.kind is not None and existing.kind is not kind:
-            self.error(f"conflicting agent kind for <{existing.name}>: "
-                       f"{existing.kind.value} vs {kind.value}", decl)
+            self.error(escape_line_ends(f"conflicting agent kind for <{existing.name}>: "
+                                        f"{existing.kind.value} vs {kind.value}"), decl)
 
     def declare_resource(self, decl: dsl.ResourceDecl) -> None:
         slug = self.slug("resource", decl.name, decl)
@@ -489,8 +490,8 @@ def _build_responsibility(
             notes.append(item.text)
 
     def orphan(clause: dsl.HazardClause) -> None:
-        orphans.append(BuildIssue(
-            f'hazard on |{clause.item}| but "{decl.name}" does not require it',
+        orphans.append(BuildIssue(escape_line_ends(
+            f'hazard on |{clause.item}| but "{decl.name}" does not require it'),
             decl.span))
 
     fold = DutyFold()

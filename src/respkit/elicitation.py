@@ -29,6 +29,7 @@ from .model import (
     Model,
     Responsibility,
     UnknownResponsibility,
+    escape_line_ends,
 )
 
 
@@ -155,8 +156,9 @@ def ingest_all(model: Model, records: list[dsl.ElicitationRecord],
         fold = folds.get(resp.id) or folds.setdefault(resp.id, DutyFold(resp))
         fold.add([(resolve_flow(table, clause, resp.name), clause)
                   for clause in (*record.needs, *record.records, *record.hazards)],
-                 lambda clause: _refuse(f'hazard block for |{clause.item}| but '
-                                        f'"{resp.name}" does not require it', clause))
+                 lambda clause: _refuse(escape_line_ends(
+                     f'hazard block for |{clause.item}| but "{resp.name}" does not '
+                     'require it'), clause))
     return replace(
         model,
         responsibilities=tuple(replace(r, **folds[r.id].fields()) if r.id in folds else r

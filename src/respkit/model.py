@@ -320,9 +320,9 @@ class UnknownResponsibility(KeyError):
         self.name = name
         self.available = tuple(r.name for r in model.responsibilities)
         listing = ", ".join(f'"{n}"' for n in self.available) or "(none)"
-        super().__init__(
-            f'unknown responsibility "{name}"; model defines: {listing}'
-        )
+        # The name asked for may come from a command line and hold a "\n".
+        message = f'unknown responsibility "{name}"; model defines: {listing}'
+        super().__init__(escape_line_ends(message).replace("\n", "\\n"))
 
     def __str__(self) -> str:  # KeyError quotes its payload otherwise
         return self.args[0]
@@ -433,6 +433,13 @@ def _sorted(findings: list[Finding]) -> list[Finding]:
     return sorted(findings, key=lambda f: (f.code, f.subjects))
 
 
+def channel_flows(resp: Responsibility) -> list[tuple[str, tuple[str, ...], str]]:
+    """Each need and product of ``resp`` as (item id, channel ids, "required"
+    or "produced"): the flows the channel checks look at."""
+    return ([(n.resource, n.channels, "required") for n in resp.needs]
+            + [(p.resource, p.channels, "produced") for p in resp.products])
+
+
 def find_unassigned(model: Model) -> list[Finding]:
     """One finding per responsibility that no agent holds."""
     return _sorted([
@@ -480,13 +487,11 @@ def validate(model: Model, strict: bool = False) -> list[Finding]:
                      f'{kind} "{name}" was never declared explicitly')
             for kind, element_id, name in implicit
         ]
-        for resp in model.responsibilities:
-            flows = [(n.resource, n.channels, "required") for n in resp.needs]
-            flows += [(p.resource, p.channels, "produced") for p in resp.products]
-            findings += [
-                _finding("NO_CHANNEL", (f"{resp.id}/{resource}",),
-                         f"no communication channel recorded for "
-                         f'|{model.resource_name(resource)}| {how} by "{resp.name}"')
-                for resource, channels, how in flows if not channels
-            ]
+        findings += [
+            _finding("NO_CHANNEL", (f"{resp.id}/{resource}",),
+                     f"no communication channel recorded for "
+                     f'|{model.resource_name(resource)}| {how} by "{resp.name}"')
+            for resp in model.responsibilities
+            for resource, channels, how in channel_flows(resp) if not channels
+        ]
     return _sorted(findings)

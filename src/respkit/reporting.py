@@ -14,6 +14,7 @@ produce).  Sequence links are dashed arrows.  Assignment and physical
 """
 
 import io
+from typing import Any, Callable
 
 from .analysis import Finding, PerceptionInconsistency
 from .elicitation import InfoTable
@@ -141,7 +142,7 @@ class TraceResolutionError(ValueError):
         self.unresolved = list(unresolved)
         listing = "; ".join(f"{req_id}: {ref.render()}"
                             for req_id, ref in unresolved)
-        super().__init__(f"unresolved trace references: {listing}")
+        super().__init__(escape_line_ends(f"unresolved trace references: {listing}"))
 
 
 def resolve_trace(model: Model, ref: TraceRef) -> bool:
@@ -205,47 +206,36 @@ def requirements_report(model: Model, records: list[RequirementRecord]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def findings_report(findings: list[Finding], fmt: str = "text") -> str:
+def _report(items: list, fmt: str, what: str, as_json: Callable[[Any], dict],
+            one: str, many: str) -> str:
+    """``items`` as a JSON array of ``as_json(item)``, or as text: one
+    rendered line each, then a count in words."""
     if fmt == "json":
         import json
 
-        payload = [
-            {
-                "code": f.code,
-                "severity": f.severity.token,
-                "subjects": list(f.subjects),
-                "explanation": f.explanation,
-            }
-            for f in findings
-        ]
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps([as_json(item) for item in items], indent=2) + "\n"
     if fmt != "text":
-        raise ValueError(f"unknown findings format {fmt!r}")
-    lines = [f.render() for f in findings]
-    count = len(findings)
-    lines.append(f"{count} finding." if count == 1 else f"{count} findings.")
+        raise ValueError(f"unknown {what} format {fmt!r}")
+    lines = [item.render() for item in items]
+    count = len(items)
+    lines.append(f"{count} {one if count == 1 else many}.")
     return "\n".join(lines) + "\n"
+
+
+def findings_report(findings: list[Finding], fmt: str = "text") -> str:
+    return _report(findings, fmt, "findings", lambda f: {
+        "code": f.code,
+        "severity": f.severity.token,
+        "subjects": list(f.subjects),
+        "explanation": f.explanation,
+    }, "finding", "findings")
 
 
 def diff_report(inconsistencies: list[PerceptionInconsistency],
                 fmt: str = "text") -> str:
-    if fmt == "json":
-        import json
-
-        payload = [
-            {
-                "kind": item.kind.value,
-                "responsibility": item.responsibility,
-                "left": item.left,
-                "right": item.right,
-            }
-            for item in inconsistencies
-        ]
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt != "text":
-        raise ValueError(f"unknown diff format {fmt!r}")
-    lines = [item.render() for item in inconsistencies]
-    count = len(inconsistencies)
-    lines.append(f"{count} inconsistency." if count == 1
-                 else f"{count} inconsistencies.")
-    return "\n".join(lines) + "\n"
+    return _report(inconsistencies, fmt, "diff", lambda item: {
+        "kind": item.kind.value,
+        "responsibility": item.responsibility,
+        "left": item.left,
+        "right": item.right,
+    }, "inconsistency", "inconsistencies")

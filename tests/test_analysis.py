@@ -8,6 +8,7 @@ from respkit.analysis import (
     FINDING_CATALOG,
     Finding,
     InconsistencyKind,
+    PerceptionInconsistency,
     agent_load,
     detect_sequence_cycles,
     find_duplicate_sources,
@@ -244,6 +245,12 @@ class TestCatalog:
             assert finding.severity is FINDING_CATALOG[finding.code]
 
 
+MISSING = InconsistencyKind.MISSING_RESPONSIBILITY
+ASSIGNMENT = InconsistencyKind.ASSIGNMENT_MISMATCH
+SOURCE = InconsistencyKind.SOURCE_MISMATCH
+CHANNEL = InconsistencyKind.CHANNEL_MISMATCH
+
+
 class TestDiffModels:
     def test_identity(self, evacuation):
         assert diff_models(evacuation, evacuation) == []
@@ -281,6 +288,45 @@ class TestDiffModels:
         right = build('responsibility "R" { requires |Map| from <A> via "C2" }')
         (item,) = diff_models(left, right)
         assert item.kind is InconsistencyKind.CHANNEL_MISMATCH
+
+    @pytest.mark.parametrize("left, right, expected", [
+        ('responsibility "Only left" {}', "",
+         [(MISSING, "Only left", "present", "absent")]),
+        ('responsibility "R" { assigned to <B>, <A> }', 'responsibility "R" {}',
+         [(ASSIGNMENT, "R", "<A>, <B>", "unassigned")]),
+        ('responsibility "R" { requires |Map| from <B>, <A> }', 'responsibility "R" {}',
+         [(SOURCE, "R", "|Map| required from <A>, <B>", "|Map| not required")]),
+        ('responsibility "R" {}', 'responsibility "R" { requires |Map| }',
+         [(SOURCE, "R", "|Map| not required",
+           "|Map| required from no recorded source")]),
+        ('responsibility "R" { requires |Map| from <A> }',
+         'responsibility "R" { requires |Map| }',
+         [(SOURCE, "R", "|Map| from <A>", "|Map| from no recorded source")]),
+        ('responsibility "R" { requires |Map| via "C2", "C1" }',
+         'responsibility "R" { requires |Map| }',
+         [(CHANNEL, "R", '|Map| required via "C1", "C2"', "|Map| required via no channel")]),
+        ('responsibility "R" { produces |Log| via "Radio" }', 'responsibility "R" {}',
+         [(CHANNEL, "R", '|Log| produced via "Radio"', "|Log| not produced")]),
+        ('responsibility "R" {}', 'responsibility "R" { produces |Log| }',
+         [(CHANNEL, "R", "|Log| not produced", "|Log| produced via no channel")]),
+        ('responsibility "R" { produces |Log| via "Radio" }',
+         'responsibility "R" { produces |Log| via "Phone" }',
+         [(CHANNEL, "R", '|Log| produced via "Radio"', '|Log| produced via "Phone"')]),
+        # One item needed on one side and produced on the other; a need
+        # differing in both sources and channels; kinds sort by name.
+        ('responsibility "R" { requires |Map| requires |Log| from <A> via "C" }',
+         'responsibility "R" { produces |Map| requires |Log| from <B> }',
+         [(CHANNEL, "R", '|Log| required via "C"', "|Log| required via no channel"),
+          (CHANNEL, "R", "|Map| not produced", "|Map| produced via no channel"),
+          (SOURCE, "R", "|Log| from <A>", "|Log| from <B>"),
+          (SOURCE, "R", "|Map| required from no recorded source", "|Map| not required")]),
+    ], ids=["missing", "unassigned", "need-with-sources", "need-without-source",
+            "sources", "need-channels", "product", "product-without-channel",
+            "product-channels", "mixed"])
+    def test_inconsistency_texts(self, left, right, expected):
+        expected = [PerceptionInconsistency(*row) for row in expected]
+        assert diff_models(build(left), build(right)) == expected
+        assert diff_models(build(right), build(left)) == [i.swapped() for i in expected]
 
     def test_assignment_order_is_irrelevant(self):
         left = build('responsibility "R" { assigned to <A>, <B> }')

@@ -413,6 +413,51 @@ class TestDiff:
         assert item["left"] == "<Police>"
 
 
+class TestOneLineDiagnostics:
+    """An error escapes a name the way reports do, so a line end in a name
+    (or a "\\n" in a name asked for) keeps the error one line on stderr."""
+
+    MODEL = b'responsibility "Say\rwhen" {\n  requires |Fact| from <A> via "Phone"\n}\n'
+
+    @pytest.mark.parametrize("argv, files, expected", [
+        (("elicit", "{m}", "--responsibility", "nope"), {"m": MODEL},
+         'error: unknown responsibility "nope"; model defines: "Say\\rwhen"'),
+        (("elicit", "{m}", "--responsibility", "a\nb\rc"), {"m": MODEL},
+         'error: unknown responsibility "a\\nb\\rc"; model defines: "Say\\rwhen"'),
+        (("requirements", "{m}", "{r}"),
+         {"m": MODEL, "r": b'requirement R1 {\n  text "t"\n  rationale "r"\n'
+                           b'  traces |Gone\rx|\n}\n'},
+         "error: unresolved trace references: R1: |Gone\\rx|"),
+        (("check", "{m}"),
+         {"m": b'responsibility "Say\rwhen" {\n  hazard |X\rY| late "c"\n}\n'},
+         '{m}:1:1: error: hazard on |X\\rY| but "Say\\rwhen" does not require it'),
+        (("check", "{m}"), {"m": b"agent <A\rB> kind role\nagent <A\rB> kind person\n"},
+         "{m}:2:1: error: conflicting agent kind for <A\\rB>: role vs person"),
+        (("ingest", "--strict", "{m}", "{a}"),
+         {"m": MODEL, "a": b'elicitation "Say\rwhen" {\n  needs { |Fact| from <Gh\rost> }\n}\n'},
+         "{a}:2:11: error: unknown agent <Gh\\rost>"),
+        (("ingest", "--strict", "{m}", "{a}"),
+         {"m": MODEL, "a": b'elicitation "Say\rwhen" {\n  needs { |Ne\rw| }\n}\n'},
+         "{a}:2:11: error: unknown information resource |Ne\\rw|"),
+        (("ingest", "--strict", "{m}", "{a}"),
+         {"m": MODEL, "a": b'elicitation "Say\rwhen" {\n  needs { |Fact| via "Ra\rdio" }\n}\n'},
+         '{a}:2:11: error: unknown channel "Ra\\rdio"'),
+        (("ingest", "{m}", "{a}"),
+         {"m": MODEL, "a": b'elicitation "Say\rwhen" {\n  hazards |X\rY| { late "c" }\n}\n'},
+         '{a}:2:19: error: hazard block for |X\\rY| but "Say\\rwhen" does not require it'),
+    ], ids=["unknown-duty", "asked-name", "trace", "orphan-hazard", "agent-kind",
+            "strict-agent", "strict-resource", "strict-channel", "hazard-block"])
+    def test_error_is_one_line(self, run_cli, tmp_path, argv, files, expected):
+        paths = {}
+        for key, data in files.items():
+            paths[key] = tmp_path / f"{key}.in"
+            paths[key].write_bytes(data)
+        status, out, err = run_cli(*(arg.format(**paths) for arg in argv))
+        assert (status, out) == (2, "")
+        assert err == expected.format(**paths) + "\n"
+        assert len(err.splitlines()) == 1
+
+
 class TestUsage:
     def test_unknown_subcommand(self, run_cli):
         status, _, err = run_cli("frobnicate")

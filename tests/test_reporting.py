@@ -19,7 +19,7 @@ from respkit import (
     validate,
     worksheet_table,
 )
-from respkit.analysis import diff_models
+from respkit.analysis import InconsistencyKind, PerceptionInconsistency, diff_models
 from respkit.dsl import parse_model
 from respkit.elicitation import InfoTable
 from respkit.model import Model, RequirementRecord, TraceRef
@@ -273,6 +273,11 @@ class TestFindingsReport:
                      for key in ("code", "severity", "subjects", "explanation")]
         assert positions == sorted(positions)
 
+    def test_one_entry_text(self):
+        assert findings_report(run_all(build("resource |Map|")), "text") == (
+            'UNUSED_RESOURCE low map: resource "Map" is declared but never used\n'
+            "1 finding.\n")
+
     def test_rendering_twice_is_identical(self, evacuation):
         findings = run_all(evacuation)
         assert findings_report(findings, "json") == findings_report(
@@ -290,6 +295,32 @@ class TestDiffReport:
         other = build('responsibility "Evacuate area" { assigned to <Army> }')
         report = diff_report(diff_models(evacuation, other), "text")
         assert 'AssignmentMismatch "Evacuate area"' in report
+
+
+    def test_one_entry_bytes(self):
+        item = PerceptionInconsistency(InconsistencyKind.SOURCE_MISMATCH, 'Say\r"when"',
+                                       "|Map| from <A>", "|Map| from no recorded source")
+        assert diff_report([item], "json") == (
+            '[\n'
+            '  {\n'
+            '    "kind": "SourceMismatch",\n'
+            '    "responsibility": "Say\\r\\"when\\"",\n'
+            '    "left": "|Map| from <A>",\n'
+            '    "right": "|Map| from no recorded source"\n'
+            '  }\n'
+            ']\n')
+        assert diff_report([item], "text") == (
+            'SourceMismatch "Say\\r"when"": left: |Map| from <A>; '
+            "right: |Map| from no recorded source\n"
+            "1 inconsistency.\n")
+
+
+@pytest.mark.parametrize("report, word", [(findings_report, "findings"),
+                                          (diff_report, "diff")])
+def test_unknown_format_is_refused(report, word):
+    with pytest.raises(ValueError) as raised:
+        report([], "xml")
+    assert str(raised.value) == f"unknown {word} format 'xml'"
 
 
 class TestCarriageReturns:
