@@ -27,6 +27,7 @@ from respkit import (
     validate,
     worksheet_table,
 )
+from respkit.build import read_input
 from respkit.dsl import parse_answers, parse_requirements
 from respkit.elicitation import (
     information_recorded_table,
@@ -48,10 +49,8 @@ def main() -> None:
     args.outdir.mkdir(parents=True, exist_ok=True)
 
     model = load_model(args.corpus / "evacuation.resp")
-    answers = parse_answers(
-        (args.corpus / "evacuation.answers").read_text(encoding="utf-8"))
-    requirements = parse_requirements(
-        (args.corpus / "evacuation.reqs").read_text(encoding="utf-8"))
+    answers = parse_answers(read_input(args.corpus / "evacuation.answers"))
+    requirements = parse_requirements(read_input(args.corpus / "evacuation.reqs"))
 
     print(f"model: {model.name}")
     for finding in validate(model, strict=True):

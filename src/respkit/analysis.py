@@ -20,6 +20,7 @@ from .model import (
     _finding,
     _sorted,
     channel_flows,
+    cycles,
     escape_line_ends,
     find_unassigned,
     find_unsourced_info,
@@ -123,61 +124,10 @@ def detect_sequence_cycles(model: Model) -> list[Finding]:
     graph: dict[str, list[str]] = {r.id: [] for r in model.responsibilities}
     for source, target in model.sequence_links:
         graph.setdefault(source, []).append(target)
-
-    # Iterative Tarjan; recursion depth is unbounded on long chains.
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[list[str]] = []
-    counter = [0]
-
-    def strongconnect(root: str) -> None:
-        work = [(root, iter(graph.get(root, ())))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, edges = work[-1]
-            advanced = False
-            for succ in edges:
-                if succ not in index:
-                    index[succ] = low[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(graph.get(succ, ()))))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(component)
-
-    for node in graph:
-        if node not in index:
-            strongconnect(node)
-
-    self_loops = {source for source, target in model.sequence_links
-                  if source == target}
+        # A hand-built model may link to a duty it lacks: a dead end.
+        graph.setdefault(target, [])
     findings = []
-    for component in sccs:
-        if len(component) < 2 and component[0] not in self_loops:
-            continue
+    for component in cycles(graph):
         names = sorted(model.responsibility_by_id(m).name for m in component)
         members = tuple(sorted(
             component, key=lambda m: model.responsibility_by_id(m).name))

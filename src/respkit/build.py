@@ -31,6 +31,7 @@ from .model import (
     ResourceKind,
     Responsibility,
     canonical_elements,
+    cycles,
     dedupe,
     escape_line_ends,
     slugify,
@@ -232,35 +233,30 @@ class SymbolTable:
                            f"{existing.name!r}", decl)
 
     def resolve_backups(self) -> None:
+        """Point each declared channel at its backup, then report each
+        backup cycle once, at its first-declared channel, in declaration
+        order.  A target only mentioned in a duty is matched by its id."""
         for slug, decl in self.backups.items():
             channel = self.channels[slug]
             try:
-                target = slugify(decl.backup_of)
+                target = self.channels.get(slugify(decl.backup_of))
             except ValueError:
                 target = None
-            if target is None or target not in self.channels:
+            if target is None:
                 self.error(f"backup_of target {decl.backup_of!r} is not a declared "
                            f"channel", decl)
-                continue
-            if target == slug:
+            elif target.id == slug:
                 self.error(f"channel {channel.name!r} cannot back itself up", decl)
-                continue
-            self.channels[slug] = Channel(slug, channel.name, channel.medium,
-                                          target, channel.implicit)
-        # Chains must be acyclic.  Each channel is walked once; a cycle is
-        # reported once, at the declaration of its first-declared channel.
+            elif target.name != decl.backup_of.strip() and not target.implicit:
+                self._collide("channel", target, decl.backup_of, target.id, decl)
+            else:
+                self.channels[slug] = Channel(slug, channel.name, channel.medium,
+                                              target.id, channel.implicit)
         order = {slug: i for i, slug in enumerate(self.channels)}
-        walked: dict[str, int] = {}
-        cycles = []
-        for walk, start in enumerate(self.channels):
-            path, slug = [], start
-            while slug is not None and slug not in walked:
-                walked[slug] = walk
-                path.append(slug)
-                slug = self.channels[slug].backup_of
-            if slug is not None and walked[slug] == walk:
-                cycles.append(min(path[path.index(slug):], key=order.get))
-        for slug in sorted(cycles, key=order.get):
+        graph = {slug: [c.backup_of] if c.backup_of else []
+                 for slug, c in self.channels.items()}
+        firsts = [min(cycle, key=order.get) for cycle in cycles(graph)]
+        for slug in sorted(firsts, key=order.get):
             self.error(f"backup chain through channel {self.channels[slug].name!r} "
                        f"is cyclic", self.backups[slug])
 
@@ -500,11 +496,25 @@ def _build_responsibility(
                           notes=tuple(notes), **fold.fields())
 
 
+def read_input(path: Path) -> str:
+    """Text of an input file, with line ends kept as written: only "\\n"
+    ends a line, as in the parser.  Bytes that are not UTF-8 are reported
+    like an unreadable file, naming the path, rather than as a decoder
+    traceback."""
+    try:
+        with open(path, encoding="utf-8", newline="") as file:
+            return file.read()
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        name = escape_line_ends(str(path)).replace("\n", "\\n")
+        raise OSError(f"{name}: line {line}: not valid UTF-8 "
+                      f"({exc.reason})") from None
+
+
 def load_model(source: Union[str, Path], filename: Optional[str] = None) -> Model:
     """Parse and build a model from a path or from document text."""
     if isinstance(source, Path):
-        with open(source, encoding="utf-8", newline="") as file:
-            text = file.read()
+        text = read_input(source)
         filename = filename or str(source)
     else:
         text = source

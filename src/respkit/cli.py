@@ -15,10 +15,10 @@ from pathlib import Path
 from typing import Optional, TextIO
 
 from . import analysis, elicitation, hazards, reporting
-from .build import ModelBuildError, load_model
+from .build import ModelBuildError, load_model, read_input
 from .dsl import ParseFailure, parse_answers, parse_requirements, print_model, print_requirements
 from .elicitation import ingest_all
-from .model import Model, Severity, UnknownResponsibility, validate
+from .model import Severity, UnknownResponsibility, validate
 from .reporting import TraceResolutionError
 
 _SEVERITY_CHOICES = [s.token for s in Severity]
@@ -99,24 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path: Path) -> str:
-    """Text of an input file, with line ends kept as written: only "\\n"
-    ends a line, as in the parser.  Bytes that are not UTF-8 are reported
-    like an unreadable file, naming the path, rather than as a decoder
-    traceback."""
-    try:
-        with open(path, encoding="utf-8", newline="") as file:
-            return file.read()
-    except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise OSError(f"{path}: line {line}: not valid UTF-8 "
-                      f"({exc.reason})") from None
-
-
-def _load(path: Path) -> Model:
-    return load_model(_read(path), str(path))
-
-
 def _emit(text: str, output: Optional[Path], stdout: TextIO) -> None:
     if output is not None:
         output.write_text(text, encoding="utf-8", newline="")
@@ -158,38 +140,43 @@ def run(argv: list[str], stdin: Optional[TextIO] = None,
 
 
 def _dispatch(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> int:
+    if args.command == "analyze" and args.load_threshold < 1:
+        stderr.write(f"error: --load-threshold must be at least 1, "
+                     f"got {args.load_threshold}\n")
+        return 2
+
+    if args.command == "diff":
+        left = load_model(args.left)
+        right = load_model(args.right)
+        inconsistencies = analysis.diff_models(left, right)
+        stdout.write(reporting.diff_report(inconsistencies, args.format))
+        return 1 if inconsistencies else 0
+
+    # Every other command reads one model.
+    model = load_model(args.file)
     if args.command == "check":
-        model = _load(args.file)
         for finding in validate(model, strict=args.strict):
             stderr.write(finding.render() + "\n")
         return 0
 
     if args.command == "analyze":
-        if args.load_threshold < 1:
-            stderr.write(f"error: --load-threshold must be at least 1, "
-                         f"got {args.load_threshold}\n")
-            return 2
-        model = _load(args.file)
         findings = analysis.run_all(model, load_threshold=args.load_threshold)
         stdout.write(reporting.findings_report(findings, args.format))
         fail_level = Severity.from_token(args.fail_level)
         return 1 if any(f.severity >= fail_level for f in findings) else 0
 
     if args.command == "elicit":
-        model = _load(args.file)
         _emit(elicitation.answers_skeleton(model, args.responsibility),
               args.output, stdout)
         return 0
 
     if args.command == "ingest":
-        model = _load(args.file)
-        records = parse_answers(_read(args.answers), str(args.answers))
+        records = parse_answers(read_input(args.answers), str(args.answers))
         merged = ingest_all(model, records, strict=args.strict)
         _emit(print_model(merged), args.output, stdout)
         return 0
 
     if args.command == "tables":
-        model = _load(args.file)
         renderer = (reporting.table_to_markdown if args.format == "md"
                     else reporting.table_to_csv)
         parts = []
@@ -204,7 +191,6 @@ def _dispatch(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> int:
         return 0
 
     if args.command == "hazards":
-        model = _load(args.file)
         worksheet = hazards.generate_worksheet(model, args.responsibility)
         table = reporting.worksheet_table(model, worksheet)
         renderer = (reporting.table_to_markdown if args.format == "md"
@@ -213,7 +199,6 @@ def _dispatch(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> int:
         return 0
 
     if args.command == "mitigations":
-        model = _load(args.file)
         stubs = hazards.derive_mitigations(
             model, args.responsibility,
             threshold=Severity.from_token(args.threshold))
@@ -221,8 +206,7 @@ def _dispatch(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> int:
         return 0
 
     if args.command == "requirements":
-        model = _load(args.file)
-        records = parse_requirements(_read(args.reqs), str(args.reqs))
+        records = parse_requirements(read_input(args.reqs), str(args.reqs))
         if args.report:
             stdout.write(reporting.requirements_report(model, records))
         else:
@@ -232,16 +216,8 @@ def _dispatch(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> int:
         return 0
 
     if args.command == "dot":
-        model = _load(args.file)
         _emit(reporting.to_dot(model), args.output, stdout)
         return 0
-
-    if args.command == "diff":
-        left = _load(args.left)
-        right = _load(args.right)
-        inconsistencies = analysis.diff_models(left, right)
-        stdout.write(reporting.diff_report(inconsistencies, args.format))
-        return 1 if inconsistencies else 0
 
     raise AssertionError(f"unhandled command {args.command!r}")
 

@@ -70,6 +70,7 @@ from .model import (
     SEVERITIES,
     SEVERITY_TOKENS,
     TraceRef,
+    escape_line_ends,
 )
 
 # ---------------------------------------------------------------------------
@@ -85,8 +86,9 @@ class SourceSpan(NamedTuple):
     line: int
     column: int
 
-    def __str__(self) -> str:
-        return f"{self.file}:{self.line}:{self.column}"
+    def __str__(self) -> str:  # a file name may hold any line end
+        file = escape_line_ends(self.file).replace("\n", "\\n")
+        return f"{file}:{self.line}:{self.column}"
 
 
 @dataclass(frozen=True)

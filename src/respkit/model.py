@@ -115,6 +115,49 @@ def dedupe(items: Iterable[str]) -> tuple[str, ...]:
     return tuple(out)
 
 
+def cycles(graph: dict[str, list[str]]) -> list[list[str]]:
+    """Each strongly connected component of ``graph`` that holds a cycle:
+    two or more nodes, or one node with an edge to itself.  ``graph`` maps
+    every node to its successors.  Tarjan's algorithm on an explicit stack,
+    so a long chain cannot reach the recursion limit.  A node placed in a
+    component gets a low link above every index, so it lowers no other."""
+    placed = len(graph)
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    found: list[list[str]] = []
+    for root in graph:
+        if root in low:
+            continue
+        low[root] = len(low)
+        stack.append(root)
+        work = [(root, low[root], iter(graph[root]))]
+        while work:
+            node, index, successors = work[-1]
+            for succ in successors:
+                if succ not in low:
+                    low[succ] = len(low)
+                    stack.append(succ)
+                    work.append((succ, low[succ], iter(graph[succ])))
+                    break
+                low[node] = min(low[node], low[succ])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index:
+                    cut = len(stack) - 1
+                    while stack[cut] != node:
+                        cut -= 1
+                    component = stack[cut:]
+                    del stack[cut:]
+                    for member in component:
+                        low[member] = placed
+                    if len(component) > 1 or node in graph[node]:
+                        found.append(component)
+    return found
+
+
 # ---------------------------------------------------------------------------
 # Elements
 # ---------------------------------------------------------------------------

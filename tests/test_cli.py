@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from respkit import build_model, cli, load_model
+from respkit import build, build_model, cli, load_model
 from respkit.dsl import parse_model, parse_requirements
 
 from strategies import answers_text, dsl_text, one_in, reqs_text, resp_text
@@ -82,6 +82,28 @@ class TestCheck:
         assert err == ('UNASSIGNED_RESP high say-when: '
                        'responsibility "Say\\rwhen" has no assigned agent\n')
         assert load_model(model).responsibilities[0].name == "Say\rwhen"
+
+    # A file name may hold any line end; each error still takes one line.
+    LINE_END_NAME = "bad\rname\n .resp"
+
+    def test_line_end_in_a_file_name_keeps_a_span_on_one_line(self, run_cli,
+                                                               tmp_path):
+        bad = tmp_path / self.LINE_END_NAME
+        bad.write_text('responsibility "X" {', encoding="utf-8")
+        status, _, err = run_cli("check", str(bad))
+        assert status == 2
+        (line,) = err.splitlines()
+        assert line.startswith(f"{tmp_path}/bad\\rname\\n\\u2028.resp:1:")
+
+    def test_line_end_in_a_file_name_keeps_utf8_error_on_one_line(self, run_cli,
+                                                                  tmp_path):
+        bad = tmp_path / self.LINE_END_NAME
+        bad.write_bytes("# évacuation\n".encode("latin-1"))
+        status, _, err = run_cli("check", str(bad))
+        assert status == 2
+        assert err.splitlines() == [
+            f"error: {tmp_path}/bad\\rname\\n\\u2028.resp: line 1: not valid UTF-8 "
+            f"(invalid continuation byte)"]
 
 
 class TestAnalyze:
@@ -501,13 +523,13 @@ class TestCollectorGuard:
     def test_collector_is_off_while_loading(self, run_cli, collecting, resp_path,
                                             monkeypatch):
         seen = []
-        original = cli._read
+        original = build.read_input
 
         def read(path):
             seen.append(gc.isenabled())
             return original(path)
 
-        monkeypatch.setattr(cli, "_read", read)
+        monkeypatch.setattr(build, "read_input", read)
         assert run_cli("check", str(resp_path))[0] == 0
         assert seen == [False]
         assert gc.isenabled() is collecting

@@ -12,6 +12,7 @@ from dataclasses import replace
 import respkit
 from respkit import build_model, ingest_all, load_model, slugify, validate
 from respkit import dsl
+from respkit.analysis import detect_sequence_cycles
 from respkit.build import ModelBuildError
 from respkit.dsl import SourceSpan, parse_model
 from respkit.model import (
@@ -27,6 +28,7 @@ from respkit.model import (
     ResourceKind,
     Responsibility,
     Severity,
+    cycles,
     escape_line_ends,
 )
 
@@ -216,6 +218,18 @@ class TestBuildModel:
         with pytest.raises(ModelBuildError, match="cyclic"):
             build('channel "A" backup_of "B"\nchannel "B" backup_of "A"')
 
+    def test_backup_of_a_channel_only_mentioned_matches_its_id(self):
+        model = build('channel "A" backup_of "b!"\n'
+                      'responsibility "R" { requires |Map| via "B" }')
+        assert model.channel_by_id("a").backup_of == "b"
+
+    def test_load_model_reports_undecodable_file_like_the_cli(self, tmp_path):
+        bad = tmp_path / "latin1.resp"
+        bad.write_bytes(b'model "M"\n# r\xe9ponse\n')
+        with pytest.raises(OSError, match=(
+                f"^{bad}: line 2: not valid UTF-8 \\(invalid continuation byte\\)$")):
+            load_model(bad)
+
     def test_hazard_item_must_be_required_or_produced(self):
         with pytest.raises(ModelBuildError, match="does not require"):
             build('responsibility "R" { hazard |Facts| late "slow" }')
@@ -316,6 +330,9 @@ BUILD_ERRORS = [
      '  requires |Map| via "radio!", "Radio", "radio!"\n}', [
         "t.resp:3:3: error: channels 'Radio' and 'radio!' collide on id 'radio'",
         "t.resp:3:3: error: channels 'Radio' and 'radio!' collide on id 'radio'"]),
+    # A backup_of target is a channel mention like any other.
+    ('channel "Radio"\nchannel "Phone" backup_of "radio!"', [
+        "t.resp:2:1: error: channels 'Radio' and 'radio!' collide on id 'radio'"]),
 ]
 
 
@@ -614,3 +631,62 @@ def test_only_the_domain_model_is_a_dataclass():
         "model.Agent", "model.Resource", "model.Channel", "model.InfoNeed",
         "model.InfoProduct", "model.HazardEntry", "model.Responsibility",
         "model.Model", "model.TraceRef", "model.RequirementRecord", "dsl.Source"}
+
+
+def _mutual_reachability(graph):
+    """The cyclic components of ``graph`` by brute force: the nodes that
+    reach a node and that it reaches back, for each node on a cycle."""
+    reach = {}
+    for node in graph:
+        seen, todo = set(), list(graph[node])
+        while todo:
+            succ = todo.pop()
+            if succ not in seen:
+                seen.add(succ)
+                todo.extend(graph[succ])
+        reach[node] = seen
+    return {frozenset(m for m in graph if m in reach[n] and n in reach[m])
+            for n in graph if n in reach[n]}
+
+
+@st.composite
+def _graphs(draw):
+    nodes = [str(i) for i in range(draw(st.integers(0, 8)))]
+    if not nodes:
+        return {}
+    return {n: draw(st.lists(st.sampled_from(nodes), max_size=4, unique=True))
+            for n in nodes}
+
+
+@given(_graphs())
+def test_cycles_are_the_mutually_reachable_sets(graph):
+    found = cycles(graph)
+    assert {frozenset(c) for c in found} == _mutual_reachability(graph)
+    assert sum(map(len, found)) == len(set().union(*found))
+
+
+class TestDeepChains:
+    """20 000 links: the cycle finder keeps its own stack."""
+
+    LINKS = 20_000
+
+    def _duties(self, closed):
+        duties = tuple(Responsibility(f"r{i}", f"R{i}") for i in range(self.LINKS + 1))
+        links = [(f"r{i}", f"r{i + 1}") for i in range(self.LINKS)]
+        return Model(responsibilities=duties,
+                     sequence_links=tuple(links + [(f"r{self.LINKS}", "r0")] * closed))
+
+    def test_open_precedes_chain_has_no_cycle(self):
+        assert detect_sequence_cycles(self._duties(closed=False)) == []
+
+    def test_closed_precedes_chain_is_one_cycle(self):
+        (finding,) = detect_sequence_cycles(self._duties(closed=True))
+        assert len(finding.subjects) == self.LINKS + 1
+
+    def test_closed_backup_chain_is_one_error(self):
+        text = "\n".join(f'channel "C{i}" backup_of "C{(i + 1) % self.LINKS}"'
+                         for i in range(self.LINKS))
+        with pytest.raises(ModelBuildError) as excinfo:
+            build_model(parse_model(text, "t.resp"))
+        assert str(excinfo.value) == (
+            "t.resp:1:1: error: backup chain through channel 'C0' is cyclic")
