@@ -8,6 +8,7 @@ output directory.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from respkit import (
@@ -27,12 +28,14 @@ from respkit import (
     validate,
     worksheet_table,
 )
-from respkit.build import read_input
-from respkit.dsl import parse_answers, parse_requirements
+from respkit.build import ModelBuildError, read_input
+from respkit.dsl import ParseFailure, parse_answers, parse_requirements
 from respkit.elicitation import (
     information_recorded_table,
     information_required_table,
 )
+from respkit.model import UnknownResponsibility
+from respkit.reporting import TraceResolutionError
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -45,12 +48,25 @@ def main() -> None:
                         help="where to write the derived artifacts")
     parser.add_argument("--responsibility", default="Evacuate area")
     args = parser.parse_args()
+    # Errors go to stderr as the respkit command writes them, with exit status 2.
+    try:
+        run(args)
+    except (ParseFailure, ModelBuildError) as exc:  # and IngestError
+        sys.stderr.write(f"{exc}\n")
+        sys.exit(2)
+    except (UnknownResponsibility, TraceResolutionError, OSError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        sys.exit(2)
 
+
+def run(args: argparse.Namespace) -> None:
     args.outdir.mkdir(parents=True, exist_ok=True)
 
     model = load_model(args.corpus / "evacuation.resp")
-    answers = parse_answers(read_input(args.corpus / "evacuation.answers"))
-    requirements = parse_requirements(read_input(args.corpus / "evacuation.reqs"))
+    answers_path = args.corpus / "evacuation.answers"
+    answers = parse_answers(read_input(answers_path), str(answers_path))
+    reqs_path = args.corpus / "evacuation.reqs"
+    requirements = parse_requirements(read_input(reqs_path), str(reqs_path))
 
     print(f"model: {model.name}")
     for finding in validate(model, strict=True):

@@ -128,10 +128,10 @@ def detect_sequence_cycles(model: Model) -> list[Finding]:
         graph.setdefault(target, [])
     findings = []
     for component in cycles(graph):
-        names = sorted(model.responsibility_by_id(m).name for m in component)
-        members = tuple(sorted(
-            component, key=lambda m: model.responsibility_by_id(m).name))
-        listing = ", ".join(f'"{n}"' for n in names)
+        # A member that is not a duty of the model goes by its id.
+        name = {m: getattr(model.responsibility_by_id(m), "name", m) for m in component}
+        members = tuple(sorted(component, key=name.get))
+        listing = ", ".join(f'"{name[m]}"' for m in members)
         findings.append(_finding(
             "SEQUENCE_CYCLE", members,
             f"responsibilities {listing} precede one another in a cycle"))

@@ -5,10 +5,14 @@ implicit declarations: agents default to kind organization, channels carry
 no medium, resource kinds follow the bracket notation they were written
 with.  Explicit declarations anywhere in the file win over implicit ones.
 
-Names resolve through a ``SymbolTable``, a ``requires``, ``produces`` or
-``hazard`` clause resolves into a need, product or hazard through
-``resolve_flow``, and a ``DutyFold`` merges a duty's flows, each item
-once.  ``.answers`` lines parse into the same clauses, and
+Every declaration and mention of an agent, resource or channel resolves
+through one rule in a ``SymbolTable``: a new id declares its element, or
+is refused under ``ingest --strict``; the same spelling is the same
+element; another spelling of the same id is a collision; the same
+spelling with another kind or attribute is a conflict.  A ``requires``,
+``produces`` or ``hazard`` clause resolves into a need, product or hazard
+through ``resolve_flow``, and a ``DutyFold`` merges a duty's flows, each
+item once.  ``.answers`` lines parse into the same clauses, and
 ``elicitation.ingest_all`` folds them back into a model through the same
 three, one fold per duty across all sessions, so a name, a flow and a
 hazard follow the same rules in a ``.resp`` file and in a ``.answers``
@@ -65,12 +69,11 @@ Resolved = Optional[Union[InfoNeed, InfoProduct, HazardEntry]]
 class SymbolTable:
     """The agents, resources and channels of one model, by id.
 
-    ``build_model`` and ``ingest_all`` both resolve names through a table.
-    It applies the slug rule, refuses a name whose id another name of the
-    same kind already holds, refuses a resource used as both kinds, and
-    declares an unknown name implicitly or, when ``strict``, refuses it.
-    Each problem goes to ``error(message, site)``: build collects them all
-    with the span of ``site``, ingest raises on the first.
+    ``build_model`` and ``ingest_all`` resolve every declaration and every
+    mention through ``_resolve``, which applies the naming rule of this
+    module: a new name mentioned is declared implicitly or, when ``strict``,
+    refused.  Each problem goes to ``error(message, site)``: build collects
+    them all with the span of ``site``, ingest raises on the first.
     """
 
     def __init__(self, error: Callable[[str, Site], None],
@@ -116,121 +119,93 @@ class SymbolTable:
             "channels": canonical_elements(self.channels.values()),
         }
 
+    def _resolve(self, ids: dict[str, str], what: str, elements: dict, name: str,
+                 site: Site, make: Callable[[str], object],
+                 conflict: Optional[Callable[[object], Optional[str]]],
+                 unknown: Optional[str]) -> Optional[str]:
+        """The id of ``name``, a ``what`` in ``elements``: ``make(id)`` is a new
+        element, ``conflict(element)`` the message for a clash with one, if
+        any, and ``unknown`` the message that refuses a new id, if any."""
+        slug = self.slug(what, name, site)
+        if slug is None:
+            return None
+        existing = elements.get(slug)
+        if existing is None:
+            if unknown is not None:
+                self.error(unknown, site)
+                return None
+            elements[slug] = make(slug)
+        elif existing.name != name.strip():
+            self._collide(what, existing, name, slug, site)
+            return slug
+        elif conflict is not None and (problem := conflict(existing)) is not None:
+            self.error(problem, site)
+            return slug
+        ids[name] = slug
+        return slug
+
     # -- mentions -------------------------------------------------------------
 
     def agent(self, name: str, site: Site) -> Optional[str]:
-        if name in self._agent_ids:
-            return self._agent_ids[name]
-        slug = self.slug("agent", name, site)
-        if slug is None:
-            return None
-        existing = self.agents.get(slug)
-        if existing is not None:
-            if existing.name != name.strip():
-                self._collide("agent", existing, name, slug, site)
-                return slug
-        elif self.strict:
-            self.error(escape_line_ends(f"unknown agent <{name}>"), site)
-            return None
-        else:
-            self.agents[slug] = Agent(slug, name.strip(), AgentKind.ORGANIZATION,
-                                      implicit=True)
-        self._agent_ids[name] = slug
-        return slug
+        return self._agent_ids.get(name) or self._resolve(
+            self._agent_ids, "agent", self.agents, name, site,
+            lambda slug: Agent(slug, name.strip(), AgentKind.ORGANIZATION, implicit=True),
+            None, escape_line_ends(f"unknown agent <{name}>") if self.strict else None)
 
     def resource(self, name: str, kind: ResourceKind, site: Site) -> Optional[str]:
-        known = self._resource_ids[kind]
-        if name in known:
-            return known[name]
-        slug = self.slug("resource", name, site)
-        if slug is None:
-            return None
-        existing = self.resources.get(slug)
-        if existing is not None:
-            if existing.name != name.strip():
-                self._collide("resource", existing, name, slug, site)
-                return slug
-            if existing.kind is not kind:
-                self.error(f"conflicting resource kind: {existing.name!r} is "
-                           f"{existing.kind.value} but is used as {kind.value}", site)
-                return slug
-        elif self.strict:
-            ref = f"|{name}|" if kind is ResourceKind.INFORMATION else f"[{name}]"
-            self.error(escape_line_ends(f"unknown {kind.value} resource {ref}"), site)
-            return None
-        else:
-            self.resources[slug] = Resource(slug, name.strip(), kind, implicit=True)
-        known[name] = slug
-        return slug
+        ids = self._resource_ids[kind]
+        return ids.get(name) or self._resolve(
+            ids, "resource", self.resources, name, site,
+            lambda slug: Resource(slug, name.strip(), kind, implicit=True),
+            lambda existing: None if existing.kind is kind else (
+                f"conflicting resource kind: {existing.name!r} is "
+                f"{existing.kind.value} but is used as {kind.value}"),
+            escape_line_ends(f"unknown {kind.value} resource |{name}|")
+            if self.strict else None)
 
     def channel(self, name: str, site: Site) -> Optional[str]:
-        if name in self._channel_ids:
-            return self._channel_ids[name]
-        slug = self.slug("channel", name, site)
-        if slug is None:
-            return None
-        existing = self.channels.get(slug)
-        if existing is not None:
-            if existing.name != name.strip():
-                self._collide("channel", existing, name, slug, site)
-                return slug
-        elif self.strict:
-            self.error(escape_line_ends(f'unknown channel "{name}"'), site)
-            return None
-        else:
-            self.channels[slug] = Channel(slug, name.strip(), implicit=True)
-        self._channel_ids[name] = slug
-        return slug
+        return self._channel_ids.get(name) or self._resolve(
+            self._channel_ids, "channel", self.channels, name, site,
+            lambda slug: Channel(slug, name.strip(), implicit=True),
+            None, escape_line_ends(f'unknown channel "{name}"') if self.strict else None)
 
     # -- explicit declarations ------------------------------------------------
     #
     # build_model declares every element before it resolves any mention, so
-    # a declaration never meets an implicit element.
+    # a declaration never meets an implicit element, and a clean one makes
+    # the first mention of its name a hit.
 
     def declare_agent(self, decl: dsl.AgentDecl) -> None:
-        slug = self.slug("agent", decl.name, decl)
-        if slug is None:
-            return
         kind = decl.kind or AgentKind.ORGANIZATION
-        existing = self.agents.get(slug)
-        if existing is None:
-            self.agents[slug] = Agent(slug, decl.name.strip(), kind)
-        elif existing.name != decl.name.strip():
-            self._collide("agent", existing, decl.name, slug, decl)
-        elif decl.kind is not None and existing.kind is not kind:
-            self.error(escape_line_ends(f"conflicting agent kind for <{existing.name}>: "
-                                        f"{existing.kind.value} vs {kind.value}"), decl)
+        self._resolve(
+            self._agent_ids, "agent", self.agents, decl.name, decl,
+            lambda slug: Agent(slug, decl.name.strip(), kind),
+            lambda existing: None if decl.kind in (None, existing.kind) else (
+                escape_line_ends(f"conflicting agent kind for <{existing.name}>: "
+                                 f"{existing.kind.value} vs {kind.value}")), None)
 
     def declare_resource(self, decl: dsl.ResourceDecl) -> None:
-        slug = self.slug("resource", decl.name, decl)
-        if slug is None:
-            return
-        existing = self.resources.get(slug)
-        if existing is None:
-            self.resources[slug] = Resource(slug, decl.name.strip(), decl.kind)
-        elif existing.name != decl.name.strip():
-            self._collide("resource", existing, decl.name, slug, decl)
-        elif existing.kind is not decl.kind:
-            self.error(f"conflicting resource kind: {existing.name!r} is "
-                       f"{existing.kind.value} and {decl.kind.value}", decl)
+        self._resolve(
+            self._resource_ids[decl.kind], "resource", self.resources, decl.name, decl,
+            lambda slug: Resource(slug, decl.name.strip(), decl.kind),
+            lambda existing: None if existing.kind is decl.kind else (
+                f"conflicting resource kind: {existing.name!r} is "
+                f"{existing.kind.value} and {decl.kind.value}"), None)
 
     def declare_channel(self, decl: dsl.ChannelDecl) -> None:
-        slug = self.slug("channel", decl.name, decl)
-        if slug is None:
-            return
-        existing = self.channels.get(slug)
-        if existing is None:
-            self.channels[slug] = Channel(slug, decl.name.strip(), decl.medium)
+        def make(slug: str) -> Channel:
             if decl.backup_of is not None:
                 self.backups[slug] = decl
-        elif existing.name != decl.name.strip():
-            self._collide("channel", existing, decl.name, slug, decl)
-        else:
-            prior = self.backups.get(slug)
-            prior_backup = prior.backup_of if prior else None
-            if existing.medium != decl.medium or prior_backup != decl.backup_of:
-                self.error(f"conflicting re-declaration of channel "
-                           f"{existing.name!r}", decl)
+            return Channel(slug, decl.name.strip(), decl.medium)
+
+        def conflict(existing: Channel) -> Optional[str]:
+            backup_of = getattr(self.backups.get(existing.id), "backup_of", None)
+            if (existing.medium, backup_of) != (decl.medium, decl.backup_of):
+                return f"conflicting re-declaration of channel {existing.name!r}"
+            return None
+
+        self._resolve(self._channel_ids, "channel", self.channels, decl.name, decl,
+                      make, conflict, None)
 
     def resolve_backups(self) -> None:
         """Point each declared channel at its backup, then report each

@@ -213,6 +213,13 @@ class TestSequenceCycles:
         (finding,) = detect_sequence_cycles(model)
         assert finding.subjects == ("b", "c")
 
+    def test_cycle_through_a_link_endpoint_that_is_not_a_duty(self):
+        model = Model(responsibilities=(Responsibility("a", "A"),),
+                      sequence_links=(("a", "x"), ("x", "a")))
+        assert detect_sequence_cycles(model) == [Finding(
+            "SEQUENCE_CYCLE", Severity.HIGH, ("a", "x"),
+            'responsibilities "A", "x" precede one another in a cycle')]
+
 
 class TestRunAll:
     def test_catalog_severities_applied(self, evacuation):

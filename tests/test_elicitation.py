@@ -379,6 +379,12 @@ INGEST_ERRORS = [
     ("needs { |New| }", True, "unknown information resource |New|"),
     ("needs { |Map| from <Nobody> }", True, "unknown agent <Nobody>"),
     ('needs { |Map| via "Fax" }', True, 'unknown channel "Fax"'),
+    ("needs { |?| }", False, "resource name '?' needs at least one alphanumeric character"),
+    # Under strict, a name that spells a known id otherwise collides, and a
+    # known name used as another kind conflicts: neither is unknown.
+    ("needs { |map!| }", True, "resources 'Map' and 'map!' collide on id 'map'"),
+    ("needs { |Kit| }", True,
+     "conflicting resource kind: 'Kit' is physical but is used as information"),
 ]
 
 

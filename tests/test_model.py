@@ -333,6 +333,14 @@ BUILD_ERRORS = [
     # A backup_of target is a channel mention like any other.
     ('channel "Radio"\nchannel "Phone" backup_of "radio!"', [
         "t.resp:2:1: error: channels 'Radio' and 'radio!' collide on id 'radio'"]),
+    # A channel re-declared with or without a backup target conflicts, and a
+    # collision is reported before any conflict of attributes.
+    ('channel "A" backup_of "B"\nchannel "A"\nchannel "B"', [
+        "t.resp:2:1: error: conflicting re-declaration of channel 'A'"]),
+    ('channel "A"\nchannel "A" backup_of "B"\nchannel "B"', [
+        "t.resp:2:1: error: conflicting re-declaration of channel 'A'"]),
+    ("agent <Ops>\nagent <ops> kind role", [
+        "t.resp:2:1: error: agents 'Ops' and 'ops' collide on id 'ops'"]),
 ]
 
 
@@ -341,6 +349,11 @@ def test_build_errors_render_exactly(text, rendered):
     with pytest.raises(ModelBuildError) as excinfo:
         build_model(parse_model(text, "t.resp"))
     assert str(excinfo.value) == "\n".join(rendered)
+
+
+def test_agent_redeclared_without_a_kind_keeps_its_kind():
+    model = load_model("agent <Ops> kind role\nagent <Ops>", "t.resp")
+    assert model.agents == (Agent("ops", "Ops", AgentKind.ROLE),)
 
 
 @pytest.mark.parametrize("source", ["corpus", "generated"])
