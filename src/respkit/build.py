@@ -84,8 +84,6 @@ class SymbolTable:
         self.agents: dict[str, Agent] = {a.id: a for a in model.agents}
         self.resources: dict[str, Resource] = {r.id: r for r in model.resources}
         self.channels: dict[str, Channel] = {c.id: c for c in model.channels}
-        # Names are mentioned over and over; each is slugged once.
-        self._slugs: dict[str, str] = {}
         # The id of each raw name that resolved with no problem, per kind of
         # mention.  A mention with a problem is not kept: each site reports.
         self._agent_ids: dict[str, str] = {}
@@ -97,14 +95,12 @@ class SymbolTable:
 
     def slug(self, what: str, name: str, site: Site) -> Optional[str]:
         """The id of ``name``, or None when it has no alphanumeric character."""
-        slug = self._slugs.get(name)
-        if slug is None:
-            try:
-                slug = self._slugs[name] = slugify(name)
-            except ValueError:
-                self.error(f"{what} name {name!r} needs at least one alphanumeric "
-                           "character", site)
-        return slug
+        try:
+            return slugify(name)
+        except ValueError:
+            self.error(f"{what} name {name!r} needs at least one alphanumeric "
+                       "character", site)
+            return None
 
     def _collide(self, what: str, existing, name: str, slug: str, site: Site) -> None:
         """Report ``name`` whose id ``slug`` another name already holds."""

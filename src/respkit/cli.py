@@ -128,10 +128,7 @@ def run(argv: list[str], stdin: Optional[TextIO] = None,
     except (ParseFailure, ModelBuildError) as exc:  # and IngestError
         stderr.write(str(exc) + "\n")
         return 2
-    except (UnknownResponsibility, TraceResolutionError) as exc:
-        stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (UnknownResponsibility, TraceResolutionError, OSError) as exc:
         stderr.write(f"error: {exc}\n")
         return 2
     finally:

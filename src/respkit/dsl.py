@@ -13,11 +13,14 @@ one grammar for each line after its keyword, and one resolver in ``build``.
 
 Element references reuse the diagram notation literally: agent names in
 angle brackets, physical resources in square brackets, information
-resources between vertical bars.  Reference names are taken verbatim minus
-leading/trailing whitespace; there is no escape mechanism inside them, so
-``>`` cannot appear in an agent name, ``]`` in a physical resource name or
-``|`` in an information resource name.  Strings are double-quoted with
-``\\"`` and ``\\\\`` as the only escapes.
+resources between vertical bars.  ``BRACKETS`` holds this rule: the
+printers here and the DOT labels in ``reporting`` read it, and only the
+scanner's master regex spells the brackets out.
+Reference names are taken verbatim minus leading/trailing whitespace;
+there is no escape mechanism inside them, so ``>`` cannot appear in an
+agent name, ``]`` in a physical resource name or ``|`` in an information
+resource name.  Strings are double-quoted with ``\\"`` and ``\\\\`` as the
+only escapes.
 
 The tokenizer is one compiled master regex, as in the "Writing a
 Tokenizer" recipe of the ``re`` documentation, run by one ``finditer``
@@ -45,7 +48,9 @@ first error of the file.
 Printing mirrors parsing: each clause tail has one formatter, right after
 the parse tail it mirrors, and ``print_model`` and
 ``elicitation.answers_skeleton`` both call it.  Only ``print_model`` adds
-the ``.resp``-only ``criticality`` and ``mitigated_by``.
+the ``.resp``-only ``criticality`` and ``mitigated_by``.  A trace target
+has one formatter too, ``format_trace``, which ``print_requirements`` and
+the requirement report and trace errors in ``reporting`` call.
 """
 
 import re
@@ -279,9 +284,14 @@ RBRACE = "'}'"
 COMMA = "','"
 EOF = "end of file"
 
+#: The opening and closing bracket of each kind of element reference, by
+#: the kind word of ``TraceRef.kind`` and ``ResourceKind.value``.
+BRACKETS = {"agent": "<>", "physical": "[]", "information": "||"}
+
 _KINDS = {"ident": IDENT, "lbrace": LBRACE, "rbrace": RBRACE, "comma": COMMA,
           "string": STRING, "agent": AGENT_REF, "phys": PHYS_REF, "info": INFO_REF}
-_CLOSERS = {"<": ">", "[": "]", "|": "|"}
+# The kind word of each reference token.
+_TRACE_REFS = {INFO_REF: "information", AGENT_REF: "agent", PHYS_REF: "physical"}
 
 # A run of characters that starts no token, up to the next delimiter.
 _RUN = re.compile(r'[^ \t\r\n#{},"<\[|]+')
@@ -406,7 +416,7 @@ def _odd_token(tokens: _Tokens, m: re.Match, matches) -> Optional[tuple[str, str
     elif group == "empty_ref":
         expected, found = f"a name inside '{value[0]}{value[-1]}'", "nothing"
     elif group == "open_ref":
-        expected, found = f"closing '{_CLOSERS[value]}'", "end of line"
+        expected, found = f"closing '{dict(BRACKETS.values())[value]}'", "end of line"
     else:
         expected, found = "a valid token", repr(value)
     tokens.errors.append(ParseError(span_at(start), expected, found))
@@ -517,9 +527,9 @@ def _need_tail(tokens: _Tokens, i: int):
 
 def format_need_tail(model: Model, need: InfoNeed) -> str:
     """``|item| [from <agent>, ...] [via "channel", ...]``, read by ``_need_tail``."""
-    text = _ref(model.resource_name(need.resource), "|", "|")
+    text = _ref(model.resource_name(need.resource), "information")
     if need.sources:
-        text += " from " + ", ".join(_ref(model.agent_name(a), "<", ">")
+        text += " from " + ", ".join(_ref(model.agent_name(a), "agent")
                                      for a in need.sources)
     return text + _via(model, need.channels)
 
@@ -535,7 +545,7 @@ def _product_tail(tokens: _Tokens, i: int):
 
 def format_product_tail(model: Model, product: InfoProduct) -> str:
     """``|item| [via "channel", ...] [rationale "why"]``, read by ``_product_tail``."""
-    text = _ref(model.resource_name(product.resource), "|", "|")
+    text = _ref(model.resource_name(product.resource), "information")
     text += _via(model, product.channels)
     if product.rationale is not None:
         text += " rationale " + quote(product.rationale)
@@ -590,12 +600,9 @@ def _declaration(tokens: _Tokens, i: int) -> tuple[Declaration, int]:
             kind, j = _member(tokens, j + 1, *_AGENT_KIND), j + 2
         return AgentDecl(name, kind, at, source), j
     if word == "resource":
-        if kinds[i + 1] == PHYS_REF:
-            kind = ResourceKind.PHYSICAL
-        elif kinds[i + 1] == INFO_REF:
-            kind = ResourceKind.INFORMATION
-        else:
+        if kinds[i + 1] not in (PHYS_REF, INFO_REF):
             raise tokens.fail(i + 1, "a resource reference ([name] or |name|)")
+        kind = ResourceKind(_TRACE_REFS[kinds[i + 1]])
         return ResourceDecl(values[i + 1], kind, at, source), i + 2
     if word == "channel":
         name, medium, backup_of, j = _expect(tokens, i + 1, STRING), None, None, i + 2
@@ -769,9 +776,6 @@ def parse_requirements(text: str, filename: str = "<string>") -> list[Requiremen
     return _parse_all(text, filename, requirement, ("requirement",))
 
 
-_TRACE_REFS = {INFO_REF: "information", AGENT_REF: "agent", PHYS_REF: "physical"}
-
-
 def _trace(tokens: _Tokens, i: int) -> tuple[TraceRef, int]:
     kind, value = tokens.kinds[i], tokens.values[i]
     if kind in _TRACE_REFS:
@@ -785,6 +789,15 @@ def _trace(tokens: _Tokens, i: int) -> tuple[TraceRef, int]:
                          "responsibility \"name\", or hazard |info| GUIDEWORD)")
 
 
+def format_trace(ref: TraceRef) -> str:
+    """A trace target as ``_trace`` reads it."""
+    if ref.kind == "responsibility":
+        return "responsibility " + quote(ref.name)
+    if ref.kind == "hazard":
+        return f"hazard {_ref(ref.name, 'information')} {ref.guide_word.value}"
+    return _ref(ref.name, ref.kind)
+
+
 # ---------------------------------------------------------------------------
 # Printing
 # ---------------------------------------------------------------------------
@@ -796,8 +809,9 @@ def quote(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _ref(name: str, opener: str, closer: str) -> str:
-    # No escape mechanism inside bracketed references.
+def _ref(name: str, kind: str) -> str:
+    """``name`` in the ``BRACKETS`` of ``kind``, which have no escape."""
+    opener, closer = BRACKETS[kind]
     if closer in name or "\n" in name:
         raise ValueError(f"name {name!r} cannot appear inside {opener}{closer}")
     return f"{opener}{name}{closer}"
@@ -814,16 +828,11 @@ def print_model(model: Model) -> str:
 
     if model.agents:
         blocks.append("\n".join(
-            f"agent {_ref(a.name, '<', '>')} kind {a.kind.value}"
+            f"agent {_ref(a.name, 'agent')} kind {a.kind.value}"
             for a in model.agents))
     if model.resources:
-        lines = []
-        for resource in model.resources:
-            ref = (_ref(resource.name, "[", "]")
-                   if resource.kind is ResourceKind.PHYSICAL
-                   else _ref(resource.name, "|", "|"))
-            lines.append(f"resource {ref}")
-        blocks.append("\n".join(lines))
+        blocks.append("\n".join(f"resource {_ref(r.name, r.kind.value)}"
+                                for r in model.resources))
     if model.channels:
         lines = []
         for channel in model.channels:
@@ -843,7 +852,7 @@ def print_model(model: Model) -> str:
         lines = [f"responsibility {quote(resp.name)} {{"]
         if resp.assigned_to:
             lines.append("  assigned to " + ", ".join(
-                _ref(model.agent_name(a), "<", ">") for a in resp.assigned_to))
+                _ref(model.agent_name(a), "agent") for a in resp.assigned_to))
         for need in resp.needs:
             line = "  requires " + format_need_tail(model, need)
             if need.criticality is not None:
@@ -852,9 +861,9 @@ def print_model(model: Model) -> str:
         for product in resp.products:
             lines.append("  produces " + format_product_tail(model, product))
         for used in resp.uses:
-            lines.append("  uses " + _ref(model.resource_name(used), "[", "]"))
+            lines.append("  uses " + _ref(model.resource_name(used), "physical"))
         for entry in resp.hazards:
-            line = (f"  hazard {_ref(model.resource_name(entry.item), '|', '|')} "
+            line = (f"  hazard {_ref(model.resource_name(entry.item), 'information')} "
                     + format_hazard_tail(entry))
             if entry.mitigation:
                 line += f" mitigated_by {entry.mitigation}"
@@ -878,7 +887,7 @@ def print_requirements(records: list[RequirementRecord]) -> str:
                  f"  text {quote(record.text)}",
                  f"  rationale {quote(record.rationale)}"]
         for trace in record.traces:
-            lines.append(f"  traces {trace.render()}")
+            lines.append(f"  traces {format_trace(trace)}")
         lines.append("}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n" if blocks else ""

@@ -114,7 +114,7 @@ def answers_skeleton(model: Model, responsibility: str) -> str:
         hazards_of.setdefault(entry.item, []).append(
             "    " + dsl.format_hazard_tail(entry))
     for need in sheet.draft_needs:
-        item = dsl._ref(model.resource_name(need.resource), "|", "|")
+        item = dsl._ref(model.resource_name(need.resource), "information")
         lines.append(f"  hazards {item} {{")
         lines += hazards_of.get(need.resource, ())
         lines.append("  }")

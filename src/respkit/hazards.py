@@ -72,7 +72,6 @@ def derive_mitigations(
         if not row.assessed or row.severity < threshold or row.mitigation:
             continue
         item_name = model.resource_name(row.item)
-        trace = TraceRef("hazard", item_name, row.guide_word)
         stubs.append(RequirementRecord(
             id=f"MIT-{resp.id}-{row.item}-{row.guide_word.value}",
             text=(f"TBD: define a coping strategy for |{item_name}| being "
@@ -80,8 +79,7 @@ def derive_mitigations(
                   f"Recorded consequence: {row.consequence}"),
             rationale=(f"Severity {row.severity.token} hazard recorded for "
                        f"\"{resp.name}\" with no linked mitigation."),
-            traces=(trace,),
-            derived_from=trace,
+            traces=(TraceRef("hazard", item_name, row.guide_word),),
         ))
     return stubs
 

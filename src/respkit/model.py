@@ -382,25 +382,12 @@ class TraceRef:
 
     ``kind`` is one of agent | information | physical | responsibility |
     hazard; ``guide_word`` is set for hazard traces only.
+    ``dsl.format_trace`` writes it as a ``.reqs`` file does.
     """
 
     kind: str
     name: str
     guide_word: Optional[GuideWord] = None
-
-    def render(self) -> str:
-        if self.kind == "agent":
-            return f"<{self.name}>"
-        if self.kind == "information":
-            return f"|{self.name}|"
-        if self.kind == "physical":
-            return f"[{self.name}]"
-        if self.kind == "responsibility":
-            return f'responsibility "{self.name}"'
-        if self.kind == "hazard":
-            word = self.guide_word.value if self.guide_word else "?"
-            return f"hazard |{self.name}| {word}"
-        raise ValueError(f"unknown trace kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -409,7 +396,6 @@ class RequirementRecord:
     text: str
     rationale: str
     traces: tuple[TraceRef, ...] = ()
-    derived_from: Optional[TraceRef] = None
 
 
 # ---------------------------------------------------------------------------

@@ -4,23 +4,22 @@ All renderers are pure; rendering the same value twice yields identical
 bytes.  Layout of diagrams is left to external tools: the DOT emitter
 produces structure and styling only.
 
-Diagram conventions: responsibilities are rounded boxes; agent labels keep
-their angle brackets, physical resources their square brackets and
-information resources their vertical bars.  Solid arrows carry information
-from source agents into items and from items into the responsibilities
-that require them (and from responsibilities out to the items they
-produce).  Sequence links are dashed arrows.  Assignment and physical
-``uses`` edges are drawn without arrowheads.
+Diagram conventions: responsibilities are rounded boxes; agent and
+resource labels keep the brackets of their ``dsl.BRACKETS`` kind.  Solid
+arrows carry information from source agents into items and from items into
+the responsibilities that require them (and from responsibilities out to
+the items they produce).  Sequence links are dashed arrows.  Assignment and
+physical ``uses`` edges are drawn without arrowheads.
 """
 
 import io
 from typing import Any, Callable
 
 from .analysis import Finding, PerceptionInconsistency
+from .dsl import BRACKETS, format_trace
 from .elicitation import InfoTable
 from .hazards import Worksheet
-from .model import (Model, RequirementRecord, ResourceKind, TraceRef,
-                    escape_line_ends)
+from .model import Model, RequirementRecord, TraceRef, escape_line_ends
 
 
 # ---------------------------------------------------------------------------
@@ -45,13 +44,13 @@ def to_dot(model: Model) -> str:
     out.append("  rankdir=LR;")
 
     for agent in model.agents:
+        label = agent.name.join(BRACKETS["agent"])
         out.append(f"  {_dot_quote('agent-' + agent.id)} "
-                   f"[shape=plaintext, label={_dot_quote('<' + agent.name + '>')}];")
+                   f"[shape=plaintext, label={_dot_quote(label)}];")
     for resource in model.resources:
-        wrapped = (f"[{resource.name}]" if resource.kind is ResourceKind.PHYSICAL
-                   else f"|{resource.name}|")
+        label = resource.name.join(BRACKETS[resource.kind.value])
         out.append(f"  {_dot_quote('resource-' + resource.id)} "
-                   f"[shape=plaintext, label={_dot_quote(wrapped)}];")
+                   f"[shape=plaintext, label={_dot_quote(label)}];")
     for resp in model.responsibilities:
         out.append(f"  {_dot_quote(resp.id)} "
                    f"[shape=box, style=rounded, label={_dot_quote(resp.name)}];")
@@ -140,7 +139,7 @@ def worksheet_table(model: Model, worksheet: Worksheet) -> InfoTable:
 class TraceResolutionError(ValueError):
     def __init__(self, unresolved: list[tuple[str, TraceRef]]):
         self.unresolved = list(unresolved)
-        listing = "; ".join(f"{req_id}: {ref.render()}"
+        listing = "; ".join(f"{req_id}: {format_trace(ref)}"
                             for req_id, ref in unresolved)
         super().__init__(escape_line_ends(f"unresolved trace references: {listing}"))
 
@@ -157,17 +156,13 @@ def resolve_trace(model: Model, ref: TraceRef) -> bool:
         return model.agent_named(ref.name) is not None
     if ref.kind == "responsibility":
         return model.responsibility_named(ref.name) is not None
-    if ref.kind in ("information", "physical"):
-        resource = model.resource_named(ref.name)
-        wanted = (ResourceKind.INFORMATION if ref.kind == "information"
-                  else ResourceKind.PHYSICAL)
-        return resource is not None and resource.kind is wanted
+    resource = model.resource_named(ref.name)
+    if resource is None:
+        return False
     if ref.kind == "hazard":
-        resource = model.resource_named(ref.name)
-        if resource is None or resource.kind is not ResourceKind.INFORMATION:
-            return False
-        return resource.id in model.required_items
-    return False
+        return (resource.kind.value == "information"
+                and resource.id in model.required_items)
+    return resource.kind.value == ref.kind
 
 
 def check_traces(model: Model,
@@ -184,8 +179,8 @@ def requirements_report(model: Model, records: list[RequirementRecord]) -> str:
     """Numbered Markdown report in authored order.
 
     Each entry shows the requirement text, its rationale in italic
-    parentheses, and the trace links rendered verbatim.  Unresolved traces
-    abort the report.
+    parentheses, and the trace links as a ``.reqs`` file writes them.
+    Unresolved traces abort the report.
     """
     check_traces(model, records)
     lines = ["# Requirements", ""]
@@ -194,7 +189,7 @@ def requirements_report(model: Model, records: list[RequirementRecord]) -> str:
         lines.append(f"   *({record.rationale})*")
         if record.traces:
             lines.append("   traces: "
-                         + ", ".join(ref.render() for ref in record.traces))
+                         + ", ".join(map(format_trace, record.traces)))
         lines.append("")
     count = len(records)
     lines.append(f"{count} requirement." if count == 1 else f"{count} requirements.")

@@ -30,7 +30,8 @@ from respkit.dsl import (
     Source,
     UseClause,
 )
-from respkit.model import AgentKind, GuideWord, ResourceKind, Severity
+from respkit.model import (AgentKind, GuideWord, RequirementRecord, ResourceKind,
+                           Severity, TraceRef)
 
 # Every generated declaration and clause starts at line 1, column 1.
 AT = (0, Source("<generated>", ""))
@@ -50,22 +51,27 @@ def _sluggable(name: str) -> bool:
     return bool(name) and any(c.isalnum() for c in name)
 
 
-def _names(closer: str):
-    """Names drawn from every character that fits before ``closer``.
+def _chars(closer: str):
+    """Every character that fits before ``closer``, the special ones often.
 
     Quoted strings pass an empty closer: they escape '"' and '\\', so only
     a line break ends them early.
     """
     excluded = closer + "\n"
-    chars = (st.characters(exclude_characters=excluded)
-             | st.sampled_from([c for c in _SPECIAL if c not in excluded]))
-    return st.text(chars, min_size=1, max_size=14).map(_clean).filter(_sluggable)
+    return (st.characters(exclude_characters=excluded)
+            | st.sampled_from([c for c in _SPECIAL if c not in excluded]))
+
+
+def _names(closer: str):
+    """Names drawn from ``_chars(closer)``, stripped as the parser strips them."""
+    return st.text(_chars(closer), min_size=1, max_size=14).map(_clean).filter(_sluggable)
 
 
 agent_names = _names(">")
 physical_names = _names("]")
 information_names = _names("|")
 names = _names("")  # quoted: models, channels, responsibilities, prose
+strings = st.text(_chars(""), max_size=14)  # quoted, not stripped: requirement text
 
 
 def name_list(strategy, min_size: int, max_size: int):
@@ -77,6 +83,26 @@ mediums = st.none() | st.sampled_from(
     ["radio", "sms", "email", "fax", "verbal", "data-link"])
 severities = st.sampled_from(list(Severity))
 guide_words = st.sampled_from(list(GuideWord))
+
+# A trace of each of the five kinds, named as its target is written.
+trace_refs = st.one_of(
+    st.builds(TraceRef, st.just("agent"), agent_names),
+    st.builds(TraceRef, st.just("physical"), physical_names),
+    st.builds(TraceRef, st.just("information"), information_names),
+    st.builds(TraceRef, st.just("responsibility"), names),
+    st.builds(TraceRef, st.just("hazard"), information_names, guide_words),
+)
+# A requirement id is an identifier: "_" or a letter, then letters, digits,
+# "_" and "-", in any script.
+requirement_ids = st.builds(
+    str.__add__,
+    st.characters().filter(lambda c: c == "_" or c.isalpha()),
+    st.text(st.characters().filter(lambda c: c.isalnum() or c in "_-")
+            | st.sampled_from("_-é²Ⅻ"), max_size=8))
+requirement_records = st.lists(
+    st.builds(RequirementRecord, requirement_ids, strings, strings,
+              st.lists(trace_refs, max_size=5).map(tuple)),
+    max_size=4, unique_by=lambda record: record.id)
 
 
 @st.composite

@@ -84,7 +84,7 @@ def test_criterion_4_worksheet_shape(evacuation, evacuation_answers):
     assert early.severity is Severity.NONE
 
     stubs = derive_mitigations(merged, "Evacuate area")
-    assert [s.derived_from.guide_word for s in stubs] == [
+    assert [s.traces[0].guide_word for s in stubs] == [
         GuideWord.UNAVAILABLE, GuideWord.INACCURATE,
         GuideWord.INCOMPLETE, GuideWord.LATE]
     assert all("priority-premises-list" in s.id for s in stubs)

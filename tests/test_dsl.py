@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from respkit import build_model, print_model
+from respkit import build_model, derive_mitigations, print_model
 from respkit.dsl import (
     AgentDecl,
     AssignClause,
@@ -23,8 +23,8 @@ from respkit.model import GuideWord, Model, Severity
 import reference_parser
 import reference_scanner
 from reference_scanner import Token
-from strategies import (answers_text, dsl_text, line_text, models, reqs_text,
-                        resp_text)
+from strategies import (answers_text, dsl_text, ingested_models, line_text, models,
+                        reqs_text, requirement_records, resp_text)
 
 
 def build(text: str) -> Model:
@@ -442,3 +442,15 @@ class TestParseRequirements:
     def test_hazard_trace_round_trip(self, evacuation_reqs):
         printed = print_requirements(evacuation_reqs)
         assert parse_requirements(printed) == evacuation_reqs
+
+    @settings(max_examples=80, deadline=None)
+    @given(requirement_records)
+    def test_random_records_round_trip(self, records):
+        assert parse_requirements(print_requirements(records)) == records
+
+    @settings(max_examples=40, deadline=None)
+    @given(ingested_models(), st.data())
+    def test_derived_mitigations_round_trip(self, model, data):
+        duty = data.draw(st.sampled_from(model.responsibilities))
+        stubs = derive_mitigations(model, duty.name)
+        assert parse_requirements(print_requirements(stubs)) == stubs

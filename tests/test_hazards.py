@@ -75,7 +75,6 @@ class TestDeriveMitigations:
         assert stub.traces[0].kind == "hazard"
         assert stub.traces[0].name == "Priority premises list"
         assert stub.traces[0].guide_word is GuideWord.UNAVAILABLE
-        assert stub.derived_from == stub.traces[0]
 
     def test_low_severity_entries_skipped(self):
         model = build('responsibility "R" {\n'

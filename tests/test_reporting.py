@@ -20,9 +20,9 @@ from respkit import (
     worksheet_table,
 )
 from respkit.analysis import InconsistencyKind, PerceptionInconsistency, diff_models
-from respkit.dsl import parse_model
+from respkit.dsl import parse_model, print_requirements
 from respkit.elicitation import InfoTable
-from respkit.model import Model, RequirementRecord, TraceRef
+from respkit.model import GuideWord, Model, RequirementRecord, TraceRef
 from respkit.reporting import TraceResolutionError, diff_report
 
 from dot_grammar import check_dot
@@ -232,7 +232,6 @@ class TestRequirementsReport:
         assert "R1" in str(excinfo.value)
 
     def test_hazard_trace_needs_a_worksheet_row(self, evacuation):
-        from respkit.model import GuideWord
         ok = RequirementRecord(
             id="R1", text="t", rationale="r",
             traces=(TraceRef("hazard", "Evacuated premises",
@@ -246,7 +245,6 @@ class TestRequirementsReport:
             requirements_report(evacuation, [bad])
 
     def test_hazard_trace_to_a_produced_only_item_is_unresolved(self):
-        from respkit.model import GuideWord
         model = build('responsibility "R" { produces |Log| }')
         assert generate_worksheet(model, "R").rows == ()
         record = RequirementRecord(
@@ -254,6 +252,33 @@ class TestRequirementsReport:
             traces=(TraceRef("hazard", "Log", GuideWord.LATE),))
         with pytest.raises(TraceResolutionError, match=r"R1: hazard \|Log\| late"):
             requirements_report(model, [record])
+
+    # Each trace kind as a .reqs file writes it and as the report and the
+    # trace error show it: the report text escapes each backslash again.
+    TRACES = [
+        (TraceRef("agent", "Ops"), "<Ops>", "<Ops>"),
+        (TraceRef("information", "Map"), "|Map|", "|Map|"),
+        (TraceRef("physical", "Kit"), "[Kit]", "[Kit]"),
+        (TraceRef("responsibility", 'Say "hi" \\ now'),
+         r'responsibility "Say \"hi\" \\ now"',
+         r'responsibility "Say \\"hi\\" \\\\ now"'),
+        (TraceRef("hazard", "Map", GuideWord.LATE), "hazard |Map| late",
+         "hazard |Map| late"),
+    ]
+
+    @pytest.mark.parametrize("trace, in_reqs, in_report", TRACES,
+                             ids=[trace.kind for trace, _, _ in TRACES])
+    def test_each_trace_kind_is_written_as_in_reqs(self, trace, in_reqs, in_report):
+        record = RequirementRecord(id="R1", text="t", rationale="r", traces=(trace,))
+        assert print_requirements([record]).splitlines()[3] == f"  traces {in_reqs}"
+        model = build('agent <Ops>\nresource [Kit]\n'
+                      r'responsibility "Say \"hi\" \\ now" {' '\n'
+                      '  requires |Map| from <Ops>\n  uses [Kit]\n}')
+        assert requirements_report(model, [record]).splitlines()[4] == \
+            f"   traces: {in_report}"
+        with pytest.raises(TraceResolutionError) as excinfo:
+            requirements_report(Model(), [record])
+        assert str(excinfo.value) == f"unresolved trace references: R1: {in_report}"
 
 
 class TestFindingsReport:
