@@ -232,9 +232,9 @@ class SymbolTable:
                        f"is cyclic", self.backups[slug])
 
 
-def resolve_flow(table: SymbolTable, clause: Flow, duty: str) -> Resolved:
+def resolve_flow(table: SymbolTable, clause: Flow) -> Resolved:
     """The ``InfoNeed``, ``InfoProduct`` or ``HazardEntry`` that ``clause``
-    adds to the duty named ``duty``, or None when its item does not resolve.
+    adds to its duty, or None when its item does not resolve.
 
     Names resolve in the order the clause gives them: the item, then the
     sources, then the channels.  A name repeated in one list counts once,
@@ -245,7 +245,7 @@ def resolve_flow(table: SymbolTable, clause: Flow, duty: str) -> Resolved:
     if resource is None:
         return None
     if type(clause) is dsl.HazardClause:
-        return HazardEntry(duty, resource, clause.guide_word, clause.consequence,
+        return HazardEntry(resource, clause.guide_word, clause.consequence,
                            clause.severity, clause.mitigated_by)
     if type(clause) is dsl.ProduceClause:
         return InfoProduct(resource, _ids(table.channel, clause.channels, clause),
@@ -342,7 +342,7 @@ def _merge_products(products: list[InfoProduct]) -> InfoProduct:
 
 def _merge_hazards(entries: list[HazardEntry]) -> HazardEntry:
     first = entries[0]
-    return HazardEntry(first.responsibility, first.item, first.guide_word,
+    return HazardEntry(first.item, first.guide_word,
                        _first([h.consequence for h in entries]),
                        max(h.severity for h in entries),
                        _first([h.mitigation for h in entries]))
@@ -441,7 +441,7 @@ def _build_responsibility(
     for item in decl.items:
         kind = type(item)
         if kind in _FLOWS:
-            flows.append((resolve_flow(table, item, decl.name), item))
+            flows.append((resolve_flow(table, item), item))
         elif kind is dsl.AssignClause:
             for agent_name in item.agents:
                 agent_id = table.agent(agent_name, item)

@@ -845,8 +845,11 @@ def print_model(model: Model) -> str:
         blocks.append("\n".join(lines))
 
     links_by_source: dict[str, list[str]] = {}
-    for source, target in model.sequence_links:
-        links_by_source.setdefault(source, []).append(target)
+    for link in model.sequence_links:
+        source, target = map(model.responsibility_by_id, link)
+        if source is None or target is None:
+            raise ValueError(f"sequence link {link!r} must join two responsibilities")
+        links_by_source.setdefault(source.id, []).append(target.name)
 
     for resp in model.responsibilities:
         lines = [f"responsibility {quote(resp.name)} {{"]
@@ -869,8 +872,7 @@ def print_model(model: Model) -> str:
                 line += f" mitigated_by {entry.mitigation}"
             lines.append(line)
         for target in links_by_source.get(resp.id, []):
-            lines.append("  precedes "
-                         + quote(model.responsibility_by_id(target).name))
+            lines.append("  precedes " + quote(target))
         for note in resp.notes:
             lines.append("  note " + quote(note))
         lines.append("}")

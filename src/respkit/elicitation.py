@@ -154,7 +154,7 @@ def ingest_all(model: Model, records: list[dsl.ElicitationRecord],
     for record in records:
         resp = _require(model, record.responsibility)
         fold = folds.get(resp.id) or folds.setdefault(resp.id, DutyFold(resp))
-        fold.add([(resolve_flow(table, clause, resp.name), clause)
+        fold.add([(resolve_flow(table, clause), clause)
                   for clause in (*record.needs, *record.records, *record.hazards)],
                  lambda clause: _refuse(escape_line_ends(
                      f'hazard block for |{clause.item}| but "{resp.name}" does not '
@@ -188,16 +188,15 @@ RECORDED_COLUMNS = ("Information created/recorded", "Channels")
 
 
 def _canonical_rows(model: Model, flows) -> list:
-    # Sort by item display name; authored order breaks ties.
-    return sorted(enumerate(flows),
-                  key=lambda pair: (model.resource_name(pair[1].resource), pair[0]))
+    # Sort by item display name; sorted is stable, so authored order breaks ties.
+    return sorted(flows, key=lambda flow: model.resource_name(flow.resource))
 
 
 def information_required_table(model: Model, responsibility: str) -> InfoTable:
     """One row per information need: item, sources, channels."""
     resp = _require(model, responsibility)
     rows = []
-    for _, need in _canonical_rows(model, resp.needs):
+    for need in _canonical_rows(model, resp.needs):
         rows.append((
             model.resource_name(need.resource),
             ", ".join(model.agent_name(a) for a in need.sources),
@@ -214,7 +213,7 @@ def information_recorded_table(model: Model, responsibility: str) -> InfoTable:
     """One row per information product: item, channels."""
     resp = _require(model, responsibility)
     rows = []
-    for _, product in _canonical_rows(model, resp.products):
+    for product in _canonical_rows(model, resp.products):
         rows.append((
             model.resource_name(product.resource),
             ", ".join(model.channel_name(c) for c in product.channels),

@@ -50,7 +50,7 @@ def generate_worksheet(model: Model, responsibility: str) -> Worksheet:
         for guide_word in GUIDE_WORDS:
             existing = recorded.get((item, guide_word))
             rows.append(existing if existing is not None
-                        else HazardEntry(resp.name, item, guide_word))
+                        else HazardEntry(item, guide_word))
     return Worksheet(responsibility=resp.name, rows=tuple(rows))
 
 
@@ -91,14 +91,3 @@ def coverage(model: Model, responsibility: str) -> float:
         return 1.0
     return len(worksheet.assessed_rows) / len(worksheet.rows)
 
-
-__all__ = [
-    "DEFAULT_MITIGATION_THRESHOLD",
-    "GuideWord",
-    "GUIDE_WORDS",
-    "HazardEntry",
-    "Worksheet",
-    "coverage",
-    "derive_mitigations",
-    "generate_worksheet",
-]

@@ -11,6 +11,8 @@ elements of the same kind may not have names that collapse to the same
 slug.  Top-level collections are kept in canonical order (lexicographic by
 display name); clause-level collections (sources, channels, needs, ...)
 keep their authored first-mention order, which rendering code may re-sort.
+Each fact is held once: a need, product or hazard sits inside its
+responsibility and does not repeat the responsibility's name.
 
 Lookups by id or name go through maps that each model builds on first use
 and caches on the instance.  The maps are not fields: equality, hashing and
@@ -212,11 +214,11 @@ class InfoProduct:
 class HazardEntry:
     """Assessment of one (information item, guide word) deviation.
 
-    An empty consequence means the row has not been assessed yet.  At most
-    one entry exists per (responsibility, item, guide word).
+    An empty consequence means the row has not been assessed yet.  The
+    entry sits in the ``hazards`` of its ``Responsibility``: at most one
+    entry per item and guide word of its duty.
     """
 
-    responsibility: str
     item: str
     guide_word: GuideWord
     consequence: str = ""
@@ -285,10 +287,6 @@ class Model:
         return _first_by(self.resources, "name")
 
     @cached_property
-    def _channels_by_name(self) -> dict[str, Channel]:
-        return _first_by(self.channels, "name")
-
-    @cached_property
     def _responsibilities_by_name(self) -> dict[str, Responsibility]:
         return _first_by(self.responsibilities, "name")
 
@@ -310,15 +308,6 @@ class Model:
                    if c.backup_of in self._channels_by_id and c.backup_of != c.id}
         return frozenset(backed_up | backups)
 
-    def agent_by_id(self, agent_id: str) -> Optional[Agent]:
-        return self._agents_by_id.get(agent_id)
-
-    def resource_by_id(self, resource_id: str) -> Optional[Resource]:
-        return self._resources_by_id.get(resource_id)
-
-    def channel_by_id(self, channel_id: str) -> Optional[Channel]:
-        return self._channels_by_id.get(channel_id)
-
     def responsibility_by_id(self, resp_id: str) -> Optional[Responsibility]:
         return self._responsibilities_by_id.get(resp_id)
 
@@ -330,9 +319,6 @@ class Model:
 
     def resource_named(self, name: str) -> Optional[Resource]:
         return self._resources_by_name.get(name.strip())
-
-    def channel_named(self, name: str) -> Optional[Channel]:
-        return self._channels_by_name.get(name.strip())
 
     def agent_name(self, agent_id: str) -> str:
         agent = self._agents_by_id.get(agent_id)

@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +21,7 @@ from respkit.dsl import (
     parse_requirements,
     print_requirements,
 )
-from respkit.model import GuideWord, Model, Severity
+from respkit.model import GuideWord, Model, Responsibility, Severity
 
 import reference_parser
 import reference_scanner
@@ -362,6 +365,21 @@ class TestPrintModel:
         model = Model(agents=(Agent("a-b", "a>b"),))
         with pytest.raises(ValueError):
             print_model(model)
+
+    @pytest.mark.parametrize("link", [("a", "x"), ("x", "a")], ids=["target", "source"])
+    def test_link_that_does_not_end_at_a_duty_rejected(self, link):
+        model = Model(responsibilities=(Responsibility("a", "A"),), sequence_links=(link,))
+        with pytest.raises(ValueError, match=re.escape(f"sequence link {link!r}")):
+            print_model(model)
+
+    def test_renamed_duty_round_trips_with_its_hazards(self):
+        model = build('responsibility "R" {\n'
+                      '  requires |X|\n'
+                      '  hazard |X| late "Stale." severity high\n'
+                      '}')
+        (resp,) = model.responsibilities
+        renamed = replace(model, responsibilities=(replace(resp, id="s", name="S"),))
+        assert build(print_model(renamed)) == renamed
 
 
 class TestParseAnswers:

@@ -206,7 +206,7 @@ class TestIngestAll:
         assert late.consequence == "Register is stale."
         assert late.severity is Severity.CRITICAL
         assert merged.agent_named("Red Cross").implicit
-        assert merged.channel_named("Satellite phone").implicit
+        assert next(c for c in merged.channels if c.name == "Satellite phone").implicit
 
     def test_unknown_duty_in_a_later_session(self, evacuation,
                                             evacuation_answers):

@@ -153,7 +153,8 @@ class TestBuildModel:
         assert agent.implicit and agent.kind is AgentKind.ORGANIZATION
         assert model.resource_named("Facts").kind is ResourceKind.INFORMATION
         assert model.resource_named("Truck").kind is ResourceKind.PHYSICAL
-        channel = model.channel_named("Phone")
+        (channel,) = model.channels
+        assert channel.name == "Phone"
         assert channel.implicit and channel.medium is None
 
     def test_explicit_declaration_wins_over_mention(self):
@@ -221,7 +222,7 @@ class TestBuildModel:
     def test_backup_of_a_channel_only_mentioned_matches_its_id(self):
         model = build('channel "A" backup_of "b!"\n'
                       'responsibility "R" { requires |Map| via "B" }')
-        assert model.channel_by_id("a").backup_of == "b"
+        assert [(c.id, c.backup_of) for c in model.channels] == [("a", "b"), ("b", None)]
 
     def test_load_model_reports_undecodable_file_like_the_cli(self, tmp_path):
         bad = tmp_path / "latin1.resp"
@@ -379,11 +380,11 @@ def test_clean_build_resolves_no_span(source, resp_path, monkeypatch):
 
 def _use_every_map(model: Model) -> None:
     for agent in model.agents:
-        model.agent_by_id(agent.id), model.agent_named(agent.name)
+        model.agent_name(agent.id), model.agent_named(agent.name)
     for resource in model.resources:
-        model.resource_by_id(resource.id), model.resource_named(resource.name)
+        model.resource_name(resource.id), model.resource_named(resource.name)
     for channel in model.channels:
-        model.channel_by_id(channel.id), model.channel_named(channel.name)
+        model.channel_name(channel.id)
     for resp in model.responsibilities:
         model.responsibility_by_id(resp.id), model.responsibility_named(resp.name)
     model.required_items, model.channels_with_backup
@@ -392,23 +393,20 @@ def _use_every_map(model: Model) -> None:
 class TestLookupMaps:
     def test_every_helper_finds_every_element(self, evacuation):
         for agent in evacuation.agents:
-            assert evacuation.agent_by_id(agent.id) is agent
             assert evacuation.agent_named(agent.name) is agent
             assert evacuation.agent_name(agent.id) == agent.name
         for resource in evacuation.resources:
-            assert evacuation.resource_by_id(resource.id) is resource
             assert evacuation.resource_named(resource.name) is resource
             assert evacuation.resource_name(resource.id) == resource.name
         for channel in evacuation.channels:
-            assert evacuation.channel_by_id(channel.id) is channel
-            assert evacuation.channel_named(channel.name) is channel
             assert evacuation.channel_name(channel.id) == channel.name
         for resp in evacuation.responsibilities:
             assert evacuation.responsibility_by_id(resp.id) is resp
             assert evacuation.responsibility_named(f" {resp.name} ") is resp
 
     def test_misses_fall_back_as_before(self, evacuation):
-        assert evacuation.agent_by_id("ghost") is None
+        assert evacuation.agent_named("Ghost") is None
+        assert evacuation.responsibility_by_id("ghost") is None
         assert evacuation.responsibility_named("Ghost") is None
         assert evacuation.agent_name("ghost") == "ghost"
         assert evacuation.resource_name("ghost") == "ghost"
@@ -424,7 +422,7 @@ class TestLookupMaps:
                         resources=model.resources + (flares,),
                         channels=model.channels + (pager,))
         assert grown.agent_named("Coastguard") is coastguard
-        assert grown.resource_by_id("flares") is flares
+        assert grown.resource_name("flares") == "Flares"
         assert grown.channel_name("pager") == "Pager"
         assert "radio-from-silver-command" in grown.channels_with_backup
         assert model.agent_named("Coastguard") is None
@@ -443,9 +441,10 @@ class TestLookupMaps:
         second = Agent("ops", "Ops", AgentKind.SYSTEM)
         early = Responsibility("a", "Duty")
         late = Responsibility("b", "Duty")
-        model = Model(agents=(first, second), responsibilities=(early, late))
-        assert model.agent_by_id("ops") is first
+        model = Model(agents=(first, second), responsibilities=(early, late),
+                      channels=(Channel("c", "C1"), Channel("c", "C2")))
         assert model.agent_named("Ops") is first
+        assert model.channel_name("c") == "C1"
         assert model.responsibility_named("Duty") is early
         assert model.responsibility_by_id("b") is late
 
@@ -577,14 +576,14 @@ MERGE_RULES = [
     pytest.param([_X, 'hazard |X| late "" severity low',
                   'hazard |X| late "First." severity high',
                   'hazard |X| late "Second." severity medium'],
-                 HazardEntry("R", "x", GuideWord.LATE, "First.", Severity.HIGH),
+                 HazardEntry("x", GuideWord.LATE, "First.", Severity.HIGH),
                  id="hazard-consequence-and-severity"),
     pytest.param([_X, 'hazard |X| late "A." mitigated_by REQ-1',
                   'hazard |X| late "B." mitigated_by REQ-2'],
-                 HazardEntry("R", "x", GuideWord.LATE, "A.", mitigation="REQ-1"),
+                 HazardEntry("x", GuideWord.LATE, "A.", mitigation="REQ-1"),
                  id="hazard-first-mitigation"),
     pytest.param([_X, 'hazard |X| late "A."', 'hazard |X| late "B." mitigated_by REQ-2'],
-                 HazardEntry("R", "x", GuideWord.LATE, "A.", mitigation="REQ-2"),
+                 HazardEntry("x", GuideWord.LATE, "A.", mitigation="REQ-2"),
                  id="hazard-none-then-mitigation"),
 ]
 
