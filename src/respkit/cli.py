@@ -18,10 +18,8 @@ from . import analysis, elicitation, hazards, reporting
 from .build import ModelBuildError, load_model, read_input
 from .dsl import ParseFailure, parse_answers, parse_requirements, print_model, print_requirements
 from .elicitation import ingest_all
-from .model import Severity, UnknownResponsibility, validate
+from .model import SEVERITIES, UnknownResponsibility, validate
 from .reporting import TraceResolutionError
-
-_SEVERITY_CHOICES = [s.token for s in Severity]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--load-threshold", type=int,
                    default=analysis.DEFAULT_LOAD_THRESHOLD, metavar="N",
                    help="overload threshold (default %(default)s)")
-    p.add_argument("--fail-level", choices=_SEVERITY_CHOICES, default="medium",
+    p.add_argument("--fail-level", choices=list(SEVERITIES), default="medium",
                    help="exit 1 when findings reach this severity "
                         "(default %(default)s)")
 
@@ -76,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="stub coping requirements for serious hazards")
     p.add_argument("file", type=Path)
     p.add_argument("--responsibility", required=True)
-    p.add_argument("--threshold", choices=_SEVERITY_CHOICES,
+    p.add_argument("--threshold", choices=list(SEVERITIES),
                    default=hazards.DEFAULT_MITIGATION_THRESHOLD.token,
                    help="minimum severity that needs a mitigation "
                         "(default %(default)s)")
@@ -159,7 +157,7 @@ def _dispatch(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> int:
     if args.command == "analyze":
         findings = analysis.run_all(model, load_threshold=args.load_threshold)
         stdout.write(reporting.findings_report(findings, args.format))
-        fail_level = Severity.from_token(args.fail_level)
+        fail_level = SEVERITIES[args.fail_level]
         return 1 if any(f.severity >= fail_level for f in findings) else 0
 
     if args.command == "elicit":
@@ -198,7 +196,7 @@ def _dispatch(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> int:
     if args.command == "mitigations":
         stubs = hazards.derive_mitigations(
             model, args.responsibility,
-            threshold=Severity.from_token(args.threshold))
+            threshold=SEVERITIES[args.threshold])
         stdout.write(print_requirements(stubs))
         return 0
 

@@ -31,13 +31,12 @@ kind, value and offset.  No token spans a line: only ``\\n`` ends one, and
 name, a run of characters that starts no token) is its own alternative of
 the regex.
 
-Each parse shares one ``Source`` record, the file name and the text.  A
-declaration or clause keeps the offset of its first token and a reference
-to that record, and resolves its ``SourceSpan`` (file, line, column) only
-when its ``span`` is read.  The line-start table is built the first time a
-span is resolved, and each span after that is one bisect, so a document
-that parses and builds cleanly never computes a line number.  Scan and
-parse errors resolve their spans when they are found.
+Each parse shares one ``Source`` record, the file name and the text, and
+every declaration, clause and session it returns is a ``_node`` that
+locates itself in that record.  The line-start table is built the first
+time a span is resolved, and each span after that is one bisect, so a
+document that parses and builds cleanly never computes a line number.
+Scan and parse errors resolve their spans when they are found.
 
 The parsers read the lists through an index: each parse function takes
 the index of its first token and returns what it parsed with the index
@@ -119,12 +118,6 @@ class Source:
         return SourceSpan(self.filename, line, offset - starts[line - 1] + 1)
 
 
-# Every declaration and clause keeps ``offset`` and ``source`` as its last
-# two fields and reads its span through this property.
-_SPAN = property(lambda self: self.source.span_at(self.offset),
-                 doc="Where the declaration or clause starts in its source.")
-
-
 class ParseError(NamedTuple):
     span: SourceSpan
     expected: str
@@ -147,127 +140,55 @@ class ParseFailure(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class ModelDecl(NamedTuple):
-    name: str
-    offset: int
-    source: Source
-    span = _SPAN
+_SPAN = property(lambda self: self.source.span_at(self.offset),
+                 doc="Where the declaration or clause starts in its source.")
 
 
-class AgentDecl(NamedTuple):
-    name: str
-    kind: Optional[AgentKind]
-    offset: int
-    source: Source
-    span = _SPAN
+def _node(name: str, *fields: tuple[str, type]) -> type:
+    """The named tuple ``name`` of ``fields``, then ``offset`` and ``source``:
+    the offset of the node's first token and the record it was parsed from.
+    Its ``span`` resolves the two to a ``SourceSpan`` only when it is read."""
+    node = NamedTuple(name, [*fields, ("offset", int), ("source", Source)])
+    node.span = _SPAN
+    return node
 
 
-class ResourceDecl(NamedTuple):
-    name: str
-    kind: ResourceKind
-    offset: int
-    source: Source
-    span = _SPAN
-
-
-class ChannelDecl(NamedTuple):
-    name: str
-    medium: Optional[str]
-    backup_of: Optional[str]
-    offset: int
-    source: Source
-    span = _SPAN
-
-
-class AssignClause(NamedTuple):
-    agents: tuple[str, ...]
-    offset: int
-    source: Source
-    span = _SPAN
-
-
-class RequireClause(NamedTuple):
-    resource: str
-    sources: tuple[str, ...]
-    channels: tuple[str, ...]
-    criticality: Optional[Severity]
-    offset: int
-    source: Source
-    span = _SPAN
-
-
-class ProduceClause(NamedTuple):
-    resource: str
-    channels: tuple[str, ...]
-    rationale: Optional[str]
-    offset: int
-    source: Source
-    span = _SPAN
-
-
-class UseClause(NamedTuple):
-    resource: str
-    offset: int
-    source: Source
-    span = _SPAN
-
-
-class HazardClause(NamedTuple):
-    item: str
-    guide_word: GuideWord
-    consequence: str
-    severity: Severity
-    mitigated_by: Optional[str]
-    offset: int
-    source: Source
-    span = _SPAN
-
-
-class PrecedesClause(NamedTuple):
-    target: str
-    offset: int
-    source: Source
-    span = _SPAN
-
-
-class NoteClause(NamedTuple):
-    text: str
-    offset: int
-    source: Source
-    span = _SPAN
-
+ModelDecl = _node("ModelDecl", ("name", str))
+AgentDecl = _node("AgentDecl", ("name", str), ("kind", Optional[AgentKind]))
+ResourceDecl = _node("ResourceDecl", ("name", str), ("kind", ResourceKind))
+ChannelDecl = _node("ChannelDecl", ("name", str), ("medium", Optional[str]),
+                    ("backup_of", Optional[str]))
+AssignClause = _node("AssignClause", ("agents", tuple[str, ...]))
+RequireClause = _node("RequireClause", ("resource", str),
+                      ("sources", tuple[str, ...]), ("channels", tuple[str, ...]),
+                      ("criticality", Optional[Severity]))
+ProduceClause = _node("ProduceClause", ("resource", str),
+                      ("channels", tuple[str, ...]), ("rationale", Optional[str]))
+UseClause = _node("UseClause", ("resource", str))
+HazardClause = _node("HazardClause", ("item", str), ("guide_word", GuideWord),
+                     ("consequence", str), ("severity", Severity),
+                     ("mitigated_by", Optional[str]))
+PrecedesClause = _node("PrecedesClause", ("target", str))
+NoteClause = _node("NoteClause", ("text", str))
 
 Clause = Union[AssignClause, RequireClause, ProduceClause, UseClause,
                HazardClause, PrecedesClause, NoteClause]
 
-
-class ResponsibilityDecl(NamedTuple):
-    name: str
-    items: tuple[Clause, ...]
-    offset: int
-    source: Source
-    span = _SPAN
-
+ResponsibilityDecl = _node("ResponsibilityDecl", ("name", str),
+                           ("items", tuple[Clause, ...]))
 
 Declaration = Union[ModelDecl, AgentDecl, ResourceDecl, ChannelDecl,
                     ResponsibilityDecl]
 
-
-class ElicitationRecord(NamedTuple):
+ElicitationRecord = _node(
+    "ElicitationRecord", ("responsibility", str), ("by", Optional[str]),
+    ("date", Optional[str]), ("needs", tuple[RequireClause, ...]),
+    ("records", tuple[ProduceClause, ...]), ("hazards", tuple[HazardClause, ...]))
+ElicitationRecord.__doc__ = (
     """Answers captured for one responsibility in one session.  Its
     ``needs``, ``records`` and ``hazards`` lines are ``requires``,
     ``produces`` and ``hazard`` clauses; an answers file gives them no
-    criticality and no mitigation."""
-
-    responsibility: str
-    by: Optional[str]
-    date: Optional[str]
-    needs: tuple[RequireClause, ...]
-    records: tuple[ProduceClause, ...]
-    hazards: tuple[HazardClause, ...]
-    offset: int
-    source: Source
-    span = _SPAN
+    criticality and no mitigation.""")
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +611,7 @@ def _session(tokens: _Tokens, i: int) -> tuple[ElicitationRecord, int]:
     responsibility = _expect(tokens, i + 1, STRING).strip()
     meta = {"by": None, "date": None}
     start, i = offsets[i], i + 2
-    while values[i] in meta and kinds[i] == IDENT:
+    while meta.get(values[i], "") is None and kinds[i] == IDENT:  # each at most once
         meta[values[i]] = _expect(tokens, i + 1, STRING)
         i += 2
     if kinds[i] != LBRACE:

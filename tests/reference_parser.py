@@ -359,15 +359,10 @@ def parse_answers(text: str, filename: str = "<string>") -> list[ElicitationReco
 def _parse_session(parser: _Parser) -> ElicitationRecord:
     start = parser.expect(IDENT, "elicitation", expected="'elicitation'")
     responsibility = parser.expect(STRING).value.strip()
-    by = None
-    date = None
-    while parser.at_keyword("by", "date"):
+    meta = {"by": None, "date": None}
+    while parser.at_keyword(*(word for word, value in meta.items() if value is None)):
         which = parser.advance().value
-        value = parser.expect(STRING).value
-        if which == "by":
-            by = value
-        else:
-            date = value
+        meta[which] = parser.expect(STRING).value
     parser.expect(LBRACE)
 
     needs: list[RequireClause] = []
@@ -412,8 +407,8 @@ def _parse_session(parser: _Parser) -> ElicitationRecord:
         else:
             raise parser.fail("a block keyword (needs, records, hazards) or '}'")
 
-    return ElicitationRecord(responsibility, by, date, tuple(needs), tuple(recorded),
-                             tuple(hazards), *_at(start.span))
+    return ElicitationRecord(responsibility, meta["by"], meta["date"], tuple(needs),
+                             tuple(recorded), tuple(hazards), *_at(start.span))
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,28 @@ from strategies import answers_text, dsl_text, one_in, reqs_text, resp_text
 REPO = Path(__file__).resolve().parent.parent
 
 
-def test_import_loads_neither_json_nor_csv():
-    """Only the JSON and CSV renderers import ``json`` and ``csv``."""
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a new process, with the package source first on
+    its import path."""
     path = filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    code = "import sys, respkit.cli; print(sorted({'json', 'csv'} & set(sys.modules)))"
-    done = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=env,
+    return subprocess.run([sys.executable, *args], cwd=REPO, env=env,
                           stdin=subprocess.DEVNULL, capture_output=True, text=True,
                           timeout=60)
+
+
+def test_import_loads_neither_json_nor_csv():
+    """Only the JSON and CSV renderers import ``json`` and ``csv``."""
+    done = _python("-c", "import sys, respkit.cli; "
+                         "print(sorted({'json', 'csv'} & set(sys.modules)))")
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+def test_import_warns_nothing():
+    """Importing the command line raises no warning, deprecations included,
+    so every run starts without one."""
+    done = _python("-W", "error", "-c", "import respkit.cli")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
 
 
 class TestCheck:
@@ -542,15 +555,11 @@ class TestCollectorGuard:
     def test_entry_point_freezes_the_heap_before_exit(self):
         """``main`` freezes the heap once ``run`` returns; exit handlers
         still run and the exit status is the run's."""
-        path = filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
         code = ("import atexit, gc, sys\n"
                 "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
                 "from respkit.cli import main\n"
                 "main()")
-        done = subprocess.run([sys.executable, "-c", code, "check", "no/such.resp"],
-                              cwd=REPO, env=env, stdin=subprocess.DEVNULL,
-                              capture_output=True, text=True, timeout=60)
+        done = _python("-c", code, "check", "no/such.resp")
         assert (done.returncode, done.stdout) == (2, "True\n"), done.stderr
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from respkit import build_model, derive_mitigations, print_model
+from respkit import build_model, derive_mitigations, dsl, print_model
 from respkit.dsl import (
     AgentDecl,
     AssignClause,
@@ -183,6 +183,44 @@ class TestValueTypes:
         text = resp_path.read_text(encoding="utf-8")
         first = parse_model(text, str(resp_path))
         assert first == parse_model(text, str(resp_path))
+
+
+# The fields of every parsed node type, in order; each ends in its location.
+NODE_FIELDS = [
+    ("ModelDecl", ("name", "offset", "source")),
+    ("AgentDecl", ("name", "kind", "offset", "source")),
+    ("ResourceDecl", ("name", "kind", "offset", "source")),
+    ("ChannelDecl", ("name", "medium", "backup_of", "offset", "source")),
+    ("AssignClause", ("agents", "offset", "source")),
+    ("RequireClause", ("resource", "sources", "channels", "criticality", "offset",
+                       "source")),
+    ("ProduceClause", ("resource", "channels", "rationale", "offset", "source")),
+    ("UseClause", ("resource", "offset", "source")),
+    ("HazardClause", ("item", "guide_word", "consequence", "severity", "mitigated_by",
+                      "offset", "source")),
+    ("PrecedesClause", ("target", "offset", "source")),
+    ("NoteClause", ("text", "offset", "source")),
+    ("ResponsibilityDecl", ("name", "items", "offset", "source")),
+    ("ElicitationRecord", ("responsibility", "by", "date", "needs", "records",
+                           "hazards", "offset", "source")),
+]
+
+
+def _every_node() -> dict:
+    """One node of each type parsed from text, by type name."""
+    decls = parse_model(EVERY_KIND)
+    (session,) = parse_answers('\n  elicitation "R" { needs { |Map| } }')
+    return {type(v).__name__: v for v in (*decls, *decls[-1].items, session)}
+
+
+@pytest.mark.parametrize("name, fields", NODE_FIELDS, ids=[n for n, _ in NODE_FIELDS])
+def test_node_shape(name, fields):
+    node_type = getattr(dsl, name)
+    assert node_type._fields == fields
+    assert node_type.__module__ == "respkit.dsl"
+    node = _every_node()[name]
+    assert type(node) is node_type
+    assert node.span == node.source.span_at(node.offset)
 
 
 # Scanner errors, pinned as the rendered ParseFailure text: message,
@@ -400,6 +438,20 @@ class TestParseAnswers:
     def test_meta_clauses(self):
         (record,) = parse_answers('elicitation "R" by "Us" date "2005" {}')
         assert record.by == "Us" and record.date == "2005"
+        (record,) = parse_answers('elicitation "R" date "2005" by "Us" {}')
+        assert record.by == "Us" and record.date == "2005"
+
+    # A second ``by`` or ``date`` would silently replace the first.
+    @pytest.mark.parametrize("text, rendered", [
+        ('elicitation "X" by "a" by "b" { }',
+         "<string>:1:24: error: expected '{', found identifier 'by'"),
+        ('elicitation "X" date "a" by "q" date "b" { }',
+         "<string>:1:33: error: expected '{', found identifier 'date'"),
+    ], ids=["by", "date"])
+    def test_meta_clause_repeated_rejected(self, text, rendered):
+        with pytest.raises(ParseFailure) as excinfo:
+            parse_answers(text)
+        assert str(excinfo.value) == rendered
 
     def test_unknown_guide_word_lists_legal_words(self):
         text = 'elicitation "R" { hazards |X| { missing "gone" } }'
