@@ -16,7 +16,8 @@ item once.  ``.answers`` lines parse into the same clauses, and
 ``elicitation.ingest_all`` folds them back into a model through the same
 three, one fold per duty across all sessions, so a name, a flow and a
 hazard follow the same rules in a ``.resp`` file and in a ``.answers``
-file.
+file.  Both report problems by one rule as well: the table collects every
+problem in the order met, and all of them are raised at once at the end.
 """
 
 from pathlib import Path
@@ -72,13 +73,12 @@ class SymbolTable:
     ``build_model`` and ``ingest_all`` resolve every declaration and every
     mention through ``_resolve``, which applies the naming rule of this
     module: a new name mentioned is declared implicitly or, when ``strict``,
-    refused.  Each problem goes to ``error(message, site)``: build collects
-    them all with the span of ``site``, ingest raises on the first.
+    refused.  ``error(message, site)`` keeps each problem in ``issues`` with
+    the span of ``site``, so build and ingest both report them all.
     """
 
-    def __init__(self, error: Callable[[str, Site], None],
-                 model: Optional[Model] = None, strict: bool = False):
-        self.error = error
+    def __init__(self, model: Optional[Model] = None, strict: bool = False):
+        self.issues: list[BuildIssue] = []
         self.strict = strict
         model = model or Model()
         self.agents: dict[str, Agent] = {a.id: a for a in model.agents}
@@ -92,6 +92,9 @@ class SymbolTable:
         # Channel declarations with a backup target, resolved once all
         # channels are known.
         self.backups: dict[str, dsl.ChannelDecl] = {}
+
+    def error(self, message: str, site: Site) -> None:
+        self.issues.append(BuildIssue(message, site.span))
 
     def slug(self, what: str, name: str, site: Site) -> Optional[str]:
         """The id of ``name``, or None when it has no alphanumeric character."""
@@ -357,12 +360,7 @@ _FLOWS = frozenset((dsl.RequireClause, dsl.ProduceClause, dsl.HazardClause))
 
 def build_model(declarations: list[dsl.Declaration]) -> Model:
     """Resolve declarations into a model, or raise ModelBuildError."""
-    issues: list[BuildIssue] = []
-
-    def error(message: str, site: Site) -> None:
-        issues.append(BuildIssue(message, site.span))
-
-    table = SymbolTable(error)
+    table = SymbolTable()
     name = ""
     resp_decls: list[dsl.ResponsibilityDecl] = []
     declare = {dsl.AgentDecl: table.declare_agent, dsl.ResourceDecl: table.declare_resource,
@@ -386,30 +384,30 @@ def build_model(declarations: list[dsl.Declaration]) -> Model:
         if slug in responsibilities:
             other = responsibilities[slug].name
             if other == decl.name:
-                error(f"duplicate responsibility {decl.name!r}", decl)
+                table.error(f"duplicate responsibility {decl.name!r}", decl)
             else:
-                error(f"responsibilities {other!r} and {decl.name!r} "
-                      f"collide on id '{slug}'", decl)
+                table.error(f"responsibilities {other!r} and {decl.name!r} "
+                            f"collide on id '{slug}'", decl)
             continue
         responsibilities[slug] = _build_responsibility(
             table, slug, decl, precedes, orphans)
     # Reported after every responsibility's own issues, as they always were.
-    issues.extend(orphans)
+    table.issues += orphans
 
     links: list[tuple[str, str]] = []
     by_name = {r.name: slug for slug, r in responsibilities.items()}
     for source_slug, clause in precedes:
         target = by_name.get(clause.target)
         if target is None:
-            error(f"precedes target {clause.target!r} is not a declared "
-                  f"responsibility", clause)
+            table.error(f"precedes target {clause.target!r} is not a declared "
+                        f"responsibility", clause)
             continue
         links.append((source_slug, target))
 
     table.resolve_backups()
 
-    if issues:
-        raise ModelBuildError(issues)
+    if table.issues:
+        raise ModelBuildError(table.issues)
 
     ordered_resps = canonical_elements(responsibilities.values())
     resp_name = {slug: r.name for slug, r in responsibilities.items()}

@@ -1,10 +1,10 @@
 """Command-line pipeline over model, answer and requirement files.
 
 Every subcommand is a thin wrapper over the library: artifacts go to
-stdout (or the file named by ``-o``), diagnostics and errors go to stderr.
-Exit status 0 means success with nothing to report, 1 means findings or
-inconsistencies at or above the failure level, 2 means a usage, parse or
-resolution error.
+stdout (or the file named by ``-o``), in UTF-8 whatever the locale under
+``main``, and diagnostics and errors go to stderr.  Exit status 0 means
+success with nothing to report, 1 means findings or inconsistencies at or
+above the failure level, 2 means a usage, parse or resolution error.
 """
 
 import argparse
@@ -218,6 +218,7 @@ def _dispatch(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> int:
 
 
 def main() -> None:
+    sys.stdout.reconfigure(encoding="utf-8")
     status = run(sys.argv[1:])
     # The process is about to end.  Freezing moves every object the run
     # loaded into the permanent generation, which the collection at

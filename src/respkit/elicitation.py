@@ -10,18 +10,17 @@ An answers session holds the same ``requires``, ``produces`` and ``hazard``
 clauses as a ``.resp`` responsibility block.  Ingest resolves them through
 ``build.resolve_flow`` and merges each duty's answers from every session in
 one ``build.DutyFold``, so an answer obeys the rules its clause obeys in a
-model file.  An ingest error names the line of the answer it refuses, as a
-build error does.  ``Question``, ``Questionnaire`` and ``InfoTable`` are
-named tuples, cheap to define and to make: they compare and unpack as
-tuples.
+model file.  By build's rule, ingest reports every answer it refuses, one
+line each at the answer's line, in the order it meets them.  ``Question``,
+``Questionnaire`` and ``InfoTable`` are named tuples, cheap to define and
+to make: they compare and unpack as tuples.
 """
 
 from dataclasses import replace
 from typing import NamedTuple
 
 from . import dsl
-from .build import (BuildIssue, DutyFold, ModelBuildError, Site, SymbolTable,
-                    resolve_flow)
+from .build import DutyFold, ModelBuildError, SymbolTable, resolve_flow
 from .model import (
     HazardEntry,
     InfoNeed,
@@ -128,12 +127,8 @@ def answers_skeleton(model: Model, responsibility: str) -> str:
 
 
 class IngestError(ModelBuildError):
-    """An answer the model cannot take; renders as
-    ``<file>:<line>:<col>: error: <message>`` at the answer's line."""
-
-
-def _refuse(message: str, site: Site) -> None:
-    raise IngestError([BuildIssue(message, site.span)])
+    """The answers the model cannot take; renders one
+    ``<file>:<line>:<col>: error: <message>`` line per answer refused."""
 
 
 def ingest_all(model: Model, records: list[dsl.ElicitationRecord],
@@ -145,20 +140,26 @@ def ingest_all(model: Model, records: list[dsl.ElicitationRecord],
     applying them once.  Strict mode refuses references the model cannot
     resolve; otherwise they are declared implicitly.  All records share one
     symbol table, each duty answered has one ``DutyFold`` across all its
-    sessions, and the new model is built once, at the end.
+    sessions, and the new model is built once, at the end, unless problems
+    were met: one ``IngestError`` then lists them all.  A header that names
+    no duty stops at once, with the problems met before it, if any.
     """
     if not records:
         return model
-    table = SymbolTable(_refuse, model, strict)
+    table = SymbolTable(model, strict)
     folds: dict[str, DutyFold] = {}
     for record in records:
+        if table.issues and model.responsibility_named(record.responsibility) is None:
+            raise IngestError(table.issues)
         resp = _require(model, record.responsibility)
         fold = folds.get(resp.id) or folds.setdefault(resp.id, DutyFold(resp))
         fold.add([(resolve_flow(table, clause), clause)
                   for clause in (*record.needs, *record.records, *record.hazards)],
-                 lambda clause: _refuse(escape_line_ends(
+                 lambda clause: table.error(escape_line_ends(
                      f'hazard block for |{clause.item}| but "{resp.name}" does not '
                      'require it'), clause))
+    if table.issues:
+        raise IngestError(table.issues)
     return replace(
         model,
         responsibilities=tuple(replace(r, **folds[r.id].fields()) if r.id in folds else r

@@ -20,13 +20,14 @@ from strategies import answers_text, dsl_text, one_in, reqs_text, resp_text
 REPO = Path(__file__).resolve().parent.parent
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
-    """``python *args`` in a new process, with the package source first on
-    its import path."""
+def _python(*args: str, cwd: Path = REPO, text: bool = True,
+            **env: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a new process run in ``cwd``, with the package
+    source first on its import path and ``env`` added to its environment."""
     path = filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    return subprocess.run([sys.executable, *args], cwd=REPO, env=env,
-                          stdin=subprocess.DEVNULL, capture_output=True, text=True,
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          stdin=subprocess.DEVNULL, capture_output=True, text=text,
                           timeout=60)
 
 
@@ -244,6 +245,28 @@ class TestIngest:
         column = text.rindex("{ ") + 3
         assert err.splitlines() == [f"{answers}:1:{column}: error: {message} "
                                     "needs at least one alphanumeric character"]
+
+    @pytest.mark.parametrize("strict, last", [
+        ((), 'hazard block for |Never required| but "Evacuate area" does not '
+             "require it"),
+        (("--strict",), "unknown information resource |Never required|"),
+    ])
+    def test_every_problem_is_one_line_of_stderr(self, run_cli, resp_path,
+                                                 tmp_path, strict, last):
+        answers = tmp_path / "a.answers"
+        answers.write_text('elicitation "Evacuate area" {\n'
+                           "  needs { |area map!| }\n"
+                           "  records { |Evacuation transport| }\n"
+                           '  hazards |Never required| { late "x" }\n'
+                           "}\n", encoding="utf-8")
+        status, out, err = run_cli("ingest", str(resp_path), str(answers), *strict)
+        assert (status, out) == (2, "")
+        assert err.splitlines() == [
+            f"{answers}:2:11: error: resources 'Area map' and 'area map!' collide "
+            "on id 'area-map'",
+            f"{answers}:3:13: error: conflicting resource kind: 'Evacuation "
+            "transport' is physical but is used as information",
+            f"{answers}:4:30: error: {last}"]
 
     def test_bad_reference_is_status_2(self, run_cli, resp_path, tmp_path):
         answers = tmp_path / "a.answers"
@@ -561,6 +584,89 @@ class TestCollectorGuard:
                 "main()")
         done = _python("-c", code, "check", "no/such.resp")
         assert (done.returncode, done.stdout) == (2, "True\n"), done.stderr
+
+
+# A model, a second version of it, answers and requirements whose names are
+# not ASCII, so that every subcommand writes them.
+_NON_ASCII_FILES = {
+    "a.resp": """model "Évacuation"
+agent <Préfet> kind person
+resource |Carte des zones|
+resource [Véhicule]
+channel "Radio sécurisée" medium radio
+responsibility "Évacuer" {
+  assigned to <Préfet>
+  requires |Carte des zones| from <Préfet> via "Radio sécurisée" criticality high
+  produces |Journal d'évacuation| via "Radio sécurisée" rationale "traçabilité"
+  uses [Véhicule]
+  hazard |Carte des zones| late "évacuation lente" severity high
+}
+responsibility "Contrôler" {
+  requires |Journal d'évacuation| from <Maire> via "Téléphone"
+}
+""",
+    "a.answers": """elicitation "Évacuer" by "Équipe" {
+  needs { |Météo| from <Préfet> via "Radio sécurisée" }
+  hazards |Météo| { early "fausse alerte" severity critical }
+}
+""",
+    "a.reqs": """requirement É-1 {
+  text "Le préfet reçoit la carte."
+  rationale "Sans carte, pas d'itinéraire sûr."
+  traces <Préfet>
+  traces |Carte des zones|
+}
+""",
+}
+_NON_ASCII_FILES["b.resp"] = _NON_ASCII_FILES["a.resp"].replace("Contrôler", "Vérifier")
+
+# Every subcommand over those files.
+_NON_ASCII_RUNS = {
+    "elicit": ["a.resp", "--responsibility", "Évacuer"],
+    "ingest": ["a.resp", "a.answers"],
+    "dot": ["a.resp"],
+    "check": ["a.resp", "--strict"],
+    "analyze": ["a.resp"],
+    "tables": ["a.resp", "--responsibility", "Évacuer"],
+    "hazards": ["a.resp", "--responsibility", "Évacuer"],
+    "mitigations": ["a.resp", "--responsibility", "Évacuer"],
+    "requirements": ["a.resp", "a.reqs", "--report"],
+    "diff": ["a.resp", "b.resp"],
+}
+
+
+class TestStdoutEncoding:
+    """The entry point writes artifacts to stdout in UTF-8, as ``-o`` writes
+    them to a file, whatever encoding the locale gives stdout."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("non-ascii")
+        for name, text in _NON_ASCII_FILES.items():
+            (folder / name).write_text(text, encoding="utf-8")
+        return folder
+
+    @staticmethod
+    def _main(folder: Path, encoding: str, *argv: str) -> subprocess.CompletedProcess:
+        return _python("-c", "from respkit.cli import main; main()", *argv,
+                       cwd=folder, text=False, PYTHONIOENCODING=encoding)
+
+    @pytest.mark.parametrize("command", list(_NON_ASCII_RUNS))
+    def test_stdout_is_utf8_under_any_locale_encoding(self, files, command):
+        argv = [command, *_NON_ASCII_RUNS[command]]
+        utf8 = self._main(files, "utf-8", *argv)
+        assert b"Traceback" not in utf8.stderr
+        if command != "check":
+            assert not utf8.stdout.isascii(), utf8.stderr
+        for encoding in ("ascii", "latin-1"):
+            done = self._main(files, encoding, *argv)
+            assert b"Traceback" not in done.stderr, (encoding, done.stderr)
+            assert (done.returncode, done.stdout) == (utf8.returncode, utf8.stdout)
+        if command in ("elicit", "ingest", "dot"):  # those with -o
+            written = self._main(files, "ascii", *argv, "-o", "out")
+            assert (written.returncode, written.stdout, written.stderr) == (
+                utf8.returncode, b"", b"")
+            assert (files / "out").read_bytes() == utf8.stdout
 
 
 # ---------------------------------------------------------------------------

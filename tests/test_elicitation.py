@@ -15,6 +15,7 @@ from respkit import (
     print_model,
 )
 from respkit.dsl import parse_answers, parse_model, quote
+from respkit.build import ModelBuildError
 from respkit.elicitation import IngestError
 from respkit.model import GuideWord, InfoNeed, Severity, UnknownResponsibility
 
@@ -343,6 +344,26 @@ class TestOneClauseGrammar:
         model, sessions, decls = drawn
         assert ingest_all(model, sessions) == build_model(decls)
 
+    @settings(max_examples=200, deadline=None)
+    @given(ingested_declarations(), st.data())
+    def test_sessions_split_across_two_files_compose(self, drawn, data):
+        """Each session's needs, records and hazards cut in two at drawn
+        points: ingesting the first parts, then the second, equals
+        ingesting both in one call, or both fail alike."""
+        model, sessions, _ = drawn
+        first, second = [], []
+        for record in sessions:
+            parts = {field: getattr(record, field)
+                     for field in ("needs", "records", "hazards")}
+            cuts = {field: data.draw(st.integers(0, len(part)))
+                    for field, part in parts.items()}
+            first.append(record._replace(
+                **{field: part[:cuts[field]] for field, part in parts.items()}))
+            second.append(record._replace(
+                **{field: part[cuts[field]:] for field, part in parts.items()}))
+        assert (_outcome(lambda: ingest_all(ingest_all(model, first), second))
+                == _outcome(lambda: ingest_all(model, first + second)))
+
     @settings(max_examples=40, deadline=None)
     @given(models() | ingested_models())
     def test_no_flow_lists_a_source_or_channel_twice(self, model):
@@ -350,6 +371,16 @@ class TestOneClauseGrammar:
             lists = ([n.sources for n in resp.needs]
                      + [flow.channels for flow in resp.needs + resp.products])
             assert all(len(set(ids)) == len(ids) for ids in lists), resp
+
+
+def _outcome(ingesting):
+    """The ``repr`` and text of the model ``ingesting()`` returns, or the
+    type of the error it raises."""
+    try:
+        merged = ingesting()
+    except (IngestError, UnknownResponsibility) as exc:
+        return type(exc)
+    return repr(merged), print_model(merged)
 
 
 INGEST_BASE = """
@@ -398,12 +429,90 @@ def test_ingest_errors_exactly(block, strict, message):
     assert str(excinfo.value) == f"a.answers:1:{column}: error: {message}"
 
 
+# Answers files with several problems: (text, strict, stderr lines).  Ingest
+# reports them all, record by record, and within a record its needs, records
+# and hazards, then its orphan hazards; the first line is the one a stop at
+# the first problem would print.
+INGEST_PROBLEMS = [
+    ('elicitation "R" {\n  needs { |Map| from <ops> }\n  records { |Kit| }\n}\n',
+     False, ["a.answers:2:11: error: agents 'Ops' and 'ops' collide on id 'ops'",
+             "a.answers:3:13: error: conflicting resource kind: 'Kit' is physical "
+             "but is used as information"]),
+    ('elicitation "R" {\n  hazards |Gone| { late "x" }\n  needs { |map!| }\n}\n'
+     'elicitation "R" {\n  needs { |Map| via "radio!" }\n}\n',
+     False, ["a.answers:3:11: error: resources 'Map' and 'map!' collide on id 'map'",
+             'a.answers:2:20: error: hazard block for |Gone| but "R" does not '
+             "require it",
+             "a.answers:6:11: error: channels 'Radio' and 'radio!' collide on id "
+             "'radio'"]),
+    ('elicitation "R" {\n  needs { |Map| from <Nobody> via "Fax" }\n}\n',
+     True, ["a.answers:2:11: error: unknown agent <Nobody>",
+            'a.answers:2:11: error: unknown channel "Fax"']),
+    # An item that does not resolve adds no hazard, so it is no orphan.
+    ('elicitation "R" {\n  needs { |Map| from <Nobody> }\n  records { |Kit| }\n'
+     '  hazards |Gone| { late "x" }\n}\n',
+     True, ["a.answers:2:11: error: unknown agent <Nobody>",
+            "a.answers:3:13: error: conflicting resource kind: 'Kit' is physical "
+            "but is used as information",
+            "a.answers:4:20: error: unknown information resource |Gone|"]),
+]
+
+
+@pytest.mark.parametrize("text, strict, lines", INGEST_PROBLEMS, ids=[
+    f"{len(lines)}-problems{'-strict' * strict}" for _, strict, lines in INGEST_PROBLEMS])
+def test_ingest_reports_every_problem(text, strict, lines):
+    with pytest.raises(IngestError) as excinfo:
+        ingest_all(build(INGEST_BASE), parse_answers(text, "a.answers"), strict=strict)
+    assert str(excinfo.value).split("\n") == lines
+
+
+def test_unknown_duty_after_a_bad_answer_raises_the_problems_met():
+    text = ('elicitation "R" {\n  needs { |map!| }\n  records { |Kit| }\n}\n'
+            'elicitation "Ghost" {\n}\n'
+            'elicitation "R" {\n  needs { |Map| from <ops> }\n}\n')
+    with pytest.raises(IngestError) as excinfo:
+        ingest_all(build(INGEST_BASE), parse_answers(text, "a.answers"))
+    assert str(excinfo.value).split("\n") == [
+        "a.answers:2:11: error: resources 'Map' and 'map!' collide on id 'map'",
+        "a.answers:3:13: error: conflicting resource kind: 'Kit' is physical but "
+        "is used as information"]
+
+
+def test_unknown_duty_before_any_bad_answer_is_unknown():
+    text = ('elicitation "Ghost" {\n}\n'
+            'elicitation "R" {\n  needs { |map!| }\n}\n')
+    with pytest.raises(UnknownResponsibility, match="Ghost"):
+        ingest_all(build(INGEST_BASE), parse_answers(text, "a.answers"))
+
+
+def test_an_unresolved_item_is_reported_alike_in_a_model_and_in_answers():
+    """The same clauses in a ``.resp`` block and in a session: each problem
+    is reported once, and a hazard whose item does not resolve is not
+    reported again as an orphan."""
+    text = INGEST_BASE.replace(
+        "}", '  requires |map!|\n  produces |Kit|\n  hazard |?| late "x"\n}')
+    with pytest.raises(ModelBuildError) as built:
+        build(text)
+    with pytest.raises(IngestError) as ingested:
+        ingest(build(INGEST_BASE), session(
+            "R", 'needs { |map!| } records { |Kit| } hazards |?| { late "x" }'))
+    messages = [
+        "resources 'Map' and 'map!' collide on id 'map'",
+        "conflicting resource kind: 'Kit' is physical but is used as information",
+        "resource name '?' needs at least one alphanumeric character",
+    ]
+    assert [i.message for i in built.value.issues] == messages
+    assert [i.message for i in ingested.value.issues] == messages
+
+
 def test_strict_ingest_refuses_an_unknown_agent_at_its_first_session():
     text = ('elicitation "R" {\n  needs { |Map| from <Nobody> }\n}\n'
             'elicitation "R" {\n  needs { |Map| from <Nobody> }\n}\n')
     with pytest.raises(IngestError) as excinfo:
         ingest_all(build(INGEST_BASE), parse_answers(text, "a.answers"), strict=True)
-    assert str(excinfo.value) == "a.answers:2:11: error: unknown agent <Nobody>"
+    # Each mention of the unknown agent is refused where it stands.
+    assert str(excinfo.value) == ("a.answers:2:11: error: unknown agent <Nobody>\n"
+                                  "a.answers:5:11: error: unknown agent <Nobody>")
 
 
 def test_hazard_block_before_the_session_that_adds_its_need_is_refused():
@@ -422,7 +531,8 @@ def test_strict_ingest_refuses_an_orphan_hazard_before_a_later_unknown_agent():
         ingest_all(build(INGEST_BASE + "resource |Log|\n"),
                    parse_answers(text, "a.answers"), strict=True)
     assert str(excinfo.value) == ('a.answers:2:19: error: hazard block for |Log| '
-                                  'but "R" does not require it')
+                                  'but "R" does not require it\n'
+                                  "a.answers:5:11: error: unknown agent <Nobody>")
 
 
 def test_ingest_error_names_the_line_it_refuses():
