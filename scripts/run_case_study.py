@@ -28,14 +28,13 @@ from respkit import (
     validate,
     worksheet_table,
 )
-from respkit.build import ModelBuildError, read_input
-from respkit.dsl import ParseFailure, parse_answers, parse_requirements
+from respkit.build import read_input
+from respkit.cli import INPUT_ERRORS, input_error
+from respkit.dsl import parse_answers, parse_requirements
 from respkit.elicitation import (
     information_recorded_table,
     information_required_table,
 )
-from respkit.model import UnknownResponsibility
-from respkit.reporting import TraceResolutionError
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -51,11 +50,8 @@ def main() -> None:
     # Errors go to stderr as the respkit command writes them, with exit status 2.
     try:
         run(args)
-    except (ParseFailure, ModelBuildError) as exc:  # and IngestError
-        sys.stderr.write(f"{exc}\n")
-        sys.exit(2)
-    except (UnknownResponsibility, TraceResolutionError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except INPUT_ERRORS as exc:
+        sys.stderr.write(input_error(exc))
         sys.exit(2)
 
 

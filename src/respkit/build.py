@@ -240,22 +240,23 @@ def resolve_flow(table: SymbolTable, clause: Flow) -> Resolved:
     adds to its duty, or None when its item does not resolve.
 
     Names resolve in the order the clause gives them: the item, then the
-    sources, then the channels.  A name repeated in one list counts once,
-    so sources and channels are ordered sets.
+    sources, then the channels.  Every name resolves, whether the item does
+    or not, so each problem in the clause is reported.  A name repeated in
+    one list counts once, so sources and channels are ordered sets.
     """
     # Each flow clause names its information item first.
     resource = table.resource(clause[0], ResourceKind.INFORMATION, clause)
+    kind = type(clause)
+    sources = _ids(table.agent, clause.sources, clause) if kind is dsl.RequireClause else ()
+    channels = () if kind is dsl.HazardClause else _ids(table.channel, clause.channels, clause)
     if resource is None:
         return None
-    if type(clause) is dsl.HazardClause:
+    if kind is dsl.HazardClause:
         return HazardEntry(resource, clause.guide_word, clause.consequence,
                            clause.severity, clause.mitigated_by)
-    if type(clause) is dsl.ProduceClause:
-        return InfoProduct(resource, _ids(table.channel, clause.channels, clause),
-                           clause.rationale)
-    sources = _ids(table.agent, clause.sources, clause)
-    return InfoNeed(resource, sources, _ids(table.channel, clause.channels, clause),
-                    clause.criticality)
+    if kind is dsl.ProduceClause:
+        return InfoProduct(resource, channels, clause.rationale)
+    return InfoNeed(resource, sources, channels, clause.criticality)
 
 
 def _ids(resolve: Callable[[str, Site], Optional[str]], names: tuple[str, ...],

@@ -1,10 +1,14 @@
 """Command-line pipeline over model, answer and requirement files.
 
-Every subcommand is a thin wrapper over the library: artifacts go to
-stdout (or the file named by ``-o``), in UTF-8 whatever the locale under
-``main``, and diagnostics and errors go to stderr.  Exit status 0 means
-success with nothing to report, 1 means findings or inconsistencies at or
-above the failure level, 2 means a usage, parse or resolution error.
+Every subcommand is a row of ``COMMANDS``: its help, its handler and its
+arguments.  A handler is a thin wrapper over the library that takes the
+parsed arguments and returns ``(stdout_text, stderr_text, status)``; it
+writes nothing.  ``run`` is the one writer: diagnostics go to stderr, then
+the artifact to stdout or to the file named by ``-o``, in UTF-8 whatever
+the locale under ``main``.  A run that fails writes no artifact.  Exit
+status 0 means success with nothing to report, 1 means findings or
+inconsistencies at or above the failure level, 2 means a usage, parse or
+resolution error.
 """
 
 import argparse
@@ -17,9 +21,143 @@ from typing import Optional, TextIO
 from . import analysis, elicitation, hazards, reporting
 from .build import ModelBuildError, load_model, read_input
 from .dsl import ParseFailure, parse_answers, parse_requirements, print_model, print_requirements
-from .elicitation import ingest_all
+from .elicitation import InfoTable, ingest_all
 from .model import SEVERITIES, UnknownResponsibility, validate
 from .reporting import TraceResolutionError
+
+# The errors an input can cause.  Each ends a run with one message on stderr
+# and exit status 2.
+INPUT_ERRORS = (ParseFailure, ModelBuildError, UnknownResponsibility,
+                TraceResolutionError, OSError)
+
+
+def input_error(exc: Exception) -> str:
+    """The stderr text for one of ``INPUT_ERRORS``: a parse or build error
+    (``IngestError`` too) names its own place, the rest get ``error: ``."""
+    located = isinstance(exc, (ParseFailure, ModelBuildError))
+    return f"{exc}\n" if located else f"error: {exc}\n"
+
+
+Output = tuple[str, str, int]  # stdout text, stderr text, exit status
+
+
+def _check(args: argparse.Namespace) -> Output:
+    findings = validate(load_model(args.file), strict=args.strict)
+    return "", "".join(finding.render() + "\n" for finding in findings), 0
+
+
+def _analyze(args: argparse.Namespace) -> Output:
+    if args.load_threshold < 1:
+        return "", (f"error: --load-threshold must be at least 1, "
+                    f"got {args.load_threshold}\n"), 2
+    findings = analysis.run_all(load_model(args.file), load_threshold=args.load_threshold)
+    fail_level = SEVERITIES[args.fail_level]
+    status = 1 if any(f.severity >= fail_level for f in findings) else 0
+    return reporting.findings_report(findings, args.format), "", status
+
+
+def _elicit(args: argparse.Namespace) -> Output:
+    return elicitation.answers_skeleton(load_model(args.file), args.responsibility), "", 0
+
+
+def _ingest(args: argparse.Namespace) -> Output:
+    model = load_model(args.file)
+    records = parse_answers(read_input(args.answers), str(args.answers))
+    return print_model(ingest_all(model, records, strict=args.strict)), "", 0
+
+
+def _table(table: InfoTable, fmt: str) -> str:
+    render = reporting.table_to_markdown if fmt == "md" else reporting.table_to_csv
+    return render(table)
+
+
+def _tables(args: argparse.Namespace) -> Output:
+    model, duty, fmt = load_model(args.file), args.responsibility, args.format
+    parts = []
+    if args.which in ("required", "both"):
+        parts.append(_table(elicitation.information_required_table(model, duty), fmt))
+    if args.which in ("recorded", "both"):
+        parts.append(_table(elicitation.information_recorded_table(model, duty), fmt))
+    separator = "\r\n" if fmt == "csv" else "\n"
+    return separator.join(parts), "", 0
+
+
+def _hazards(args: argparse.Namespace) -> Output:
+    model = load_model(args.file)
+    worksheet = hazards.generate_worksheet(model, args.responsibility)
+    return _table(reporting.worksheet_table(model, worksheet), args.format), "", 0
+
+
+def _mitigations(args: argparse.Namespace) -> Output:
+    stubs = hazards.derive_mitigations(load_model(args.file), args.responsibility,
+                                       threshold=SEVERITIES[args.threshold])
+    return print_requirements(stubs), "", 0
+
+
+def _requirements(args: argparse.Namespace) -> Output:
+    model = load_model(args.file)
+    records = parse_requirements(read_input(args.reqs), str(args.reqs))
+    if args.report:
+        return reporting.requirements_report(model, records), "", 0
+    reporting.check_traces(model, records)
+    return "", f"{len(records)} requirement(s), all traces resolve.\n", 0
+
+
+def _dot(args: argparse.Namespace) -> Output:
+    return reporting.to_dot(load_model(args.file)), "", 0
+
+
+def _diff(args: argparse.Namespace) -> Output:
+    inconsistencies = analysis.diff_models(load_model(args.left), load_model(args.right))
+    status = 1 if inconsistencies else 0
+    return reporting.diff_report(inconsistencies, args.format), "", status
+
+
+def _arg(*flags: str, **options) -> tuple:
+    """One argument: its flags and its ``add_argument`` keywords."""
+    return flags, options
+
+
+# The arguments that several subcommands take.
+_FILE = _arg("file", type=Path)
+_DUTY = _arg("--responsibility", required=True)
+_OUTPUT = _arg("-o", "--output", type=Path)
+
+# name: (help, handler, arguments), in the order ``--help`` lists them.
+COMMANDS = {
+    "check": ("parse a model and report diagnostics", _check, [
+        _FILE, _arg("--strict", action="store_true",
+                    help="also report implicit declarations and missing channels")]),
+    "analyze": ("run every vulnerability analysis", _analyze, [
+        _FILE, _arg("--format", choices=["text", "json"], default="text"),
+        _arg("--load-threshold", type=int, default=analysis.DEFAULT_LOAD_THRESHOLD,
+             metavar="N", help="overload threshold (default %(default)s)"),
+        _arg("--fail-level", choices=list(SEVERITIES), default="medium",
+             help="exit 1 when findings reach this severity (default %(default)s)")]),
+    "elicit": ("emit an answers skeleton to fill in", _elicit, [_FILE, _DUTY, _OUTPUT]),
+    "ingest": ("merge answer files into a model", _ingest, [
+        _FILE, _arg("answers", type=Path), _OUTPUT,
+        _arg("--strict", action="store_true",
+             help="refuse references the model cannot resolve")]),
+    "tables": ("render the information tables", _tables, [
+        _FILE, _DUTY, _arg("--format", choices=["md", "csv"], default="md"),
+        _arg("--which", choices=["required", "recorded", "both"], default="both")]),
+    "hazards": ("render the hazard worksheet", _hazards, [
+        _FILE, _DUTY, _arg("--format", choices=["md", "csv"], default="md")]),
+    "mitigations": ("stub coping requirements for serious hazards", _mitigations, [
+        _FILE, _DUTY,
+        _arg("--threshold", choices=list(SEVERITIES),
+             default=hazards.DEFAULT_MITIGATION_THRESHOLD.token,
+             help="minimum severity that needs a mitigation (default %(default)s)")]),
+    "requirements": ("validate and report requirements", _requirements, [
+        _FILE, _arg("reqs", type=Path),
+        _arg("--report", action="store_true",
+             help="print the numbered requirements report")]),
+    "dot": ("emit the model as a DOT graph", _dot, [_FILE, _OUTPUT]),
+    "diff": ("compare two models of the same duties", _diff, [
+        _arg("left", type=Path), _arg("right", type=Path),
+        _arg("--format", choices=["text", "json"], default="text")]),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -30,85 +168,20 @@ def _build_parser() -> argparse.ArgumentParser:
                     "hazards and report traced requirements.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="parse a model and report diagnostics")
-    p.add_argument("file", type=Path)
-    p.add_argument("--strict", action="store_true",
-                   help="also report implicit declarations and missing channels")
-
-    p = sub.add_parser("analyze", help="run every vulnerability analysis")
-    p.add_argument("file", type=Path)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--load-threshold", type=int,
-                   default=analysis.DEFAULT_LOAD_THRESHOLD, metavar="N",
-                   help="overload threshold (default %(default)s)")
-    p.add_argument("--fail-level", choices=list(SEVERITIES), default="medium",
-                   help="exit 1 when findings reach this severity "
-                        "(default %(default)s)")
-
-    p = sub.add_parser("elicit", help="emit an answers skeleton to fill in")
-    p.add_argument("file", type=Path)
-    p.add_argument("--responsibility", required=True)
-    p.add_argument("-o", "--output", type=Path)
-
-    p = sub.add_parser("ingest", help="merge answer files into a model")
-    p.add_argument("file", type=Path)
-    p.add_argument("answers", type=Path)
-    p.add_argument("-o", "--output", type=Path)
-    p.add_argument("--strict", action="store_true",
-                   help="refuse references the model cannot resolve")
-
-    p = sub.add_parser("tables", help="render the information tables")
-    p.add_argument("file", type=Path)
-    p.add_argument("--responsibility", required=True)
-    p.add_argument("--format", choices=["md", "csv"], default="md")
-    p.add_argument("--which", choices=["required", "recorded", "both"],
-                   default="both")
-
-    p = sub.add_parser("hazards", help="render the hazard worksheet")
-    p.add_argument("file", type=Path)
-    p.add_argument("--responsibility", required=True)
-    p.add_argument("--format", choices=["md", "csv"], default="md")
-
-    p = sub.add_parser("mitigations",
-                       help="stub coping requirements for serious hazards")
-    p.add_argument("file", type=Path)
-    p.add_argument("--responsibility", required=True)
-    p.add_argument("--threshold", choices=list(SEVERITIES),
-                   default=hazards.DEFAULT_MITIGATION_THRESHOLD.token,
-                   help="minimum severity that needs a mitigation "
-                        "(default %(default)s)")
-
-    p = sub.add_parser("requirements", help="validate and report requirements")
-    p.add_argument("file", type=Path)
-    p.add_argument("reqs", type=Path)
-    p.add_argument("--report", action="store_true",
-                   help="print the numbered requirements report")
-
-    p = sub.add_parser("dot", help="emit the model as a DOT graph")
-    p.add_argument("file", type=Path)
-    p.add_argument("-o", "--output", type=Path)
-
-    p = sub.add_parser("diff", help="compare two models of the same duties")
-    p.add_argument("left", type=Path)
-    p.add_argument("right", type=Path)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-
+    for name, (help_text, _, arguments) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            command.add_argument(*flags, **options)
     return parser
 
 
-def _emit(text: str, output: Optional[Path], stdout: TextIO) -> None:
-    if output is not None:
-        output.write_text(text, encoding="utf-8", newline="")
-    else:
-        stdout.write(text)
-
-
-def run(argv: list[str], stdin: Optional[TextIO] = None,
-        stdout: Optional[TextIO] = None, stderr: Optional[TextIO] = None) -> int:
-    """Dispatch one invocation; returns the exit status.  The cyclic garbage
-    collector is off while the command runs: a loaded model is many acyclic
-    objects, which it would walk for nothing.  The caller's setting returns."""
+def run(argv: list[str], stdout: Optional[TextIO] = None,
+        stderr: Optional[TextIO] = None) -> int:
+    """Run one invocation and return its exit status.  The subcommand's
+    handler makes the whole output; only then is it written, so a run that
+    fails writes no artifact.  The cyclic garbage collector is off while
+    the command runs: a loaded model is many acyclic objects, which it
+    would walk for nothing.  The caller's setting returns."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
 
@@ -122,99 +195,20 @@ def run(argv: list[str], stdin: Optional[TextIO] = None,
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _dispatch(args, stdout, stderr)
-    except (ParseFailure, ModelBuildError) as exc:  # and IngestError
-        stderr.write(str(exc) + "\n")
-        return 2
-    except (UnknownResponsibility, TraceResolutionError, OSError) as exc:
-        stderr.write(f"error: {exc}\n")
+        out, err, status = COMMANDS[args.command][1](args)
+        stderr.write(err)
+        output = getattr(args, "output", None)
+        if output is None:
+            stdout.write(out)
+        else:
+            output.write_text(out, encoding="utf-8", newline="")
+        return status
+    except INPUT_ERRORS as exc:
+        stderr.write(input_error(exc))
         return 2
     finally:
         if collecting:
             gc.enable()
-
-
-def _dispatch(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> int:
-    if args.command == "analyze" and args.load_threshold < 1:
-        stderr.write(f"error: --load-threshold must be at least 1, "
-                     f"got {args.load_threshold}\n")
-        return 2
-
-    if args.command == "diff":
-        left = load_model(args.left)
-        right = load_model(args.right)
-        inconsistencies = analysis.diff_models(left, right)
-        stdout.write(reporting.diff_report(inconsistencies, args.format))
-        return 1 if inconsistencies else 0
-
-    # Every other command reads one model.
-    model = load_model(args.file)
-    if args.command == "check":
-        for finding in validate(model, strict=args.strict):
-            stderr.write(finding.render() + "\n")
-        return 0
-
-    if args.command == "analyze":
-        findings = analysis.run_all(model, load_threshold=args.load_threshold)
-        stdout.write(reporting.findings_report(findings, args.format))
-        fail_level = SEVERITIES[args.fail_level]
-        return 1 if any(f.severity >= fail_level for f in findings) else 0
-
-    if args.command == "elicit":
-        _emit(elicitation.answers_skeleton(model, args.responsibility),
-              args.output, stdout)
-        return 0
-
-    if args.command == "ingest":
-        records = parse_answers(read_input(args.answers), str(args.answers))
-        merged = ingest_all(model, records, strict=args.strict)
-        _emit(print_model(merged), args.output, stdout)
-        return 0
-
-    if args.command == "tables":
-        renderer = (reporting.table_to_markdown if args.format == "md"
-                    else reporting.table_to_csv)
-        parts = []
-        if args.which in ("required", "both"):
-            parts.append(renderer(
-                elicitation.information_required_table(model, args.responsibility)))
-        if args.which in ("recorded", "both"):
-            parts.append(renderer(
-                elicitation.information_recorded_table(model, args.responsibility)))
-        separator = "\r\n" if args.format == "csv" else "\n"
-        stdout.write(separator.join(parts))
-        return 0
-
-    if args.command == "hazards":
-        worksheet = hazards.generate_worksheet(model, args.responsibility)
-        table = reporting.worksheet_table(model, worksheet)
-        renderer = (reporting.table_to_markdown if args.format == "md"
-                    else reporting.table_to_csv)
-        stdout.write(renderer(table))
-        return 0
-
-    if args.command == "mitigations":
-        stubs = hazards.derive_mitigations(
-            model, args.responsibility,
-            threshold=SEVERITIES[args.threshold])
-        stdout.write(print_requirements(stubs))
-        return 0
-
-    if args.command == "requirements":
-        records = parse_requirements(read_input(args.reqs), str(args.reqs))
-        if args.report:
-            stdout.write(reporting.requirements_report(model, records))
-        else:
-            reporting.check_traces(model, records)
-            count = len(records)
-            stderr.write(f"{count} requirement(s), all traces resolve.\n")
-        return 0
-
-    if args.command == "dot":
-        _emit(reporting.to_dot(model), args.output, stdout)
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def main() -> None:

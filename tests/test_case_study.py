@@ -45,3 +45,12 @@ def test_case_study_reports_a_syntax_error_at_its_file(tmp_path):
     assert done.returncode == 2
     (line,) = done.stderr.splitlines()
     assert line.startswith(f"{answers}:29:13: error: ")
+
+
+def test_case_study_refuses_an_unknown_duty_as_the_command_does(tmp_path, run_cli):
+    done = _run("--outdir", str(tmp_path), "--responsibility", "Ghost")
+    status, out, err = run_cli("elicit", str(REPO / "corpus" / "evacuation.resp"),
+                               "--responsibility", "Ghost")
+    assert (status, out) == (2, "")
+    assert (done.returncode, done.stderr) == (2, err)
+    assert err.startswith('error: unknown responsibility "Ghost"; ')

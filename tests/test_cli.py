@@ -516,6 +516,36 @@ class TestOneLineDiagnostics:
         assert len(err.splitlines()) == 1
 
 
+class TestFailingRunWritesNothing:
+    """A run that fails writes its one error line and no artifact: nothing
+    on stdout, and no file at the ``-o`` path."""
+
+    ANSWERS = 'elicitation "Evacuate area" {\n  needs { |!!!| }\n}\n'
+    MODEL = "responsibility {\n"
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("elicit", "{resp}", "--responsibility", "Ghost"),
+         'error: unknown responsibility "Ghost"; model defines: "Arrange transport", '
+         '"Collect evacuee information", "Evacuate area", "Initiate evacuation", '
+         '"Search and rescue", "Set up reception centres"'),
+        (("ingest", "{resp}", "{answers}"),
+         "{answers}:2:11: error: resource name '!!!' needs at least one alphanumeric "
+         "character"),
+        (("dot", "{model}"), "{model}:1:16: error: expected string, found '{{' '{{'"),
+    ], ids=["elicit-unknown-duty", "ingest-bad-answers", "dot-parse-error"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+    def test_no_artifact(self, run_cli, resp_path, tmp_path, argv, expected, to_file):
+        paths = {"resp": resp_path, "answers": tmp_path / "bad.answers",
+                 "model": tmp_path / "bad.resp"}
+        paths["answers"].write_text(self.ANSWERS, encoding="utf-8")
+        paths["model"].write_text(self.MODEL, encoding="utf-8")
+        target = tmp_path / "artifact"
+        output = ("-o", str(target)) if to_file else ()
+        status, out, err = run_cli(*(arg.format(**paths) for arg in argv), *output)
+        assert (status, out, err) == (2, "", expected.format(**paths) + "\n")
+        assert not target.exists()
+
+
 class TestUsage:
     def test_unknown_subcommand(self, run_cli):
         status, _, err = run_cli("frobnicate")

@@ -9,6 +9,10 @@ corpus with CRLF line ends, and through the real entry point, as a fresh
 process: every form once, and a few forms under several ``PYTHONHASHSEED``
 values.
 
+The help and usage text of the command and of each subcommand, and the
+usage error of each subcommand run bare, are pinned under
+``corpus/golden/help/`` at a terminal width of 80 columns.
+
 To regenerate the snapshots after an intended output change, run
 ``PYTHONPATH=src python tests/test_cli_golden.py`` from the repository root
 and review the diff.
@@ -28,6 +32,7 @@ from respkit import cli
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN_CLI = REPO / "corpus" / "golden" / "cli"
+GOLDEN_HELP = REPO / "corpus" / "golden" / "help"
 
 RESP = "corpus/evacuation.resp"
 ANSWERS = "corpus/evacuation.answers"
@@ -53,6 +58,18 @@ FORMS: dict[str, tuple[str, ...]] = {
     "dot": ("dot", RESP),
     "diff": ("diff", RESP, MERGED),
 }
+
+SUBCOMMANDS = ("check", "analyze", "elicit", "ingest", "tables", "hazards",
+               "mitigations", "requirements", "dot", "diff")
+HELP_FORMS: dict[str, tuple[str, ...]] = {
+    "help": ("--help",),
+    "no_arguments": (),
+    "unknown_subcommand": ("frobnicate",),
+    **{f"{sub}_help": (sub, "--help") for sub in SUBCOMMANDS},
+    **{f"{sub}_usage": (sub,) for sub in SUBCOMMANDS},
+}
+# argparse wraps help text at the terminal width, which COLUMNS sets.
+COLUMNS = "80"
 
 
 def _invoke(argv):
@@ -116,6 +133,15 @@ def test_crlf_corpus_matches_golden(name, statuses, at_crlf_copy):
         _read(GOLDEN_CLI / f"{name}.err"))
 
 
+@pytest.mark.parametrize("name", sorted(HELP_FORMS))
+def test_help_and_usage_match_golden(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    statuses = json.loads(_read(GOLDEN_HELP / "status.json"))
+    assert _invoke(HELP_FORMS[name]) == (
+        statuses[name], _read(GOLDEN_HELP / f"{name}.out"),
+        _read(GOLDEN_HELP / f"{name}.err"))
+
+
 ENTRY = "from respkit.cli import main; main()"  # the `respkit` console script
 PROCESS_FORMS = ("check_strict", "analyze_json", "dot", "ingest", "diff")
 # Every form goes through the entry point once; a few under several seeds.
@@ -137,18 +163,25 @@ def test_entry_point_matches_golden(name, hashseed, statuses, tmp_path):
     assert done.stderr == (GOLDEN_CLI / f"{name}.err").read_bytes()
 
 
+def _write_goldens(folder: Path, runs: dict) -> None:
+    """Write each run's stdout and stderr, and every exit status, to ``folder``."""
+    folder.mkdir(parents=True, exist_ok=True)
+    for name, (status, out, err) in runs.items():
+        (folder / f"{name}.out").write_bytes(out.encode("utf-8"))
+        (folder / f"{name}.err").write_bytes(err.encode("utf-8"))
+    statuses = {name: status for name, (status, _, _) in runs.items()}
+    (folder / "status.json").write_text(
+        json.dumps(statuses, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def _regenerate() -> None:
     os.chdir(REPO)
-    GOLDEN_CLI.mkdir(parents=True, exist_ok=True)
-    statuses = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(FORMS):
-            status, out, err = _run_form(name, Path(tmp))
-            statuses[name] = status
-            (GOLDEN_CLI / f"{name}.out").write_bytes(out.encode("utf-8"))
-            (GOLDEN_CLI / f"{name}.err").write_bytes(err.encode("utf-8"))
-    (GOLDEN_CLI / "status.json").write_text(
-        json.dumps(statuses, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        _write_goldens(GOLDEN_CLI, {name: _run_form(name, Path(tmp))
+                                    for name in sorted(FORMS)})
+    os.environ["COLUMNS"] = COLUMNS
+    _write_goldens(GOLDEN_HELP, {name: _invoke(argv)
+                                 for name, argv in sorted(HELP_FORMS.items())})
 
 
 if __name__ == "__main__":

@@ -455,6 +455,13 @@ INGEST_PROBLEMS = [
             "a.answers:3:13: error: conflicting resource kind: 'Kit' is physical "
             "but is used as information",
             "a.answers:4:20: error: unknown information resource |Gone|"]),
+    # Nor does it keep its sources and channels from being checked.
+    ('elicitation "R" {\n  needs { |Ops| from <!!!>, <Map> via "Ops" }\n}\n',
+     True, ["a.answers:2:11: error: unknown information resource |Ops|",
+            "a.answers:2:11: error: agent name '!!!' needs at least one "
+            "alphanumeric character",
+            "a.answers:2:11: error: unknown agent <Map>",
+            'a.answers:2:11: error: unknown channel "Ops"']),
 ]
 
 

@@ -342,6 +342,14 @@ BUILD_ERRORS = [
         "t.resp:2:1: error: conflicting re-declaration of channel 'A'"]),
     ("agent <Ops>\nagent <ops> kind role", [
         "t.resp:2:1: error: agents 'Ops' and 'ops' collide on id 'ops'"]),
+    # A flow whose item does not resolve still has its sources and channels
+    # checked, each problem once.
+    ('responsibility "R" {\n  requires |!!!| from <###> via "$$"\n}', [
+        "t.resp:2:3: error: resource name '!!!' needs at least one alphanumeric "
+        "character",
+        "t.resp:2:3: error: agent name '###' needs at least one alphanumeric character",
+        "t.resp:2:3: error: channel name '$$' needs at least one alphanumeric "
+        "character"]),
 ]
 
 
