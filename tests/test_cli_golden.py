@@ -9,9 +9,10 @@ corpus with CRLF line ends, and through the real entry point, as a fresh
 process: every form once, and a few forms under several ``PYTHONHASHSEED``
 values.
 
-The help and usage text of the command and of each subcommand, and the
-usage error of each subcommand run bare, are pinned under
-``corpus/golden/help/`` at a terminal width of 80 columns.
+The help and usage text of the command and of each subcommand, the usage
+error of each subcommand run bare, and the command's own usage error after
+a subcommand was named are pinned under ``corpus/golden/help/`` at a
+terminal width of 80 columns.
 
 To regenerate the snapshots after an intended output change, run
 ``PYTHONPATH=src python tests/test_cli_golden.py`` from the repository root
@@ -61,12 +62,26 @@ FORMS: dict[str, tuple[str, ...]] = {
 
 SUBCOMMANDS = ("check", "analyze", "elicit", "ingest", "tables", "hazards",
                "mitigations", "requirements", "dot", "diff")
+# Each subcommand with its required arguments, so that argparse gets past it.
+REQUIRED_ARGS: dict[str, tuple[str, ...]] = {
+    "check": (RESP,), "analyze": (RESP,), "elicit": (RESP, *DUTY),
+    "ingest": (RESP, ANSWERS), "tables": (RESP, *DUTY), "hazards": (RESP, *DUTY),
+    "mitigations": (RESP, *DUTY), "requirements": (RESP, REQS), "dot": (RESP,),
+    "diff": (RESP, RESP),
+}
 HELP_FORMS: dict[str, tuple[str, ...]] = {
     "help": ("--help",),
     "no_arguments": (),
     "unknown_subcommand": ("frobnicate",),
     **{f"{sub}_help": (sub, "--help") for sub in SUBCOMMANDS},
     **{f"{sub}_usage": (sub,) for sub in SUBCOMMANDS},
+    # The top-level usage error, met after a subcommand was named: it must
+    # list every subcommand, whichever one the command line named.
+    **{f"{sub}_unknown_option": (sub, *REQUIRED_ARGS[sub], "--bogus")
+       for sub in SUBCOMMANDS},
+    "option_before_subcommand": ("--strict", "check", RESP),
+    "double_dash_before_subcommand": ("--", "check", RESP),
+    "misspelt_subcommand": ("chec", RESP),
 }
 # argparse wraps help text at the terminal width, which COLUMNS sets.
 COLUMNS = "80"
