@@ -28,9 +28,7 @@ from .dsl import (
 from .elicitation import (
     InfoTable,
     IngestError,
-    Questionnaire,
     answers_skeleton,
-    generate_questionnaire,
     information_recorded_table,
     information_required_table,
     ingest,

@@ -11,9 +11,9 @@ clauses as a ``.resp`` responsibility block.  Ingest resolves them through
 ``build.resolve_flow`` and merges each duty's answers from every session in
 one ``build.DutyFold``, so an answer obeys the rules its clause obeys in a
 model file.  By build's rule, ingest reports every answer it refuses, one
-line each at the answer's line, in the order it meets them.  ``Question``,
-``Questionnaire`` and ``InfoTable`` are named tuples, cheap to define and
-to make: they compare and unpack as tuples.
+line each at the answer's line, in the order it meets them.  ``InfoTable``
+is a named tuple, cheap to define and to make: it compares and unpacks as
+a tuple.
 """
 
 from dataclasses import replace
@@ -22,9 +22,6 @@ from typing import NamedTuple
 from . import dsl
 from .build import DutyFold, ModelBuildError, SymbolTable, resolve_flow
 from .model import (
-    HazardEntry,
-    InfoNeed,
-    InfoProduct,
     Model,
     Responsibility,
     UnknownResponsibility,
@@ -32,43 +29,25 @@ from .model import (
 )
 
 
-class Question(NamedTuple):
-    number: int
-    prompt: str
-
-
-QUESTIONS: tuple[Question, ...] = (
-    Question(1, "What information needs to be provided to discharge this "
-                "responsibility?"),
-    Question(2, "What channels are used to communicate this information?"),
-    Question(3, "Where does this information come from?"),
-    Question(4, "What information is generated and recorded in the discharge "
-                "of this responsibility and why?"),
-    Question(5, "What channels are used to communicate this recorded "
-                "information?"),
-    Question(6, "What are the consequences if the information required is "
-                "unavailable, inaccurate, incomplete, late, early?"),
+#: The six questions asked about one responsibility, in order, each with the
+#: hint on how its answer is written.
+QUESTIONS: tuple[tuple[str, str], ...] = (
+    ("What information needs to be provided to discharge this responsibility?",
+     "answer with one |item| line per information need, inside needs { }"),
+    ("What channels are used to communicate this information?",
+     "annotate each need line with via \"channel\" clauses"),
+    ("Where does this information come from?",
+     "annotate each need line with from <agent> clauses"),
+    ("What information is generated and recorded in the discharge of this "
+     "responsibility and why?",
+     "answer with one |item| line per record, inside records { }; "
+     "capture the why in a rationale clause"),
+    ("What channels are used to communicate this recorded information?",
+     "annotate each record line with via \"channel\" clauses"),
+    ("What are the consequences if the information required is unavailable, "
+     "inaccurate, incomplete, late, early?",
+     "fill one hazards |item| block per required information item"),
 )
-
-_ANSWER_HINTS = {
-    1: "answer with one |item| line per information need, inside needs { }",
-    2: "annotate each need line with via \"channel\" clauses",
-    3: "annotate each need line with from <agent> clauses",
-    4: "answer with one |item| line per record, inside records { }; "
-       "capture the why in a rationale clause",
-    5: "annotate each record line with via \"channel\" clauses",
-    6: "fill one hazards |item| block per required information item",
-}
-
-
-class Questionnaire(NamedTuple):
-    """Six questions for one responsibility, with drafts from the model."""
-
-    responsibility: str
-    questions: tuple[Question, ...]
-    draft_needs: tuple[InfoNeed, ...] = ()
-    draft_products: tuple[InfoProduct, ...] = ()
-    draft_hazards: tuple[HazardEntry, ...] = ()
 
 
 def _require(model: Model, responsibility: str) -> Responsibility:
@@ -78,41 +57,28 @@ def _require(model: Model, responsibility: str) -> Responsibility:
     return resp
 
 
-def generate_questionnaire(model: Model, responsibility: str) -> Questionnaire:
-    """Build the interview sheet, pre-populated from the model."""
-    resp = _require(model, responsibility)
-    return Questionnaire(
-        responsibility=resp.name,
-        questions=QUESTIONS,
-        draft_needs=resp.needs,
-        draft_products=resp.products,
-        draft_hazards=resp.hazards,
-    )
-
-
 def answers_skeleton(model: Model, responsibility: str) -> str:
-    """Render the questionnaire as a commented answers file to edit in place."""
-    sheet = generate_questionnaire(model, responsibility)
-
-    lines = [f"# Elicitation sheet for responsibility {dsl.quote(sheet.responsibility)}."]
-    lines.append("# Work through the questions below; lines already present were")
-    lines.append("# drafted from the current model.")
-    for question in sheet.questions:
-        lines.append(f"# {question.number}. {question.prompt}")
-        lines.append(f"#    ({_ANSWER_HINTS[question.number]})")
-    lines.append(f"elicitation {dsl.quote(sheet.responsibility)} {{")
+    """The six questions as a commented answers file to edit in place, its
+    lines drafted from what the model records for the duty."""
+    resp = _require(model, responsibility)
+    lines = [f"# Elicitation sheet for responsibility {dsl.quote(resp.name)}.",
+             "# Work through the questions below; lines already present were",
+             "# drafted from the current model."]
+    for number, (prompt, hint) in enumerate(QUESTIONS, 1):
+        lines += [f"# {number}. {prompt}", f"#    ({hint})"]
+    lines.append(f"elicitation {dsl.quote(resp.name)} {{")
     lines.append("  needs {")
-    lines += ["    " + dsl.format_need_tail(model, need) for need in sheet.draft_needs]
+    lines += ["    " + dsl.format_need_tail(model, need) for need in resp.needs]
     lines.append("  }")
     lines.append("  records {")
     lines += ["    " + dsl.format_product_tail(model, product)
-              for product in sheet.draft_products]
+              for product in resp.products]
     lines.append("  }")
     hazards_of: dict[str, list[str]] = {}
-    for entry in sheet.draft_hazards:
+    for entry in resp.hazards:
         hazards_of.setdefault(entry.item, []).append(
             "    " + dsl.format_hazard_tail(entry))
-    for need in sheet.draft_needs:
+    for need in resp.needs:
         item = dsl._ref(model.resource_name(need.resource), "information")
         lines.append(f"  hazards {item} {{")
         lines += hazards_of.get(need.resource, ())
@@ -179,7 +145,6 @@ def ingest(model: Model, record: dsl.ElicitationRecord, strict: bool = False) ->
 
 
 class InfoTable(NamedTuple):
-    title: str
     columns: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
 
@@ -203,11 +168,7 @@ def information_required_table(model: Model, responsibility: str) -> InfoTable:
             ", ".join(model.agent_name(a) for a in need.sources),
             ", ".join(model.channel_name(c) for c in need.channels),
         ))
-    return InfoTable(
-        title=f'Information used in the discharge of "{resp.name}"',
-        columns=REQUIRED_COLUMNS,
-        rows=tuple(rows),
-    )
+    return InfoTable(columns=REQUIRED_COLUMNS, rows=tuple(rows))
 
 
 def information_recorded_table(model: Model, responsibility: str) -> InfoTable:
@@ -219,8 +180,4 @@ def information_recorded_table(model: Model, responsibility: str) -> InfoTable:
             model.resource_name(product.resource),
             ", ".join(model.channel_name(c) for c in product.channels),
         ))
-    return InfoTable(
-        title=f'Information recorded in the discharge of "{resp.name}"',
-        columns=RECORDED_COLUMNS,
-        rows=tuple(rows),
-    )
+    return InfoTable(columns=RECORDED_COLUMNS, rows=tuple(rows))

@@ -25,7 +25,6 @@ DEFAULT_MITIGATION_THRESHOLD = Severity.MEDIUM
 
 
 class Worksheet(NamedTuple):
-    responsibility: str
     rows: tuple[HazardEntry, ...]
 
     @property
@@ -51,7 +50,7 @@ def generate_worksheet(model: Model, responsibility: str) -> Worksheet:
             existing = recorded.get((item, guide_word))
             rows.append(existing if existing is not None
                         else HazardEntry(item, guide_word))
-    return Worksheet(responsibility=resp.name, rows=tuple(rows))
+    return Worksheet(rows=tuple(rows))
 
 
 def derive_mitigations(

@@ -39,13 +39,6 @@ class Severity(IntEnum):
     def token(self) -> str:
         return self.name.lower()
 
-    @classmethod
-    def from_token(cls, token: str) -> "Severity":
-        if token not in SEVERITIES:
-            raise ValueError(
-                f"unknown severity {token!r}; expected one of {SEVERITY_TOKENS}")
-        return SEVERITIES[token]
-
 
 #: Each severity by its token, matched exactly: ``HIGH`` is not ``high``.
 SEVERITIES = {s.token: s for s in Severity}
@@ -73,13 +66,6 @@ class GuideWord(Enum):
     INCOMPLETE = "incomplete"
     LATE = "late"
     EARLY = "early"
-
-    @classmethod
-    def from_token(cls, token: str) -> "GuideWord":
-        if token not in GUIDE_WORDS_BY_TOKEN:
-            raise ValueError(
-                f"unknown guide word {token!r}; expected one of {GUIDE_WORD_TOKENS}")
-        return GUIDE_WORDS_BY_TOKEN[token]
 
 
 GUIDE_WORDS = tuple(GuideWord)

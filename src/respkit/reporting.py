@@ -124,7 +124,6 @@ def worksheet_table(model: Model, worksheet: Worksheet) -> InfoTable:
             entry.mitigation or "",
         ))
     return InfoTable(
-        title=f'Information hazards for "{worksheet.responsibility}"',
         columns=("Information item", "Guide word", "Consequence", "Severity",
                  "Mitigation"),
         rows=tuple(rows),

@@ -44,9 +44,11 @@ from respkit.model import (
     AgentKind,
     GuideWord,
     GUIDE_WORD_TOKENS,
+    GUIDE_WORDS_BY_TOKEN,
     RequirementRecord,
     ResourceKind,
     Severity,
+    SEVERITIES,
     SEVERITY_TOKENS,
     TraceRef,
 )
@@ -136,19 +138,17 @@ class _Parser:
 
     def severity_token(self) -> Severity:
         tok = self.expect(IDENT, expected=f"a severity ({SEVERITY_TOKENS})")
-        try:
-            return Severity.from_token(tok.value)
-        except ValueError:
+        if tok.value not in SEVERITIES:
             raise _SyntaxError(ParseError(
                 tok.span, f"one of {SEVERITY_TOKENS}", f"{tok.value!r}"))
+        return SEVERITIES[tok.value]
 
     def guide_word_token(self) -> GuideWord:
         tok = self.expect(IDENT, expected=f"a guide word ({GUIDE_WORD_TOKENS})")
-        try:
-            return GuideWord.from_token(tok.value)
-        except ValueError:
+        if tok.value not in GUIDE_WORDS_BY_TOKEN:
             raise _SyntaxError(ParseError(
                 tok.span, f"one of {GUIDE_WORD_TOKENS}", f"{tok.value!r}"))
+        return GUIDE_WORDS_BY_TOKEN[tok.value]
 
 
 def _channels(parser: _Parser) -> tuple[str, ...]:

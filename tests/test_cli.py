@@ -186,6 +186,21 @@ class TestElicit:
         assert '"Evacuate area"' in err
 
 
+@pytest.mark.parametrize("sub", ["elicit", "tables", "hazards", "mitigations"])
+def test_duty_name_like_an_option_needs_the_equals_form(run_cli, tmp_path, sub):
+    """argparse takes a value that starts with "-" and holds no space for an
+    option, as README says; ``--responsibility=NAME`` passes any name."""
+    model = tmp_path / "m.resp"
+    model.write_text('responsibility "-Relief" {\n  requires |Map|\n'
+                     '  hazard |Map| late "No route." severity high\n}\n', encoding="utf-8")
+    status, out, err = run_cli(sub, str(model), "--responsibility", "-Relief")
+    assert (status, out) == (2, "")
+    assert err.endswith(": error: argument --responsibility: expected one argument\n")
+    status, out, err = run_cli(sub, str(model), "--responsibility=-Relief")
+    assert (status, err) == (0, "")
+    assert "Map" in out
+
+
 class TestIngest:
     def test_prints_merged_canonical_model(self, run_cli, resp_path,
                                            answers_path):

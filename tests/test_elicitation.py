@@ -1,3 +1,4 @@
+import re
 from functools import reduce
 from itertools import permutations
 
@@ -7,16 +8,16 @@ from hypothesis import given, settings, strategies as st
 from respkit import (
     answers_skeleton,
     build_model,
-    generate_questionnaire,
     information_recorded_table,
     information_required_table,
     ingest,
     ingest_all,
     print_model,
 )
-from respkit.dsl import parse_answers, parse_model, quote
+from respkit.dsl import (format_need_tail, format_product_tail, parse_answers, parse_model,
+                         quote)
 from respkit.build import ModelBuildError
-from respkit.elicitation import IngestError
+from respkit.elicitation import QUESTIONS, IngestError
 from respkit.model import GuideWord, InfoNeed, Severity, UnknownResponsibility
 
 from strategies import ingested_declarations, ingested_models, models
@@ -32,28 +33,40 @@ def session(duty: str, body: str = ""):
     return record
 
 
+def _question_lines(skeleton: str) -> list[str]:
+    return [line for line in skeleton.splitlines() if re.match(r"# \d+\. ", line)]
+
+
 class TestQuestionnaire:
     def test_always_six_questions(self, evacuation):
+        assert len(QUESTIONS) == 6
         for resp in evacuation.responsibilities:
-            sheet = generate_questionnaire(evacuation, resp.name)
-            assert [q.number for q in sheet.questions] == [1, 2, 3, 4, 5, 6]
+            skeleton = answers_skeleton(evacuation, resp.name)
+            assert _question_lines(skeleton) == [
+                f"# {number}. {prompt}" for number, (prompt, _) in enumerate(QUESTIONS, 1)]
 
     def test_sixth_question_lists_guide_words(self, evacuation):
-        sheet = generate_questionnaire(evacuation, "Evacuate area")
-        assert ("unavailable, inaccurate, incomplete, late, early"
-                in sheet.questions[5].prompt)
+        skeleton = answers_skeleton(evacuation, "Evacuate area")
+        assert _question_lines(skeleton)[5].endswith(
+            "unavailable, inaccurate, incomplete, late, early?")
 
     def test_unknown_name_lists_available(self, evacuation):
         with pytest.raises(UnknownResponsibility) as excinfo:
-            generate_questionnaire(evacuation, "X")
+            answers_skeleton(evacuation, "X")
         message = str(excinfo.value)
         assert '"Evacuate area"' in message
         assert '"Collect evacuee information"' in message
 
     def test_existing_needs_prepopulate_drafts(self, evacuation):
-        sheet = generate_questionnaire(evacuation, "Evacuate area")
-        assert len(sheet.draft_needs) == 8
-        assert len(sheet.draft_products) == 3
+        resp = evacuation.responsibility_named("Evacuate area")
+        assert (len(resp.needs), len(resp.products)) == (8, 3)
+        lines = answers_skeleton(evacuation, resp.name).splitlines()
+        needs = lines.index("  needs {") + 1
+        records = lines.index("  records {") + 1
+        assert lines[needs:lines.index("  }", needs)] == [
+            "    " + format_need_tail(evacuation, need) for need in resp.needs]
+        assert lines[records:lines.index("  }", records)] == [
+            "    " + format_product_tail(evacuation, product) for product in resp.products]
 
     def test_skeleton_reparses(self, evacuation):
         skeleton = answers_skeleton(evacuation, "Evacuate area")

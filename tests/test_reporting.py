@@ -128,11 +128,11 @@ class TestMarkdownTables:
             "| Information required | Source | Communication channel |"
 
     def test_header_only_table_is_two_lines(self):
-        table = InfoTable("t", ("A", "B"), ())
+        table = InfoTable(("A", "B"), ())
         assert table_to_markdown(table) == "| A | B |\n| --- | --- |\n"
 
     def test_pipe_cells_escaped(self):
-        table = InfoTable("t", ("A",), (("x|y",),))
+        table = InfoTable(("A",), (("x|y",),))
         rendered = table_to_markdown(table)
         assert "x\\|y" in rendered
         # The escaped cell still reads back as one cell visually: splitting
@@ -168,7 +168,7 @@ class TestCsvTables:
         assert "\n" not in rendered.replace("\r\n", "")
 
     def test_empty_table_is_single_header_line(self):
-        table = InfoTable("t", ("A", "B"), ())
+        table = InfoTable(("A", "B"), ())
         assert table_to_csv(table) == "A,B\r\n"
 
     def test_round_trip_through_independent_reader(self, evacuation):
@@ -179,7 +179,7 @@ class TestCsvTables:
         assert [tuple(r) for r in rows[1:]] == list(table.rows)
 
     def test_quotes_and_newlines_round_trip(self):
-        table = InfoTable("t", ("A", "B"),
+        table = InfoTable(("A", "B"),
                           (('say "when"', "line1\nline2"), ("plain", "x,y")))
         rendered = table_to_csv(table)
         rows = list(csv.reader(io.StringIO(rendered, newline="")))
