@@ -39,6 +39,7 @@ from .model import (
     cycles,
     dedupe,
     escape_line_ends,
+    reduce_error,
     slugify,
 )
 
@@ -53,6 +54,8 @@ class BuildIssue(NamedTuple):
 
 
 class ModelBuildError(ValueError):
+    __reduce__ = reduce_error
+
     def __init__(self, issues: list[BuildIssue]):
         self.issues = list(issues)
         super().__init__("\n".join(i.render() for i in self.issues))

@@ -14,6 +14,8 @@ resolution error.
 import argparse
 import contextlib
 import gc
+import os
+import stat
 import sys
 from pathlib import Path
 from typing import Optional, TextIO
@@ -22,7 +24,7 @@ from . import analysis, elicitation, hazards, reporting
 from .build import ModelBuildError, load_model, read_input
 from .dsl import ParseFailure, parse_answers, parse_requirements, print_model, print_requirements
 from .elicitation import InfoTable, ingest_all
-from .model import SEVERITIES, UnknownResponsibility, validate
+from .model import SEVERITIES, Model, UnknownResponsibility, validate
 from .reporting import TraceResolutionError
 
 # The errors an input can cause.  Each ends a run with one message on stderr
@@ -107,8 +109,104 @@ def _dot(args: argparse.Namespace) -> Output:
     return reporting.to_dot(load_model(args.file)), "", 0
 
 
+# ``diff`` loads its smaller model in a forked child while this process
+# loads the larger one, when the smaller file has at least this many bytes.
+# Below it, the fork and the pickle cost more than the overlap saves.
+PARALLEL_LOAD_FLOOR = 64 * 1024
+
+
+def _child_side(paths: tuple[Path, Path]) -> Optional[int]:
+    """Which of the two files a forked child should load, the smaller one,
+    or None when loading them at once does not pay: either file is not a
+    regular file of at least the floor, or there is no fork, no second CPU,
+    or a second thread that a fork would not copy."""
+    try:
+        stats = [os.stat(path) for path in paths]
+    except OSError:
+        return None  # loading in order reports it
+    if not all(stat.S_ISREG(s.st_mode) and s.st_size >= PARALLEL_LOAD_FLOOR for s in stats):
+        return None
+    import threading
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if not hasattr(os, "fork") or threading.active_count() != 1 or cpus < 2:
+        return None
+    return int(stats[1].st_size <= stats[0].st_size)
+
+
+def _load(path: Path) -> tuple:
+    """``("model", m)`` for a file that loads, ``("error", exc)`` for one of
+    ``INPUT_ERRORS``."""
+    try:
+        return "model", load_model(path)
+    except INPUT_ERRORS as exc:
+        return "error", exc
+
+
+def _fork_load(path: Path) -> Optional[tuple[int, int]]:
+    """Fork a child that loads ``path`` and writes its pickled ``_load``
+    outcome to a pipe, then ends.  Return the child's pid and the pipe's
+    read end, or None when no pipe or process is to be had."""
+    import pickle
+    try:
+        reader, writer = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(reader)
+        os.close(writer)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(reader)
+            data = pickle.dumps(_load(path), pickle.HIGHEST_PROTOCOL)
+            with open(writer, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)  # never back into the caller's stack
+    os.close(writer)
+    return pid, reader
+
+
+def _load_both(left: Path, right: Path) -> tuple[Model, Model]:
+    """``load_model(left), load_model(right)``: the same two models, or the
+    same error, left's before right's.  When it pays, a forked child loads
+    the smaller file while this process loads the larger one.  A child that
+    ends without an outcome (killed, or an error that is not an input
+    error) leaves its file to this process."""
+    paths = (left, right)
+    theirs = _child_side(paths)
+    child = None if theirs is None else _fork_load(paths[theirs])
+    if child is None:
+        return load_model(left), load_model(right)
+    import pickle
+    pid, reader = child
+    outcomes = [None, None]
+    try:
+        outcomes[1 - theirs] = _load(paths[1 - theirs])
+    except Exception as exc:  # raised below, unless left's error comes first
+        outcomes[1 - theirs] = "raise", exc
+    finally:
+        with open(reader, "rb") as pipe:
+            data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+    if status == 0:
+        outcomes[theirs] = pickle.loads(data)
+    models = []
+    for path, outcome in zip(paths, outcomes):
+        kind, value = outcome or _load(path)
+        if kind != "model":
+            raise value
+        models.append(value)
+    return models[0], models[1]
+
+
 def _diff(args: argparse.Namespace) -> Output:
-    inconsistencies = analysis.diff_models(load_model(args.left), load_model(args.right))
+    inconsistencies = analysis.diff_models(*_load_both(args.left, args.right))
     status = 1 if inconsistencies else 0
     return reporting.diff_report(inconsistencies, args.format), "", status
 

@@ -75,6 +75,7 @@ from .model import (
     SEVERITY_TOKENS,
     TraceRef,
     escape_line_ends,
+    reduce_error,
 )
 
 # ---------------------------------------------------------------------------
@@ -129,6 +130,8 @@ class ParseError(NamedTuple):
 
 class ParseFailure(ValueError):
     """Raised when a document could not be parsed; carries every error."""
+
+    __reduce__ = reduce_error
 
     def __init__(self, errors: list[ParseError]):
         self.errors = list(errors)

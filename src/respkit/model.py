@@ -19,6 +19,7 @@ and caches on the instance.  The maps are not fields: equality, hashing and
 ``dataclasses.replace`` see only the collections they are built from.
 """
 
+import copyreg
 import re
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -328,8 +329,18 @@ def canonical_elements(elements: Iterable) -> tuple:
     return tuple(sorted(elements, key=lambda e: e.name))
 
 
+def reduce_error(exc: BaseException) -> tuple:
+    """``__reduce__`` for an error whose ``__init__`` makes its message from
+    a payload: unpickling sets back the message (``args``) and the payload
+    (the instance's attributes) without calling ``__init__``, so the error
+    crosses a process boundary with its type, text and payload."""
+    return copyreg.__newobj__, (type(exc), *exc.args), exc.__dict__
+
+
 class UnknownResponsibility(KeyError):
     """Raised when an operation names a responsibility the model lacks."""
+
+    __reduce__ = reduce_error
 
     def __init__(self, name: str, model: Model):
         self.name = name

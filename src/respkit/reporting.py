@@ -19,7 +19,7 @@ from .analysis import Finding, PerceptionInconsistency
 from .dsl import BRACKETS, format_trace
 from .elicitation import InfoTable
 from .hazards import Worksheet
-from .model import Model, RequirementRecord, TraceRef, escape_line_ends
+from .model import Model, RequirementRecord, TraceRef, escape_line_ends, reduce_error
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +136,8 @@ def worksheet_table(model: Model, worksheet: Worksheet) -> InfoTable:
 
 
 class TraceResolutionError(ValueError):
+    __reduce__ = reduce_error
+
     def __init__(self, unresolved: list[tuple[str, TraceRef]]):
         self.unresolved = list(unresolved)
         listing = "; ".join(f"{req_id}: {format_trace(ref)}"

@@ -32,9 +32,10 @@ def _python(*args: str, cwd: Path = REPO, text: bool = True,
 
 
 def test_import_loads_neither_json_nor_csv():
-    """Only the JSON and CSV renderers import ``json`` and ``csv``."""
+    """Only the JSON and CSV renderers import ``json`` and ``csv``, and only
+    a ``diff`` that loads in two processes imports ``pickle``."""
     done = _python("-c", "import sys, respkit.cli; "
-                         "print(sorted({'json', 'csv'} & set(sys.modules)))")
+                         "print(sorted({'json', 'csv', 'pickle'} & set(sys.modules)))")
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
@@ -518,8 +519,18 @@ class TestOneLineDiagnostics:
         (("ingest", "{m}", "{a}"),
          {"m": MODEL, "a": b'elicitation "Say\rwhen" {\n  hazards |X\rY| { late "c" }\n}\n'},
          '{a}:2:19: error: hazard block for |X\\rY| but "Say\\rwhen" does not require it'),
+        # diff reports left's error, not right's, when both files fail.
+        (("diff", "{m}", "{m}.gone"), {"m": b'responsibility "Say\rwhen" {\n'},
+         "{m}:2:1: error: expected '}}', found end of file"),
+        (("diff", "{m}.gone", "{m}"), {"m": b'responsibility "Say\rwhen" {\n'},
+         "error: [Errno 2] No such file or directory: '{m}.gone'"),
+        (("diff", "{m}", "{r}"),
+         {"m": MODEL, "r": b"agent <A\rB> kind role\nagent <A\rB> kind person\n"},
+         "{r}:2:1: error: conflicting agent kind for <A\\rB>: role vs person"),
     ], ids=["unknown-duty", "asked-name", "trace", "orphan-hazard", "agent-kind",
-            "strict-agent", "strict-resource", "strict-channel", "hazard-block"])
+            "strict-agent", "strict-resource", "strict-channel", "hazard-block",
+            "diff-bad-left-missing-right", "diff-missing-left-bad-right",
+            "diff-right-build-error"])
     def test_error_is_one_line(self, run_cli, tmp_path, argv, files, expected):
         paths = {}
         for key, data in files.items():
