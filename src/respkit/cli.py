@@ -134,19 +134,11 @@ def _child_side(paths: tuple[Path, Path]) -> Optional[int]:
     return int(stats[1].st_size <= stats[0].st_size)
 
 
-def _load(path: Path) -> tuple:
-    """``("model", m)`` for a file that loads, ``("error", exc)`` for one of
-    ``INPUT_ERRORS``."""
-    try:
-        return "model", load_model(path)
-    except INPUT_ERRORS as exc:
-        return "error", exc
-
-
 def _fork_load(path: Path) -> Optional[tuple[int, int]]:
-    """Fork a child that loads ``path`` and writes its pickled ``_load``
-    outcome to a pipe, then ends.  Return the child's pid and the pipe's
-    read end, or None when no pipe or process is to be had."""
+    """Fork a child that loads ``path``, writes the pickled model to a pipe
+    and exits 0; on any error it writes nothing and exits 1.  Return the
+    child's pid and the pipe's read end, or None when no pipe or process is
+    to be had."""
     import pickle
     try:
         reader, writer = os.pipe()
@@ -162,7 +154,7 @@ def _fork_load(path: Path) -> Optional[tuple[int, int]]:
         status = 1
         try:
             os.close(reader)
-            data = pickle.dumps(_load(path), pickle.HIGHEST_PROTOCOL)
+            data = pickle.dumps(load_model(path), pickle.HIGHEST_PROTOCOL)
             with open(writer, "wb") as pipe:
                 pipe.write(data)
             status = 0
@@ -175,9 +167,9 @@ def _fork_load(path: Path) -> Optional[tuple[int, int]]:
 def _load_both(left: Path, right: Path) -> tuple[Model, Model]:
     """``load_model(left), load_model(right)``: the same two models, or the
     same error, left's before right's.  When it pays, a forked child loads
-    the smaller file while this process loads the larger one.  A child that
-    ends without an outcome (killed, or an error that is not an input
-    error) leaves its file to this process."""
+    the smaller file while this process loads the larger one.  Whatever
+    file the child hands back no model for, this process loads in order:
+    left's error then replaces any error of this process's own load."""
     paths = (left, right)
     theirs = _child_side(paths)
     child = None if theirs is None else _fork_load(paths[theirs])
@@ -185,23 +177,19 @@ def _load_both(left: Path, right: Path) -> tuple[Model, Model]:
         return load_model(left), load_model(right)
     import pickle
     pid, reader = child
-    outcomes = [None, None]
+    models = [None, None]
     try:
-        outcomes[1 - theirs] = _load(paths[1 - theirs])
-    except Exception as exc:  # raised below, unless left's error comes first
-        outcomes[1 - theirs] = "raise", exc
+        models[1 - theirs] = load_model(paths[1 - theirs])
     finally:
         with open(reader, "rb") as pipe:
             data = pipe.read()
         _, status = os.waitpid(pid, 0)
-    if status == 0:
-        outcomes[theirs] = pickle.loads(data)
-    models = []
-    for path, outcome in zip(paths, outcomes):
-        kind, value = outcome or _load(path)
-        if kind != "model":
-            raise value
-        models.append(value)
+        if status == 0:
+            models[theirs] = pickle.loads(data)
+        elif theirs == 0:
+            models[0] = load_model(left)
+    if models[1] is None:
+        models[1] = load_model(right)
     return models[0], models[1]
 
 

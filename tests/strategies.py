@@ -43,14 +43,6 @@ AT = (0, Source("<generated>", ""))
 _SPECIAL = '#"\\\t\r <>[]|{},-_é²Ⅻ\u0301\x0b\x1c\u2028'
 
 
-def _clean(raw: str) -> str:
-    return raw.strip()
-
-
-def _sluggable(name: str) -> bool:
-    return bool(name) and any(c.isalnum() for c in name)
-
-
 def _chars(closer: str):
     """Every character that fits before ``closer``, the special ones often.
 
@@ -63,8 +55,11 @@ def _chars(closer: str):
 
 
 def _names(closer: str):
-    """Names drawn from ``_chars(closer)``, stripped as the parser strips them."""
-    return st.text(_chars(closer), min_size=1, max_size=14).map(_clean).filter(_sluggable)
+    """Names drawn from ``_chars(closer)`` around one letter or numeral, so
+    that each has an id, stripped as the parser strips them."""
+    side = st.text(_chars(closer), max_size=6)
+    return st.builds(lambda before, alnum, after: (before + alnum + after).strip(),
+                     side, st.characters(categories=["L", "N"]), side)
 
 
 agent_names = _names(">")
@@ -96,8 +91,8 @@ trace_refs = st.one_of(
 # "_" and "-", in any script.
 requirement_ids = st.builds(
     str.__add__,
-    st.characters().filter(lambda c: c == "_" or c.isalpha()),
-    st.text(st.characters().filter(lambda c: c.isalnum() or c in "_-")
+    st.characters(categories=["L"], include_characters="_"),
+    st.text(st.characters(categories=["L", "N"], include_characters="_-")
             | st.sampled_from("_-é²Ⅻ"), max_size=8))
 requirement_records = st.lists(
     st.builds(RequirementRecord, requirement_ids, strings, strings,

@@ -181,6 +181,46 @@ def test_a_child_without_an_outcome_leaves_its_file_to_the_parent(files, case, a
     assert (left if left.stat().st_size < right.stat().st_size else right) in loaded
 
 
+@pytest.mark.parametrize("case", ["left-parse-error-in-child", "right-parse-error-in-child",
+                                  "right-build-error-in-child"])
+def test_a_child_hands_back_no_error(files, case):
+    """A child that meets an input error hands back nothing: this process
+    loads the child's file again, in order, and reports its error."""
+    argv = _argv(files, case)
+    load, loaded = _in_child(lambda: None)
+    with mock.patch.object(cli, "load_model", load):
+        result = _parallel(argv)
+    assert result == _sequential(argv)
+    left, right = (files[name] for name in CASES[case][:2])
+    assert (left if left.stat().st_size < right.stat().st_size else right) in loaded
+
+
+@pytest.mark.parametrize("case", ["inconsistencies-left-in-child", "inconsistencies-json"])
+def test_an_unexpected_error_here_propagates(files, case):
+    """The child's file loads; this process's own load raises an error that
+    is not an input error.  It leaves ``cli.run`` as it would in order, and
+    only once the child is reaped."""
+    argv = _argv(files, case)
+    left, right = (files[name] for name in CASES[case][:2])
+    here = right if left.stat().st_size < right.stat().st_size else left
+    parent = os.getpid()
+
+    def load(path):
+        if os.getpid() == parent and path == here:
+            raise RuntimeError(f"cannot load {path}")
+        return load_model(path)
+
+    raised = []
+    for run, reaped in ((_sequential, 0), (_parallel, 1)):
+        with mock.patch.object(cli, "load_model", load), \
+                mock.patch.object(os, "waitpid", wraps=os.waitpid) as waitpid, \
+                pytest.raises(RuntimeError) as caught:
+            run(argv)
+        assert waitpid.call_count == reaped
+        raised.append((type(caught.value), str(caught.value)))
+    assert raised[0] == raised[1] == (RuntimeError, f"cannot load {here}")
+
+
 def test_left_error_comes_before_an_unexpected_error_here(files):
     """Loaded in order, right never loads after left fails; so an error of
     this process's load of right, even one that is not an input error,
@@ -232,8 +272,8 @@ PAYLOAD = {ParseFailure: "errors", IngestError: "issues", ModelBuildError: "issu
 
 @pytest.mark.parametrize("make", ERRORS.values(), ids=ERRORS.keys())
 def test_input_error_survives_pickle(make):
-    """A worker process can hand an input error back: it unpickles with its
-    type, its message and its payload."""
+    """A caller's worker process can hand an input error back: it unpickles
+    with its type, its message and its payload."""
     exc = _error(make)
     copy = pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
     assert type(copy) is type(exc)
