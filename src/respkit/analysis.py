@@ -7,10 +7,12 @@ canonical order (code, then subject).  ``Finding``, the catalog and the two
 checks that ``validate`` shares, ``find_unassigned`` and
 ``find_unsourced_info``, live in ``model`` and are re-exported here.
 ``PerceptionInconsistency``, like ``Finding``, is a named tuple.
+``diff_models`` compares what ``perceive`` keeps of each model: names in
+builtin types, which another process can hand back cheaply.
 """
 
 from enum import Enum
-from typing import Collection, NamedTuple
+from typing import Collection, NamedTuple, Union
 
 from .model import (
     FINDING_CATALOG,
@@ -189,49 +191,54 @@ def _listing(names: Collection[str], wrap: str, empty: str) -> str:
     return ", ".join(f"{opener}{n}{closer}" for n in sorted(names))
 
 
-def _flows(model: Model, resp: Responsibility) -> dict:
-    """A duty's flows keyed by (verb, item name), verb "required" or
-    "produced": each maps to its source names (None for a product) and
-    its channel names."""
+#: How a model perceives its duties, by name alone: each duty's name maps
+#: to its assigned agent names and to its flows keyed by (verb, item name),
+#: verb "required" or "produced", each flow its source names (None for a
+#: product) and its channel names.
+Perception = dict[str, tuple[frozenset[str], dict[tuple[str, str], tuple]]]
+
+
+def perceive(model: Model) -> Perception:
+    """The names ``diff_models`` compares, and nothing else.  Only builtin
+    types, so it pickles small and unpickles without respkit."""
     agent, channel, resource = model.agent_name, model.channel_name, model.resource_name
-    flows = {("required", resource(n.resource)):
-             (set(map(agent, n.sources)), set(map(channel, n.channels)))
-             for n in resp.needs}
-    for p in resp.products:
-        flows["produced", resource(p.resource)] = (None, set(map(channel, p.channels)))
-    return flows
+    perception = {}
+    for resp in model.responsibilities:
+        flows = {("required", resource(n.resource)):
+                 (frozenset(map(agent, n.sources)), frozenset(map(channel, n.channels)))
+                 for n in resp.needs}
+        for p in resp.products:
+            flows["produced", resource(p.resource)] = (None, frozenset(map(channel, p.channels)))
+        perception[resp.name] = (frozenset(map(agent, resp.assigned_to)), flows)
+    return perception
 
 
-def diff_models(left: Model, right: Model) -> list[PerceptionInconsistency]:
-    """Compare how two models perceive the same responsibilities.
+def diff_models(left: Union[Model, Perception],
+                right: Union[Model, Perception]) -> list[PerceptionInconsistency]:
+    """Compare how two models perceive the same responsibilities.  Each
+    side is a model or its ``perceive``; a model is perceived first.
 
     Responsibilities are matched by exact (trimmed) name, flows by verb and
     item name.  The result is symmetric: diff(a, b) equals diff(b, a) with
     left and right swapped.
     """
+    left, right = (perceive(m) if isinstance(m, Model) else m for m in (left, right))
     results: list[PerceptionInconsistency] = []
-    left_by_name = {r.name: r for r in left.responsibilities}
-    right_by_name = {r.name: r for r in right.responsibilities}
-
-    for name in sorted(left_by_name.keys() | right_by_name.keys()):
-        left_resp = left_by_name.get(name)
-        right_resp = right_by_name.get(name)
-        if left_resp is None or right_resp is None:
+    for name in sorted(left.keys() | right.keys()):
+        left_duty, right_duty = left.get(name), right.get(name)
+        if left_duty is None or right_duty is None:
             results.append(PerceptionInconsistency(
                 InconsistencyKind.MISSING_RESPONSIBILITY, name,
-                "present" if left_resp else "absent",
-                "present" if right_resp else "absent"))
+                "present" if left_duty else "absent",
+                "present" if right_duty else "absent"))
             continue
 
-        left_assigned = [left.agent_name(a) for a in left_resp.assigned_to]
-        right_assigned = [right.agent_name(a) for a in right_resp.assigned_to]
-        if set(left_assigned) != set(right_assigned):
+        (left_assigned, left_flows), (right_assigned, right_flows) = left_duty, right_duty
+        if left_assigned != right_assigned:
             results.append(PerceptionInconsistency(
                 InconsistencyKind.ASSIGNMENT_MISMATCH, name,
                 _listing(left_assigned, "<>", "unassigned"),
                 _listing(right_assigned, "<>", "unassigned")))
-
-        left_flows, right_flows = _flows(left, left_resp), _flows(right, right_resp)
         if left_flows == right_flows:  # one comparison settles a duty that agrees
             continue
         for key in sorted(left_flows.keys() | right_flows.keys()):

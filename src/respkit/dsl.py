@@ -207,6 +207,8 @@ LBRACE = "'{'"
 RBRACE = "'}'"
 COMMA = "','"
 EOF = "end of file"
+# Token kinds that name their one character, so an error names it once.
+_PUNCTUATION = (LBRACE, RBRACE, COMMA)
 
 #: The opening and closing bracket of each kind of element reference, by
 #: the kind word of ``TraceRef.kind`` and ``ResourceKind.value``.
@@ -276,7 +278,7 @@ class _Tokens:
     def fail(self, i: int, expected: str) -> _SyntaxError:
         """The error for token ``i`` where ``expected`` was wanted."""
         kind, value = self.kinds[i], self.values[i]
-        found = f"{kind} {value!r}" if value else kind
+        found = f"{kind} {value!r}" if value and kind not in _PUNCTUATION else kind
         return _SyntaxError(ParseError(self.span(i), expected, found), i)
 
 

@@ -32,8 +32,8 @@ class Token(NamedTuple):
     span: SourceSpan
 
     def describe(self) -> str:
-        if self.kind == EOF:
-            return EOF
+        if self.kind in (EOF, LBRACE, RBRACE, COMMA):
+            return self.kind
         return f"{self.kind} {self.value!r}" if self.value else self.kind
 
 

@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import pytest
@@ -16,6 +17,7 @@ from respkit.analysis import (
     find_unassigned,
     find_unsourced_info,
     find_unused_resources,
+    perceive,
 )
 from respkit.dsl import parse_model
 from respkit.model import Channel, InfoNeed, Model, Responsibility, Severity
@@ -343,14 +345,26 @@ class TestDiffModels:
     @settings(max_examples=50, deadline=None)
     @given(model_pairs())
     def test_symmetry(self, pair):
+        """diff b a is diff a b swapped; and the perceptions that ``diff``
+        hands between processes, also through pickle, compare as their
+        models do."""
         left, right = pair
         forward = diff_models(left, right)
-        backward = diff_models(right, left)
-        assert len(forward) == len(backward)
-        assert sorted(f.render() for f in backward) == sorted(
-            f.swapped().render() for f in forward)
+        assert diff_models(right, left) == [f.swapped() for f in forward]
+        perceptions = perceive(left), perceive(right)
+        assert diff_models(*perceptions) == forward
+        assert diff_models(*(pickle.loads(pickle.dumps(p, pickle.HIGHEST_PROTOCOL))
+                             for p in perceptions)) == forward
 
     @settings(max_examples=25, deadline=None)
     @given(models())
     def test_self_diff_is_empty(self, model):
         assert diff_models(model, model) == []
+
+    def test_a_perception_holds_names_only(self):
+        model = build('agent <Ops> kind role\nchannel "Radio"\n'
+                      'responsibility "R" { assigned to <Ops>\n'
+                      '  requires |Map| from <Ops> via "Radio"\n  produces |Log| }')
+        assert perceive(model) == {"R": (frozenset({"Ops"}), {
+            ("required", "Map"): (frozenset({"Ops"}), frozenset({"Radio"})),
+            ("produced", "Log"): (None, frozenset())})}

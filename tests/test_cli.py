@@ -557,7 +557,7 @@ class TestFailingRunWritesNothing:
         (("ingest", "{resp}", "{answers}"),
          "{answers}:2:11: error: resource name '!!!' needs at least one alphanumeric "
          "character"),
-        (("dot", "{model}"), "{model}:1:16: error: expected string, found '{{' '{{'"),
+        (("dot", "{model}"), "{model}:1:16: error: expected string, found '{{'"),
     ], ids=["elicit-unknown-duty", "ingest-bad-answers", "dot-parse-error"])
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
     def test_no_artifact(self, run_cli, resp_path, tmp_path, argv, expected, to_file):

@@ -16,7 +16,7 @@ from unittest import mock
 
 import pytest
 
-from respkit import cli, ingest_all, load_model
+from respkit import analysis, cli, ingest_all, load_model
 from respkit.build import ModelBuildError
 from respkit.dsl import ParseFailure, parse_answers, parse_requirements
 from respkit.elicitation import IngestError, answers_skeleton
@@ -247,6 +247,24 @@ def test_no_process_to_spare_loads_in_order(files, call, error):
             mock.patch.object(os, call, side_effect=error) as failing:
         assert _run(argv) == _sequential(argv)
     assert failing.call_count == 1
+
+
+class _BuiltinsOnly(pickle.Unpickler):
+    """An unpickler that refuses every class and function by name."""
+
+    def find_class(self, module, name):
+        raise pickle.UnpicklingError(f"{module}.{name} is not a builtin type")
+
+
+def test_the_child_hands_back_builtin_types_only(files):
+    """The child's payload is names in dicts, tuples and frozensets: no
+    respkit class crosses the pipe, and it is the perception of the model."""
+    pid, reader = cli._fork_load(files["a"])
+    with open(reader, "rb") as pipe:
+        data = pipe.read()
+    assert os.waitpid(pid, 0)[1] == 0
+    perception = _BuiltinsOnly(io.BytesIO(data)).load()
+    assert perception == analysis.perceive(load_model(files["a"]))
 
 
 def _error(make):

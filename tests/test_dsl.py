@@ -288,6 +288,13 @@ SCAN_ERRORS = [
         "t.resp:1:8: error: expected agent reference, found end of file"]),
     ('responsibility "R" {\n  note "n"  # trailing', [
         "t.resp:2:13: error: expected '}', found end of file"]),
+    # A punctuation token is named once.
+    ('responsibility "R" {\n  requires |a| via "c" , }', [
+        "t.resp:2:26: error: expected string, found '}'"]),
+    ("agent {", [
+        "t.resp:1:7: error: expected agent reference, found '{'"]),
+    ("model ,", [
+        "t.resp:1:7: error: expected string, found ','"]),
 ]
 
 
