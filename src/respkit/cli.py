@@ -12,6 +12,7 @@ resolution error.
 """
 
 import argparse
+import atexit
 import contextlib
 import gc
 import os
@@ -35,9 +36,11 @@ INPUT_ERRORS = (ParseFailure, ModelBuildError, UnknownResponsibility,
 
 def input_error(exc: Exception) -> str:
     """The stderr text for one of ``INPUT_ERRORS``: a parse or build error
-    (``IngestError`` too) names its own place, the rest get ``error: ``."""
-    located = isinstance(exc, (ParseFailure, ModelBuildError))
-    return f"{exc}\n" if located else f"error: {exc}\n"
+    (``IngestError`` too) names its own place, the rest get ``error: ``
+    before each line."""
+    if isinstance(exc, (ParseFailure, ModelBuildError)):
+        return f"{exc}\n"
+    return "".join(f"error: {line}\n" for line in str(exc).split("\n"))
 
 
 Output = tuple[str, str, int]  # stdout text, stderr text, exit status
@@ -254,15 +257,25 @@ COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``.  When its first argument names a subcommand,
+    only that subcommand is added, under the metavar that lists them all,
+    so every usage line reads as the full parser's.  Any other command line
+    (none, ``--help``, an option first, an unknown name) gets every
+    subcommand, for the help and the errors that list the choices."""
     parser = argparse.ArgumentParser(
         prog="respkit",
         description="Responsibility modelling toolkit: check models, find "
                     "vulnerabilities, drive elicitation, analyse information "
                     "hazards and report traced requirements.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, arguments) in COMMANDS.items():
+    if argv and argv[0] in COMMANDS:
+        names, metavar = argv[:1], "{" + ",".join(COMMANDS) + "}"
+    else:
+        names, metavar = list(COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, _, arguments = COMMANDS[name]
         command = sub.add_parser(name, help=help_text)
         for flags, options in arguments:
             command.add_argument(*flags, **options)
@@ -273,22 +286,24 @@ def run(argv: list[str], stdout: Optional[TextIO] = None,
         stderr: Optional[TextIO] = None) -> int:
     """Run one invocation and return its exit status.  The subcommand's
     handler makes the whole output; only then is it written, so a run that
-    fails writes no artifact.  The cyclic garbage collector is off while
-    the command runs: a loaded model is many acyclic objects, which it
-    would walk for nothing.  The caller's setting returns."""
+    fails writes no artifact.  stdout is flushed before the status is
+    returned, so a write that fails is an error of the run.  The cyclic
+    garbage collector is off while the command runs: a loaded model is
+    many acyclic objects, which it would walk for nothing.  The caller's
+    setting returns."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
 
-    parser = _build_parser()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return 0 if exc.code in (0, None) else 2
-
+    parser = _build_parser(argv)
     collecting = gc.isenabled()
     gc.disable()
     try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                args = parser.parse_args(argv)
+            except SystemExit as exc:  # argparse wrote help or a usage error
+                stdout.flush()
+                return 0 if exc.code in (0, None) else 2
         out, err, status = COMMANDS[args.command][1](args)
         stderr.write(err)
         output = getattr(args, "output", None)
@@ -296,6 +311,7 @@ def run(argv: list[str], stdout: Optional[TextIO] = None,
             stdout.write(out)
         else:
             output.write_text(out, encoding="utf-8", newline="")
+        stdout.flush()
         return status
     except INPUT_ERRORS as exc:
         stderr.write(input_error(exc))
@@ -308,13 +324,14 @@ def run(argv: list[str], stdout: Optional[TextIO] = None,
 def main() -> None:
     sys.stdout.reconfigure(encoding="utf-8")
     status = run(sys.argv[1:])
-    # The process is about to end.  Freezing moves every object the run
-    # loaded into the permanent generation, which the collection at
-    # interpreter shutdown skips; the OS takes that memory back anyway.
-    # sys.exit, not os._exit, still runs atexit and flushes stdout and
-    # stderr.  run() freezes nothing: in-process callers keep collecting.
-    gc.freeze()
-    sys.exit(status)
+    # run() has flushed stdout and reported a failed write; flushing it
+    # again would meet the same unwritten bytes.  The process ends here,
+    # without the interpreter's teardown, which would free every object the
+    # run loaded for an operating system that takes the memory back anyway.
+    # Exit handlers still run first, so tools such as coverage keep theirs.
+    atexit._run_exitfuncs()
+    sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":

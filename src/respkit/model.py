@@ -15,13 +15,14 @@ Each fact is held once: a need, product or hazard sits inside its
 responsibility and does not repeat the responsibility's name.
 
 Lookups by id or name go through maps that each model builds on first use
-and caches on the instance.  The maps are not fields: equality, hashing and
-``dataclasses.replace`` see only the collections they are built from.
+and caches on the instance.  The maps are not fields: equality, hashing,
+pickling and ``dataclasses.replace`` see only the collections they are
+built from.
 """
 
 import copyreg
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
@@ -46,7 +47,12 @@ SEVERITIES = {s.token: s for s in Severity}
 SEVERITY_TOKENS = ", ".join(SEVERITIES)
 
 
+# Enum members are singletons that compare by identity, so the enums below
+# hash by identity too, in C, not by Enum.__hash__'s Python-level hash of
+# the member's name: building and ingesting a model hash them often.
 class AgentKind(Enum):
+    __hash__ = object.__hash__
+
     ORGANIZATION = "organization"
     ROLE = "role"
     PERSON = "person"
@@ -55,12 +61,16 @@ class AgentKind(Enum):
 
 
 class ResourceKind(Enum):
+    __hash__ = object.__hash__
+
     PHYSICAL = "physical"
     INFORMATION = "information"
 
 
 class GuideWord(Enum):
     """The five deviation prompts, in their fixed presentation order."""
+
+    __hash__ = object.__hash__
 
     UNAVAILABLE = "unavailable"
     INACCURATE = "inaccurate"
@@ -294,6 +304,11 @@ class Model:
         backups = {c.id for c in self._channels_by_id.values()
                    if c.backup_of in self._channels_by_id and c.backup_of != c.id}
         return frozenset(backed_up | backups)
+
+    def __getstate__(self) -> dict:
+        """The fields alone: a pickle leaves the cached maps behind, and
+        the copy builds its own on first use."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def responsibility_by_id(self, resp_id: str) -> Optional[Responsibility]:
         return self._responsibilities_by_id.get(resp_id)

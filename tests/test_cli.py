@@ -1,3 +1,4 @@
+import argparse
 import gc
 import io
 import json
@@ -21,14 +22,16 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 def _python(*args: str, cwd: Path = REPO, text: bool = True,
-            **env: str) -> subprocess.CompletedProcess:
+            stdout=subprocess.PIPE, **env: str) -> subprocess.CompletedProcess:
     """``python *args`` in a new process run in ``cwd``, with the package
-    source first on its import path and ``env`` added to its environment."""
+    source first on its import path and ``env`` added to its environment.
+    Its stderr is captured, and its stdout too unless ``stdout`` says
+    where it goes."""
     path = filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(path))
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
-                          stdin=subprocess.DEVNULL, capture_output=True, text=text,
-                          timeout=60)
+                          stdin=subprocess.DEVNULL, stdout=stdout,
+                          stderr=subprocess.PIPE, text=text, timeout=60)
 
 
 def test_import_loads_neither_json_nor_csv():
@@ -435,6 +438,50 @@ class TestRequirements:
         assert out == ""
         assert "|No such thing|" in err
 
+    MITIGATED = """agent <Ops> kind role
+responsibility "Evacuate" {
+  assigned to <Ops>
+  requires |Map| from <Ops>
+  hazard |Map| late "Slow." severity high mitigated_by REQ-99
+  hazard |Map| early "Soon." severity low mitigated_by REQ-1
+}
+responsibility "Shelter" {
+  requires |Plan| from <Ops>
+  hazard |Plan| unavailable "None." severity high mitigated_by REQ-7
+}
+"""
+    REQS = 'requirement REQ-1 {{\n  text "t"\n  rationale "r"\n  traces {trace}\n}}\n'
+    UNMITIGATED = [
+        'error: unresolved mitigated_by: responsibility "Evacuate": hazard |Map| late: REQ-99',
+        'error: unresolved mitigated_by: responsibility "Shelter": '
+        'hazard |Plan| unavailable: REQ-7',
+    ]
+
+    @pytest.mark.parametrize("report", [(), ("--report",)], ids=["check", "report"])
+    @pytest.mark.parametrize("trace, first", [
+        ("<Ops>", []),
+        ("|Gone|", ["error: unresolved trace references: REQ-1: |Gone|"]),
+    ], ids=["traces-resolve", "trace-unresolved"])
+    def test_mitigated_by_names_a_requirement(self, run_cli, tmp_path, report,
+                                              trace, first):
+        """Each hazard whose ``mitigated_by`` names no requirement of the
+        file is an error line, in model order, after the trace error."""
+        (tmp_path / "m.resp").write_text(self.MITIGATED, encoding="utf-8")
+        (tmp_path / "r.reqs").write_text(self.REQS.format(trace=trace), encoding="utf-8")
+        status, out, err = run_cli("requirements", str(tmp_path / "m.resp"),
+                                   str(tmp_path / "r.reqs"), *report)
+        assert (status, out, err.splitlines()) == (2, "", first + self.UNMITIGATED)
+
+    def test_a_mitigation_need_not_trace_its_hazard(self, run_cli, tmp_path):
+        """A ``mitigated_by`` that names a requirement of the file resolves,
+        whether or not that requirement traces the hazard back."""
+        model = self.MITIGATED.replace("REQ-99", "REQ-1").replace("REQ-7", "REQ-1")
+        (tmp_path / "m.resp").write_text(model, encoding="utf-8")
+        (tmp_path / "r.reqs").write_text(self.REQS.format(trace="<Ops>"), encoding="utf-8")
+        status, out, err = run_cli("requirements", str(tmp_path / "m.resp"),
+                                   str(tmp_path / "r.reqs"))
+        assert (status, out, err) == (0, "", "1 requirement(s), all traces resolve.\n")
+
     def test_undecodable_requirements_is_status_2(self, run_cli, resp_path,
                                                   tmp_path):
         bad = tmp_path / "bad.reqs"
@@ -587,6 +634,61 @@ class TestUsage:
         assert status == 0
         assert "respkit" in out
 
+    def test_entry_point_writes_help_before_it_ends(self, monkeypatch):
+        """The process ends without the interpreter's teardown, so help
+        that argparse left in stdout's buffer must be flushed first."""
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        done = _python("-c", "from respkit.cli import main; main()", "--help",
+                       COLUMNS="80")
+        golden = REPO / "corpus" / "golden" / "help" / "help.out"
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, golden.read_text(encoding="utf-8"), "")
+
+    @pytest.mark.parametrize("argv, built", [
+        (["check", "corpus/evacuation.resp"], ["check"]),
+        (["diff", "--help"], ["diff"]),
+        ([], list(cli.COMMANDS)),
+        (["--help"], list(cli.COMMANDS)),
+        (["chek"], list(cli.COMMANDS)),
+        (["--strict", "check"], list(cli.COMMANDS)),
+        (["--", "check"], list(cli.COMMANDS)),
+    ], ids=["named", "named-help", "none", "help", "misspelt", "option-first",
+            "double-dash"])
+    def test_only_the_named_subcommand_is_built(self, argv, built):
+        """A command line that names a subcommand first builds that one
+        alone; any other builds all ten, for the help and the errors that
+        list them."""
+        parser = cli._build_parser(argv)
+        [subcommands] = [action for action in parser._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        assert list(subcommands.choices) == built
+        assert parser.format_usage() == cli._build_parser([]).format_usage()
+
+
+# The `dot` of this model overflows stdout's buffer, so writing it fails at
+# once; the corpus `elicit` skeleton fits, so only a flush can fail.
+_LARGE_MODEL = "".join(
+    f'responsibility "Duty {i}" {{\n  requires |Item {i}| from <Agent {i}>\n}}\n'
+    for i in range(200))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("size", ["small", "large"])
+def test_a_failed_stdout_write_is_one_error_line(size, tmp_path, monkeypatch):
+    """When stdout cannot take the artifact, the run says so in one line
+    and exits 2, whether or not the artifact fits the buffer."""
+    # Unbuffered, stdout would fail at the write whatever the size.
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    argv = ["elicit", "corpus/evacuation.resp", "--responsibility", "Evacuate area"]
+    if size == "large":
+        model = tmp_path / "large.resp"
+        model.write_text(_LARGE_MODEL, encoding="utf-8")
+        argv = ["dot", str(model)]
+    with open("/dev/full", "w") as full:
+        done = _python("-c", "from respkit.cli import main; main()", *argv, stdout=full)
+    assert (done.returncode, done.stderr) == (
+        2, "error: [Errno 28] No space left on device\n")
+
 
 class TestCollectorGuard:
     """``run`` turns the cyclic collector off while it works and leaves it
@@ -631,15 +733,18 @@ class TestCollectorGuard:
         assert run_cli("check", str(resp_path))[0] == 0
         assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, collecting)
 
-    def test_entry_point_freezes_the_heap_before_exit(self):
-        """``main`` freezes the heap once ``run`` returns; exit handlers
-        still run and the exit status is the run's."""
-        code = ("import atexit, gc, sys\n"
-                "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+    def test_entry_point_runs_exit_handlers_before_exit(self, monkeypatch):
+        """``main`` ends the process without the interpreter's teardown, but
+        exit handlers still run, stderr is flushed after them, and the exit
+        status is the run's."""
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        code = ("import atexit, sys\n"
+                "atexit.register(lambda: sys.stderr.write('handler ran'))\n"
                 "from respkit.cli import main\n"
                 "main()")
         done = _python("-c", code, "check", "no/such.resp")
-        assert (done.returncode, done.stdout) == (2, "True\n"), done.stderr
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.endswith("\nhandler ran"), done.stderr
 
 
 # A model, a second version of it, answers and requirements whose names are

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import pickle
 import pkgutil
 import random
 
@@ -103,6 +104,16 @@ class TestGuideWords:
     def test_fixed_order(self):
         assert [g.value for g in GuideWord] == [
             "unavailable", "inaccurate", "incomplete", "late", "early"]
+
+
+@pytest.mark.parametrize("enum", [AgentKind, ResourceKind, GuideWord])
+def test_enum_members_hash_by_identity(enum):
+    """The enums hash in C, by identity, which equality agrees with: each
+    member equals only itself."""
+    assert enum.__hash__ is object.__hash__
+    for member in enum:
+        assert hash(member) == object.__hash__(member)
+        assert [other for other in enum if other == member] == [member]
 
 
 class TestBuildModel:
@@ -442,6 +453,19 @@ class TestLookupMaps:
         assert used == fresh
         assert hash(used) == hash_before == hash(fresh)
         assert repr(used) == repr_before
+
+    def test_pickle_leaves_the_maps_behind(self, resp_path):
+        model = load_model(resp_path)
+        before = pickle.dumps(model, pickle.HIGHEST_PROTOCOL)
+        _use_every_map(model)
+        after = pickle.dumps(model, pickle.HIGHEST_PROTOCOL)
+        assert len(after) == len(before)
+        copy = pickle.loads(after)
+        assert copy == model
+        for agent in model.agents:
+            assert copy.agent_named(agent.name) == agent
+            assert copy.agent_name(agent.id) == agent.name
+        assert copy.required_items == model.required_items
 
     def test_first_element_wins_on_duplicates(self):
         first = Agent("ops", "Ops", AgentKind.PERSON)

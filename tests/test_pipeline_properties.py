@@ -14,8 +14,9 @@ error spans, which differ between the files, never enter a comparison.
 Clause order inside a duty is first-mention order by design, so it stays.
 
 An argparse parser keeps no state from one parse to the next, so the
-runs share one ``cli._build_parser()``: building it again for each of the
-4800 runs would take most of the test's time.
+runs share one full ``cli._build_parser([])``, with every subcommand:
+building a parser again for each of the 4800 runs would take most of the
+test's time.
 """
 
 import io
@@ -138,9 +139,9 @@ def drawn_files(draw):
 def test_output_ignores_the_form_and_the_order_of_a_model_file(drawn):
     text, shuffled, duty = drawn
     canonical = print_model(build_model(parse_model(text)))
-    parser = cli._build_parser()
+    parser = cli._build_parser([])
     with (tempfile.TemporaryDirectory() as tmp,
-          mock.patch.object(cli, "_build_parser", lambda: parser)):
+          mock.patch.object(cli, "_build_parser", lambda argv: parser)):
         paths = [Path(tmp) / name for name in ("model.resp", "shuffled.resp", "canonical.resp")]
         for path, content in zip(paths, (text, shuffled, canonical)):
             path.write_text(content, encoding="utf-8", newline="")
