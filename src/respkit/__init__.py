@@ -16,7 +16,6 @@ from .analysis import (
 from .build import ModelBuildError, build_model, load_model
 from .dsl import (
     ElicitationRecord,
-    ParseError,
     ParseFailure,
     SourceSpan,
     parse_answers,
@@ -43,7 +42,9 @@ from .model import (
     HazardEntry,
     InfoNeed,
     InfoProduct,
+    InputError,
     Model,
+    Problem,
     RequirementRecord,
     Resource,
     ResourceKind,

@@ -21,7 +21,7 @@ problem in the order met, and all of them are raised at once at the end.
 """
 
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from . import dsl
 from .model import (
@@ -31,7 +31,9 @@ from .model import (
     HazardEntry,
     InfoNeed,
     InfoProduct,
+    InputError,
     Model,
+    Problem,
     Resource,
     ResourceKind,
     Responsibility,
@@ -39,26 +41,12 @@ from .model import (
     cycles,
     dedupe,
     escape_line_ends,
-    reduce_error,
     slugify,
 )
 
 
-class BuildIssue(NamedTuple):
-    message: str
-    span: Optional[dsl.SourceSpan] = None
-
-    def render(self) -> str:
-        prefix = f"{self.span}: " if self.span else ""
-        return f"{prefix}error: {self.message}"
-
-
-class ModelBuildError(ValueError):
-    __reduce__ = reduce_error
-
-    def __init__(self, issues: list[BuildIssue]):
-        self.issues = list(issues)
-        super().__init__("\n".join(i.render() for i in self.issues))
+class ModelBuildError(InputError):
+    """Raised when declarations do not make a model; carries every problem."""
 
 
 # The declaration or clause a name or a problem comes from.  Its span is
@@ -76,12 +64,12 @@ class SymbolTable:
     ``build_model`` and ``ingest_all`` resolve every declaration and every
     mention through ``_resolve``, which applies the naming rule of this
     module: a new name mentioned is declared implicitly or, when ``strict``,
-    refused.  ``error(message, site)`` keeps each problem in ``issues`` with
-    the span of ``site``, so build and ingest both report them all.
+    refused.  ``error(message, site)`` keeps each problem in ``problems``
+    with the span of ``site``, so build and ingest both report them all.
     """
 
     def __init__(self, model: Optional[Model] = None, strict: bool = False):
-        self.issues: list[BuildIssue] = []
+        self.problems: list[Problem] = []
         self.strict = strict
         model = model or Model()
         self.agents: dict[str, Agent] = {a.id: a for a in model.agents}
@@ -97,7 +85,7 @@ class SymbolTable:
         self.backups: dict[str, dsl.ChannelDecl] = {}
 
     def error(self, message: str, site: Site) -> None:
-        self.issues.append(BuildIssue(message, site.span))
+        self.problems.append(Problem(site.span, message))
 
     def slug(self, what: str, name: str, site: Site) -> Optional[str]:
         """The id of ``name``, or None when it has no alphanumeric character."""
@@ -379,7 +367,7 @@ def build_model(declarations: list[dsl.Declaration]) -> Model:
 
     responsibilities: dict[str, Responsibility] = {}
     precedes: list[tuple[str, dsl.PrecedesClause]] = []
-    orphans: list[BuildIssue] = []
+    orphans: list[Problem] = []
 
     for decl in resp_decls:
         slug = table.slug("responsibility", decl.name, decl)
@@ -395,8 +383,8 @@ def build_model(declarations: list[dsl.Declaration]) -> Model:
             continue
         responsibilities[slug] = _build_responsibility(
             table, slug, decl, precedes, orphans)
-    # Reported after every responsibility's own issues, as they always were.
-    table.issues += orphans
+    # Reported after every responsibility's own problems, as they always were.
+    table.problems += orphans
 
     links: list[tuple[str, str]] = []
     by_name = {r.name: slug for slug, r in responsibilities.items()}
@@ -410,8 +398,8 @@ def build_model(declarations: list[dsl.Declaration]) -> Model:
 
     table.resolve_backups()
 
-    if table.issues:
-        raise ModelBuildError(table.issues)
+    if table.problems:
+        raise ModelBuildError(table.problems)
 
     ordered_resps = canonical_elements(responsibilities.values())
     resp_name = {slug: r.name for slug, r in responsibilities.items()}
@@ -433,7 +421,7 @@ def _build_responsibility(
     slug: str,
     decl: dsl.ResponsibilityDecl,
     precedes: list[tuple[str, dsl.PrecedesClause]],
-    orphans: list[BuildIssue],
+    orphans: list[Problem],
 ) -> Responsibility:
     assigned: list[str] = []
     flows: list[tuple[Resolved, Flow]] = []
@@ -459,9 +447,8 @@ def _build_responsibility(
             notes.append(item.text)
 
     def orphan(clause: dsl.HazardClause) -> None:
-        orphans.append(BuildIssue(escape_line_ends(
-            f'hazard on |{clause.item}| but "{decl.name}" does not require it'),
-            decl.span))
+        orphans.append(Problem(decl.span, escape_line_ends(
+            f'hazard on |{clause.item}| but "{decl.name}" does not require it')))
 
     fold = DutyFold()
     fold.add(flows, orphan)

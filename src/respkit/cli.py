@@ -14,6 +14,7 @@ resolution error.
 import argparse
 import atexit
 import contextlib
+import errno
 import gc
 import os
 import stat
@@ -22,25 +23,22 @@ from pathlib import Path
 from typing import Optional, TextIO
 
 from . import analysis, elicitation, hazards, reporting
-from .build import ModelBuildError, load_model, read_input
-from .dsl import ParseFailure, parse_answers, parse_requirements, print_model, print_requirements
+from .build import load_model, read_input
+from .dsl import parse_answers, parse_requirements, print_model, print_requirements
 from .elicitation import InfoTable, ingest_all
-from .model import SEVERITIES, UnknownResponsibility, validate
-from .reporting import TraceResolutionError
+from .model import SEVERITIES, InputError, Problem, validate
 
-# The errors an input can cause.  Each ends a run with one message on stderr
-# and exit status 2.
-INPUT_ERRORS = (ParseFailure, ModelBuildError, UnknownResponsibility,
-                TraceResolutionError, OSError)
+# The errors an input can cause.  Each ends a run with one line per problem
+# on stderr and exit status 2.
+INPUT_ERRORS = (InputError, OSError)
 
 
 def input_error(exc: Exception) -> str:
-    """The stderr text for one of ``INPUT_ERRORS``: a parse or build error
-    (``IngestError`` too) names its own place, the rest get ``error: ``
-    before each line."""
-    if isinstance(exc, (ParseFailure, ModelBuildError)):
-        return f"{exc}\n"
-    return "".join(f"error: {line}\n" for line in str(exc).split("\n"))
+    """The stderr text for one of ``INPUT_ERRORS``: one rendered line per
+    problem.  Each line of an ``OSError``'s text is a problem with no place."""
+    if isinstance(exc, OSError):
+        exc = InputError(Problem(None, line) for line in str(exc).split("\n"))
+    return f"{exc}\n"
 
 
 Output = tuple[str, str, int]  # stdout text, stderr text, exit status
@@ -282,6 +280,13 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     return parser
 
 
+def _diagnose(stderr: TextIO, text: str) -> None:
+    """Write ``text`` to stderr.  A stderr that cannot take it loses it, as
+    argparse's own messages are lost, and the run's status stands."""
+    with contextlib.suppress(OSError):
+        stderr.write(text)
+
+
 def run(argv: list[str], stdout: Optional[TextIO] = None,
         stderr: Optional[TextIO] = None) -> int:
     """Run one invocation and return its exit status.  The subcommand's
@@ -305,7 +310,7 @@ def run(argv: list[str], stdout: Optional[TextIO] = None,
                 stdout.flush()
                 return 0 if exc.code in (0, None) else 2
         out, err, status = COMMANDS[args.command][1](args)
-        stderr.write(err)
+        _diagnose(stderr, err)
         output = getattr(args, "output", None)
         if output is None:
             stdout.write(out)
@@ -314,7 +319,7 @@ def run(argv: list[str], stdout: Optional[TextIO] = None,
         stdout.flush()
         return status
     except INPUT_ERRORS as exc:
-        stderr.write(input_error(exc))
+        _diagnose(stderr, input_error(exc))
         return 2
     finally:
         if collecting:
@@ -322,15 +327,25 @@ def run(argv: list[str], stdout: Optional[TextIO] = None,
 
 
 def main() -> None:
-    sys.stdout.reconfigure(encoding="utf-8")
-    status = run(sys.argv[1:])
+    # A standard stream whose descriptor was closed before start-up is None.
+    # Text for a closed stderr goes to the null device, and a closed stdout
+    # fails the run as a write to it would.
+    if sys.stderr is None:
+        sys.stderr = open(os.devnull, "w", encoding="utf-8")
+    if sys.stdout is None:
+        _diagnose(sys.stderr, input_error(OSError(errno.EBADF, os.strerror(errno.EBADF))))
+        status = 2
+    else:
+        sys.stdout.reconfigure(encoding="utf-8")
+        status = run(sys.argv[1:])
     # run() has flushed stdout and reported a failed write; flushing it
     # again would meet the same unwritten bytes.  The process ends here,
     # without the interpreter's teardown, which would free every object the
     # run loaded for an operating system that takes the memory back anyway.
     # Exit handlers still run first, so tools such as coverage keep theirs.
     atexit._run_exitfuncs()
-    sys.stderr.flush()
+    with contextlib.suppress(OSError):
+        sys.stderr.flush()
     os._exit(status)
 
 

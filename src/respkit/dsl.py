@@ -67,7 +67,9 @@ from .model import (
     HazardEntry,
     InfoNeed,
     InfoProduct,
+    InputError,
     Model,
+    Problem,
     RequirementRecord,
     ResourceKind,
     Severity,
@@ -75,15 +77,14 @@ from .model import (
     SEVERITY_TOKENS,
     TraceRef,
     escape_line_ends,
-    reduce_error,
 )
 
 # ---------------------------------------------------------------------------
 # Errors and spans
 # ---------------------------------------------------------------------------
-# Spans, errors, declarations and clauses are named tuples: the cheapest
-# immutable value to make, one per declaration or clause.  Equal fields
-# compare equal across classes, so declaration kinds are told by type().
+# Spans, declarations and clauses are named tuples: the cheapest immutable
+# value to make, one per declaration or clause.  Equal fields compare equal
+# across classes, so declaration kinds are told by type().
 
 
 class SourceSpan(NamedTuple):
@@ -119,23 +120,14 @@ class Source:
         return SourceSpan(self.filename, line, offset - starts[line - 1] + 1)
 
 
-class ParseError(NamedTuple):
-    span: SourceSpan
-    expected: str
-    found: str
-
-    def render(self) -> str:
-        return f"{self.span}: error: expected {self.expected}, found {self.found}"
+def parse_problem(span: SourceSpan, expected: str, found: str) -> Problem:
+    """The problem at ``span``, where ``expected`` was wanted and ``found``
+    was met."""
+    return Problem(span, f"expected {expected}, found {found}")
 
 
-class ParseFailure(ValueError):
-    """Raised when a document could not be parsed; carries every error."""
-
-    __reduce__ = reduce_error
-
-    def __init__(self, errors: list[ParseError]):
-        self.errors = list(errors)
-        super().__init__("\n".join(e.render() for e in self.errors))
+class ParseFailure(InputError):
+    """Raised when a document could not be parsed; carries every problem."""
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +245,10 @@ _VALID_ESCAPE = re.compile(r'\\(["\\])')
 
 
 class _SyntaxError(Exception):
-    """A parse error, and the token the parser stood at when it was found."""
+    """A parse problem, and the token the parser stood at when it was found."""
 
-    def __init__(self, error: ParseError, at: int):
-        self.error = error
+    def __init__(self, problem: Problem, at: int):
+        self.problem = problem
         self.at = at
 
 
@@ -270,7 +262,7 @@ class _Tokens:
         self.kinds: list[str] = []
         self.values: list[str] = []
         self.offsets: list[int] = []
-        self.errors: list[ParseError] = []
+        self.errors: list[Problem] = []
 
     def span(self, i: int) -> SourceSpan:
         return self.source.span_at(self.offsets[i])
@@ -279,7 +271,7 @@ class _Tokens:
         """The error for token ``i`` where ``expected`` was wanted."""
         kind, value = self.kinds[i], self.values[i]
         found = f"{kind} {value!r}" if value and kind not in _PUNCTUATION else kind
-        return _SyntaxError(ParseError(self.span(i), expected, found), i)
+        return _SyntaxError(parse_problem(self.span(i), expected, found), i)
 
 
 def _scan(text: str, filename: str) -> _Tokens:
@@ -330,7 +322,7 @@ def _odd_token(tokens: _Tokens, m: re.Match, matches) -> Optional[tuple[str, str
     elif group in ("escaped", "open_string"):
         for escape in _ESCAPE.finditer(value):
             if escape[1] not in ('"', "\\"):
-                tokens.errors.append(ParseError(
+                tokens.errors.append(parse_problem(
                     span_at(start + 1 + escape.start()),
                     "escape '\\\"' or '\\\\'",
                     f"'\\{escape[1]}'" if escape[1]
@@ -345,7 +337,7 @@ def _odd_token(tokens: _Tokens, m: re.Match, matches) -> Optional[tuple[str, str
         expected, found = f"closing '{dict(BRACKETS.values())[value]}'", "end of line"
     else:
         expected, found = "a valid token", repr(value)
-    tokens.errors.append(ParseError(span_at(start), expected, found))
+    tokens.errors.append(parse_problem(span_at(start), expected, found))
     return None
 
 
@@ -371,7 +363,7 @@ def _parse_all(text: str, filename: str, parse_one, keywords: tuple[str, ...]) -
             result, i = parse_one(tokens, i)
             results.append(result)
         except _SyntaxError as exc:
-            errors.append(exc.error)
+            errors.append(exc.problem)
             i = exc.at + (kinds[exc.at] != EOF)
             depth = 0
             while kinds[i] != EOF:
@@ -405,7 +397,7 @@ def _member(tokens: _Tokens, i: int, members: dict, expected: str, choices: str)
     """The member that identifier ``i`` names exactly, one of ``choices``."""
     value = _expect(tokens, i, IDENT, expected)
     if value not in members:
-        raise _SyntaxError(ParseError(
+        raise _SyntaxError(parse_problem(
             tokens.span(i), f"one of {choices}", repr(value)), i + 1)
     return members[value]
 
@@ -679,7 +671,7 @@ def parse_requirements(text: str, filename: str = "<string>") -> list[Requiremen
         _keyword(tokens, i, "requirement")
         ident = _expect(tokens, i + 1, IDENT, "a requirement id")
         if ident in seen:
-            raise _SyntaxError(ParseError(
+            raise _SyntaxError(parse_problem(
                 tokens.span(i + 1), "a unique requirement id", f"duplicate {ident!r}"),
                 i + 2)
         seen.add(ident)

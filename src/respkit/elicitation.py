@@ -23,6 +23,7 @@ from . import dsl
 from .build import DutyFold, ModelBuildError, SymbolTable, resolve_flow
 from .model import (
     Model,
+    Problem,
     Responsibility,
     UnknownResponsibility,
     escape_line_ends,
@@ -53,7 +54,11 @@ QUESTIONS: tuple[tuple[str, str], ...] = (
 def _require(model: Model, responsibility: str) -> Responsibility:
     resp = model.responsibility_named(responsibility)
     if resp is None:
-        raise UnknownResponsibility(responsibility, model)
+        listing = ", ".join(f'"{r.name}"' for r in model.responsibilities) or "(none)"
+        # The name asked for may come from a command line and hold a "\n".
+        message = f'unknown responsibility "{responsibility}"; model defines: {listing}'
+        raise UnknownResponsibility(
+            [Problem(None, escape_line_ends(message).replace("\n", "\\n"))])
     return resp
 
 
@@ -115,8 +120,8 @@ def ingest_all(model: Model, records: list[dsl.ElicitationRecord],
     table = SymbolTable(model, strict)
     folds: dict[str, DutyFold] = {}
     for record in records:
-        if table.issues and model.responsibility_named(record.responsibility) is None:
-            raise IngestError(table.issues)
+        if table.problems and model.responsibility_named(record.responsibility) is None:
+            raise IngestError(table.problems)
         resp = _require(model, record.responsibility)
         fold = folds.get(resp.id) or folds.setdefault(resp.id, DutyFold(resp))
         fold.add([(resolve_flow(table, clause), clause)
@@ -124,8 +129,8 @@ def ingest_all(model: Model, records: list[dsl.ElicitationRecord],
                  lambda clause: table.error(escape_line_ends(
                      f'hazard block for |{clause.item}| but "{resp.name}" does not '
                      'require it'), clause))
-    if table.issues:
-        raise IngestError(table.issues)
+    if table.problems:
+        raise IngestError(table.problems)
     return replace(
         model,
         responsibilities=tuple(replace(r, **folds[r.id].fields()) if r.id in folds else r

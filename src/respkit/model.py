@@ -20,7 +20,6 @@ pickling and ``dataclasses.replace`` see only the collections they are
 built from.
 """
 
-import copyreg
 import re
 from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
@@ -344,29 +343,34 @@ def canonical_elements(elements: Iterable) -> tuple:
     return tuple(sorted(elements, key=lambda e: e.name))
 
 
-def reduce_error(exc: BaseException) -> tuple:
-    """``__reduce__`` for an error whose ``__init__`` makes its message from
-    a payload: unpickling sets back the message (``args``) and the payload
-    (the instance's attributes) without calling ``__init__``, so the error
-    crosses a process boundary with its type, text and payload."""
-    return copyreg.__newobj__, (type(exc), *exc.args), exc.__dict__
+class Problem(NamedTuple):
+    """One problem in an input: where it is, a ``dsl.SourceSpan`` or None,
+    and what it is."""
+
+    span: Optional[tuple]
+    message: str
+
+    def render(self) -> str:
+        if self.span is None:
+            return f"error: {self.message}"
+        return f"{self.span}: error: {self.message}"
 
 
-class UnknownResponsibility(KeyError):
+class InputError(ValueError):
+    """An input respkit cannot take, for each of ``problems``; it renders
+    one line per problem.  Every subclass is made from its problems alone,
+    so an error pickles and unpickles as any exception does."""
+
+    def __init__(self, problems: Iterable[Problem]):
+        self.problems = list(problems)
+        super().__init__(self.problems)
+
+    def __str__(self) -> str:
+        return "\n".join(problem.render() for problem in self.problems)
+
+
+class UnknownResponsibility(InputError, KeyError):
     """Raised when an operation names a responsibility the model lacks."""
-
-    __reduce__ = reduce_error
-
-    def __init__(self, name: str, model: Model):
-        self.name = name
-        self.available = tuple(r.name for r in model.responsibilities)
-        listing = ", ".join(f'"{n}"' for n in self.available) or "(none)"
-        # The name asked for may come from a command line and hold a "\n".
-        message = f'unknown responsibility "{name}"; model defines: {listing}'
-        super().__init__(escape_line_ends(message).replace("\n", "\\n"))
-
-    def __str__(self) -> str:  # KeyError quotes its payload otherwise
-        return self.args[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,13 @@ physical ``uses`` edges are drawn without arrowheads.
 """
 
 import io
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from .analysis import Finding, PerceptionInconsistency
 from .dsl import BRACKETS, format_trace
 from .elicitation import InfoTable
 from .hazards import Worksheet
-from .model import Model, RequirementRecord, TraceRef, escape_line_ends, reduce_error
+from .model import InputError, Model, Problem, RequirementRecord, TraceRef, escape_line_ends
 
 
 # ---------------------------------------------------------------------------
@@ -135,28 +135,9 @@ def worksheet_table(model: Model, worksheet: Worksheet) -> InfoTable:
 # ---------------------------------------------------------------------------
 
 
-class TraceResolutionError(ValueError):
-    """Trace references that resolve to nothing in the model, on one line,
-    then one line per hazard whose ``mitigated_by`` names no requirement:
-    ``unmitigated`` holds its duty's name, its row as a hazard trace and
-    the id."""
-
-    __reduce__ = reduce_error
-
-    def __init__(self, unresolved: list[tuple[str, TraceRef]],
-                 unmitigated: Iterable[tuple[str, TraceRef, str]] = ()):
-        self.unresolved = list(unresolved)
-        self.unmitigated = list(unmitigated)
-        lines = []
-        if self.unresolved:
-            listing = "; ".join(f"{req_id}: {format_trace(ref)}"
-                                for req_id, ref in self.unresolved)
-            lines.append(f"unresolved trace references: {listing}")
-        lines += [f"unresolved mitigated_by: "
-                  f"{format_trace(TraceRef('responsibility', duty))}: "
-                  f"{format_trace(row)}: {req_id}"
-                  for duty, row, req_id in self.unmitigated]
-        super().__init__(escape_line_ends("\n".join(lines)))
+class TraceResolutionError(InputError):
+    """One problem per trace reference that resolves to nothing in the
+    model, then one per hazard whose ``mitigated_by`` names no requirement."""
 
 
 def resolve_trace(model: Model, ref: TraceRef) -> bool:
@@ -183,21 +164,24 @@ def resolve_trace(model: Model, ref: TraceRef) -> bool:
 def check_traces(model: Model,
                  records: list[RequirementRecord]) -> None:
     """Raise ``TraceResolutionError`` unless every trace resolves and every
-    hazard's ``mitigated_by`` names one of ``records``.  A requirement that
-    mitigates a row need not trace it back."""
-    unresolved = [(record.id, ref)
-                  for record in records
-                  for ref in record.traces
-                  if not resolve_trace(model, ref)]
+    hazard's ``mitigated_by`` names one of ``records``: the unresolved
+    traces in record order, then the hazards in model order.  A requirement
+    that mitigates a row need not trace it back."""
+    messages = [f"unresolved trace references: {record.id}: {format_trace(ref)}"
+                for record in records
+                for ref in record.traces
+                if not resolve_trace(model, ref)]
     ids = {record.id for record in records}
-    unmitigated = [(resp.name,
-                    TraceRef("hazard", model.resource_name(entry.item), entry.guide_word),
-                    entry.mitigation)
-                   for resp in model.responsibilities
-                   for entry in resp.hazards
-                   if entry.mitigation is not None and entry.mitigation not in ids]
-    if unresolved or unmitigated:
-        raise TraceResolutionError(unresolved, unmitigated)
+    for resp in model.responsibilities:
+        for entry in resp.hazards:
+            if entry.mitigation is not None and entry.mitigation not in ids:
+                row = TraceRef("hazard", model.resource_name(entry.item), entry.guide_word)
+                messages.append(f"unresolved mitigated_by: "
+                                f"{format_trace(TraceRef('responsibility', resp.name))}: "
+                                f"{format_trace(row)}: {entry.mitigation}")
+    if messages:
+        raise TraceResolutionError(
+            [Problem(None, escape_line_ends(message)) for message in messages])
 
 
 def requirements_report(model: Model, records: list[RequirementRecord]) -> str:

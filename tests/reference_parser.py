@@ -30,7 +30,6 @@ from respkit.dsl import (
     HazardClause,
     ModelDecl,
     NoteClause,
-    ParseError,
     ParseFailure,
     PrecedesClause,
     ProduceClause,
@@ -39,12 +38,14 @@ from respkit.dsl import (
     ResponsibilityDecl,
     SourceSpan,
     UseClause,
+    parse_problem,
 )
 from respkit.model import (
     AgentKind,
     GuideWord,
     GUIDE_WORD_TOKENS,
     GUIDE_WORDS_BY_TOKEN,
+    Problem,
     RequirementRecord,
     ResourceKind,
     Severity,
@@ -73,7 +74,7 @@ def _at(span: SourceSpan) -> tuple[int, _Spot]:
 
 
 class _SyntaxError(Exception):
-    def __init__(self, error: ParseError):
+    def __init__(self, error: Problem):
         self.error = error
 
 
@@ -109,13 +110,13 @@ class _Parser:
         if self.at(kind, value):
             return self.advance()
         wanted = expected or (f"'{value}'" if value else kind)
-        raise _SyntaxError(ParseError(self.current.span, wanted, self.current.describe()))
+        raise _SyntaxError(parse_problem(self.current.span, wanted, self.current.describe()))
 
     def expect_keyword(self, word: str) -> Token:
         return self.expect(IDENT, word, expected=f"'{word}'")
 
     def fail(self, expected: str) -> "_SyntaxError":
-        return _SyntaxError(ParseError(self.current.span, expected, self.current.describe()))
+        return _SyntaxError(parse_problem(self.current.span, expected, self.current.describe()))
 
     def skip_to_toplevel(self, keywords: tuple[str, ...]) -> None:
         """Resynchronize after an error: skip to the next declaration."""
@@ -139,14 +140,14 @@ class _Parser:
     def severity_token(self) -> Severity:
         tok = self.expect(IDENT, expected=f"a severity ({SEVERITY_TOKENS})")
         if tok.value not in SEVERITIES:
-            raise _SyntaxError(ParseError(
+            raise _SyntaxError(parse_problem(
                 tok.span, f"one of {SEVERITY_TOKENS}", f"{tok.value!r}"))
         return SEVERITIES[tok.value]
 
     def guide_word_token(self) -> GuideWord:
         tok = self.expect(IDENT, expected=f"a guide word ({GUIDE_WORD_TOKENS})")
         if tok.value not in GUIDE_WORDS_BY_TOKEN:
-            raise _SyntaxError(ParseError(
+            raise _SyntaxError(parse_problem(
                 tok.span, f"one of {GUIDE_WORD_TOKENS}", f"{tok.value!r}"))
         return GUIDE_WORDS_BY_TOKEN[tok.value]
 
@@ -172,7 +173,7 @@ def _product_tail(parser: _Parser) -> tuple[tuple[str, ...], Optional[str]]:
     return channels, rationale
 
 
-def _finish(errors: list[ParseError]) -> None:
+def _finish(errors: list[Problem]) -> None:
     if errors:
         errors.sort(key=lambda e: e.span)
         raise ParseFailure(errors)
@@ -219,7 +220,7 @@ def parse_model(text: str, filename: str = "<string>") -> list[Declaration]:
                     try:
                         kind = AgentKind(kind_tok.value)
                     except ValueError:
-                        raise _SyntaxError(ParseError(
+                        raise _SyntaxError(parse_problem(
                             kind_tok.span, f"one of {_AGENT_KINDS}",
                             f"{kind_tok.value!r}"))
                 declarations.append(AgentDecl(name, kind, *_at(tok.span)))
@@ -274,14 +275,14 @@ def _parse_responsibility(parser: _Parser) -> ResponsibilityDecl:
             parser.advance()
             break
         if parser.at(EOF):
-            raise _SyntaxError(ParseError(parser.current.span, "'}'", EOF))
+            raise _SyntaxError(parse_problem(parser.current.span, "'}'", EOF))
         tok = parser.current
         if tok.kind != IDENT:
             raise parser.fail("an item keyword (assigned, requires, produces, "
                               "uses, hazard, precedes, note) or '}'")
         word = tok.value
         if word == "responsibility":
-            raise _SyntaxError(ParseError(
+            raise _SyntaxError(parse_problem(
                 tok.span, "'}' before the next responsibility "
                 "(responsibility blocks do not nest)", tok.describe()))
         if word == "assigned":
@@ -371,12 +372,12 @@ def _parse_session(parser: _Parser) -> ElicitationRecord:
 
     while not parser.accept(RBRACE):
         if parser.at(EOF):
-            raise _SyntaxError(ParseError(parser.current.span, "'}'", EOF))
+            raise _SyntaxError(parse_problem(parser.current.span, "'}'", EOF))
         if parser.accept(IDENT, "needs"):
             parser.expect(LBRACE)
             while not parser.accept(RBRACE):
                 if parser.at(EOF):
-                    raise _SyntaxError(ParseError(parser.current.span, "'}'", EOF))
+                    raise _SyntaxError(parse_problem(parser.current.span, "'}'", EOF))
                 tok = parser.expect(
                     INFO_REF, expected="an information item (|name|) or '}'")
                 needs.append(RequireClause(tok.value, *_need_tail(parser), None,
@@ -385,7 +386,7 @@ def _parse_session(parser: _Parser) -> ElicitationRecord:
             parser.expect(LBRACE)
             while not parser.accept(RBRACE):
                 if parser.at(EOF):
-                    raise _SyntaxError(ParseError(parser.current.span, "'}'", EOF))
+                    raise _SyntaxError(parse_problem(parser.current.span, "'}'", EOF))
                 tok = parser.expect(
                     INFO_REF, expected="an information item (|name|) or '}'")
                 recorded.append(ProduceClause(tok.value, *_product_tail(parser),
@@ -395,7 +396,7 @@ def _parse_session(parser: _Parser) -> ElicitationRecord:
             parser.expect(LBRACE)
             while not parser.accept(RBRACE):
                 if parser.at(EOF):
-                    raise _SyntaxError(ParseError(parser.current.span, "'}'", EOF))
+                    raise _SyntaxError(parse_problem(parser.current.span, "'}'", EOF))
                 span = parser.current.span
                 guide_word = parser.guide_word_token()
                 consequence = parser.expect(STRING).value
@@ -428,7 +429,7 @@ def parse_requirements(text: str, filename: str = "<string>") -> list[Requiremen
             parser.expect(IDENT, "requirement", expected="'requirement'")
             id_tok = parser.expect(IDENT, expected="a requirement id")
             if id_tok.value in seen_ids:
-                raise _SyntaxError(ParseError(
+                raise _SyntaxError(parse_problem(
                     id_tok.span, "a unique requirement id",
                     f"duplicate {id_tok.value!r}"))
             seen_ids[id_tok.value] = id_tok.span

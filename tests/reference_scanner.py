@@ -21,9 +21,10 @@ from respkit.dsl import (
     PHYS_REF,
     RBRACE,
     STRING,
-    ParseError,
     SourceSpan,
+    parse_problem,
 )
+from respkit.model import Problem
 
 
 class Token(NamedTuple):
@@ -40,14 +41,14 @@ class Token(NamedTuple):
 _REF_KINDS = {"<": (AGENT_REF, ">"), "[": (PHYS_REF, "]"), "|": (INFO_REF, "|")}
 
 
-def scan(text: str, filename: str) -> tuple[list[Token], list[ParseError]]:
+def scan(text: str, filename: str) -> tuple[list[Token], list[Problem]]:
     """Tokenize, recovering from bad characters and unterminated literals.
 
     Scan errors skip to the end of the offending line (or character run) so
     later declarations still get tokenized and parsed.
     """
     tokens: list[Token] = []
-    errors: list[ParseError] = []
+    errors: list[Problem] = []
     line, col, i = 1, 1, 0
     n = len(text)
 
@@ -99,7 +100,7 @@ def scan(text: str, filename: str) -> tuple[list[Token], list[ParseError]]:
                     break
                 if c == "\\":
                     if i + 1 >= n or text[i + 1] not in ('"', "\\"):
-                        errors.append(ParseError(
+                        errors.append(parse_problem(
                             SourceSpan(filename, line, col),
                             "escape '\\\"' or '\\\\'",
                             EOF if i + 1 >= n
@@ -120,7 +121,7 @@ def scan(text: str, filename: str) -> tuple[list[Token], list[ParseError]]:
             if closed:
                 tokens.append(Token(STRING, "".join(buf), start))
             else:
-                errors.append(ParseError(start, "closing '\"'", "end of line"))
+                errors.append(parse_problem(start, "closing '\"'", "end of line"))
             continue
         if ch in _REF_KINDS:
             kind, closer = _REF_KINDS[ch]
@@ -139,11 +140,11 @@ def scan(text: str, filename: str) -> tuple[list[Token], list[ParseError]]:
                 i += 1
                 col += 1
             if not closed:
-                errors.append(ParseError(start, f"closing '{closer}'", "end of line"))
+                errors.append(parse_problem(start, f"closing '{closer}'", "end of line"))
                 continue
             name = "".join(buf).strip()
             if not name:
-                errors.append(ParseError(
+                errors.append(parse_problem(
                     start, f"a name inside '{ch}{closer}'", "nothing"))
                 continue
             tokens.append(Token(kind, name, start))
@@ -165,6 +166,6 @@ def scan(text: str, filename: str) -> tuple[list[Token], list[ParseError]]:
             run.append(text[i])
             i += 1
             col += 1
-        errors.append(ParseError(start, "a valid token", repr("".join(run))))
+        errors.append(parse_problem(start, "a valid token", repr("".join(run))))
     tokens.append(Token(EOF, "", SourceSpan(filename, line, col)))
     return tokens, errors

@@ -167,7 +167,7 @@ def declarations(draw,
         for item in draw(subset(needed, 2)):
             items.append(HazardClause(
                 item, draw(guide_words), draw(names | st.just("")),
-                draw(severities), None, *AT,
+                draw(severities), draw(st.none() | requirement_ids), *AT,
             ))
         for target in draw(subset(resp_names, 2)):
             items.append(PrecedesClause(target, *AT))

@@ -472,6 +472,22 @@ responsibility "Shelter" {
                                    str(tmp_path / "r.reqs"), *report)
         assert (status, out, err.splitlines()) == (2, "", first + self.UNMITIGATED)
 
+    @pytest.mark.parametrize("report", [(), ("--report",)], ids=["check", "report"])
+    def test_each_unresolved_trace_is_a_line(self, run_cli, tmp_path, report):
+        """Two unresolved traces are two error lines, in record order, then
+        the hazard whose ``mitigated_by`` names no requirement."""
+        model = self.MITIGATED.replace("REQ-7", "REQ-1")
+        reqs = (self.REQS.format(trace="|Gone|")
+                + self.REQS.format(trace="<Nobody>").replace("REQ-1", "REQ-2"))
+        (tmp_path / "m.resp").write_text(model, encoding="utf-8")
+        (tmp_path / "r.reqs").write_text(reqs, encoding="utf-8")
+        status, out, err = run_cli("requirements", str(tmp_path / "m.resp"),
+                                   str(tmp_path / "r.reqs"), *report)
+        assert (status, out, err.splitlines()) == (2, "", [
+            "error: unresolved trace references: REQ-1: |Gone|",
+            "error: unresolved trace references: REQ-2: <Nobody>",
+            self.UNMITIGATED[0]])
+
     def test_a_mitigation_need_not_trace_its_hazard(self, run_cli, tmp_path):
         """A ``mitigated_by`` that names a requirement of the file resolves,
         whether or not that requirement traces the hazard back."""
@@ -688,6 +704,27 @@ def test_a_failed_stdout_write_is_one_error_line(size, tmp_path, monkeypatch):
         done = _python("-c", "from respkit.cli import main; main()", *argv, stdout=full)
     assert (done.returncode, done.stderr) == (
         2, "error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("fd, reopen, path, expected", [
+    (1, False, "corpus/evacuation.resp", (2, "error: [Errno 9] Bad file descriptor\n")),
+    (2, False, "corpus/evacuation.resp", (0, "")),
+    (2, False, "corpus/missing.resp", (2, "")),
+    (2, True, "corpus/evacuation.resp", (0, "")),
+    (2, True, "corpus/missing.resp", (2, "")),
+], ids=["stdout", "stderr", "stderr-failing-run", "stderr-read-only",
+        "stderr-read-only-failing-run"])
+def test_a_stream_closed_at_start_up(fd, reopen, path, expected):
+    """With stdout closed, the run fails as a write to it would, in one
+    line; with stderr closed, or open on a file it cannot write, it exits
+    as it would with stderr discarded."""
+    script = (f"import os, sys; os.close({fd}); "
+              + "os.open(os.devnull, os.O_RDONLY); " * reopen
+              + "os.execv(sys.executable, [sys.executable, '-m', 'respkit.cli', "
+              f"'check', {path!r}])")
+    done = _python("-c", script)
+    assert (done.returncode, done.stderr) == expected
+    assert done.stdout == ""
 
 
 class TestCollectorGuard:

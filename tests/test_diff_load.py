@@ -284,14 +284,14 @@ ERRORS = {
         'requirement R1 {\n  text "t"\n  rationale "r"\n  traces |Gone|, <Nobody>\n}\n')),
     "unknown-duty": lambda: answers_skeleton(load_model(SMALL), "Nope"),
 }
-PAYLOAD = {ParseFailure: "errors", IngestError: "issues", ModelBuildError: "issues",
-           TraceResolutionError: "unresolved", UnknownResponsibility: "available"}
+PAYLOAD = {ParseFailure: "problems", IngestError: "problems", ModelBuildError: "problems",
+           TraceResolutionError: "problems", UnknownResponsibility: "problems"}
 
 
 @pytest.mark.parametrize("make", ERRORS.values(), ids=ERRORS.keys())
 def test_input_error_survives_pickle(make):
     """A caller's worker process can hand an input error back: it unpickles
-    with its type, its message and its payload."""
+    with its type, its message and its payload, with no pickling hook."""
     exc = _error(make)
     copy = pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
     assert type(copy) is type(exc)
@@ -299,3 +299,5 @@ def test_input_error_survives_pickle(make):
     assert vars(copy) == vars(exc)
     assert getattr(copy, PAYLOAD[type(exc)])
     assert cli.input_error(copy) == cli.input_error(exc)
+    assert cli.input_error(exc) == "".join(p.render() + "\n" for p in exc.problems)
+    assert issubclass(UnknownResponsibility, KeyError)

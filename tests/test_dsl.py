@@ -58,17 +58,16 @@ class TestParseModel:
     def test_unclosed_block_reports_expected_brace(self):
         with pytest.raises(ParseFailure) as excinfo:
             parse_model('responsibility "X" {')
-        (error,) = excinfo.value.errors
-        assert error.expected == "'}'"
-        assert error.found == "end of file"
+        (problem,) = excinfo.value.problems
+        assert problem.message == "expected '}', found end of file"
 
     def test_error_spans_point_at_the_offence(self):
         with pytest.raises(ParseFailure) as excinfo:
             parse_model('model "ok"\nagent Police', filename="m.resp")
-        (error,) = excinfo.value.errors
-        assert error.span.file == "m.resp"
-        assert error.span.line == 2
-        assert "m.resp:2:" in error.render()
+        (problem,) = excinfo.value.problems
+        assert problem.span.file == "m.resp"
+        assert problem.span.line == 2
+        assert "m.resp:2:" in problem.render()
 
     def test_recovers_one_error_per_declaration(self):
         bad = ('agent Police\n'
@@ -77,7 +76,7 @@ class TestParseModel:
                'responsibility "R" { assigned <A> }\n')
         with pytest.raises(ParseFailure) as excinfo:
             parse_model(bad)
-        assert len(excinfo.value.errors) >= 3
+        assert len(excinfo.value.problems) >= 3
 
     def test_nested_responsibility_rejected(self):
         with pytest.raises(ParseFailure, match="do not nest"):
@@ -156,7 +155,7 @@ def _every_value():
     decls = parse_model(EVERY_KIND)
     with pytest.raises(ParseFailure) as excinfo:
         parse_model("agent 7")
-    return [*decls, *decls[-1].items, decls[0].span, *excinfo.value.errors]
+    return [*decls, *decls[-1].items, decls[0].span, *excinfo.value.problems]
 
 
 class TestValueTypes:
@@ -165,7 +164,7 @@ class TestValueTypes:
             "ModelDecl", "AgentDecl", "ResourceDecl", "ChannelDecl", "ChannelDecl",
             "ResponsibilityDecl", "AssignClause", "RequireClause", "ProduceClause",
             "UseClause", "HazardClause", "PrecedesClause", "NoteClause",
-            "SourceSpan", "ParseError", "ParseError"])
+            "SourceSpan", "Problem", "Problem"])
 
     @pytest.mark.parametrize("value", _every_value(), ids=lambda v: type(v).__name__)
     def test_fields_cannot_be_assigned(self, value):
@@ -352,7 +351,7 @@ def _outcome(parse, text: str):
     try:
         return "parsed", _typed(parse(text, "f"))
     except ParseFailure as failure:
-        return "failed", failure.errors
+        return "failed", failure.problems
 
 
 class TestParserFuzz:
@@ -464,7 +463,7 @@ class TestParseAnswers:
         text = 'elicitation "R" { hazards |X| { missing "gone" } }'
         with pytest.raises(ParseFailure) as excinfo:
             parse_answers(text)
-        rendered = excinfo.value.errors[0].render()
+        rendered = excinfo.value.problems[0].render()
         for word in ("unavailable", "inaccurate", "incomplete", "late", "early"):
             assert word in rendered
 
@@ -472,7 +471,7 @@ class TestParseAnswers:
         text = 'elicitation "R" { hazards |X| { late "slow" severity huge } }'
         with pytest.raises(ParseFailure) as excinfo:
             parse_answers(text)
-        assert "critical" in excinfo.value.errors[0].render()
+        assert "critical" in excinfo.value.problems[0].render()
 
     def test_hazard_lines_capture_fields(self):
         text = ('elicitation "R" {\n'

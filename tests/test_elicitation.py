@@ -521,8 +521,8 @@ def test_an_unresolved_item_is_reported_alike_in_a_model_and_in_answers():
         "conflicting resource kind: 'Kit' is physical but is used as information",
         "resource name '?' needs at least one alphanumeric character",
     ]
-    assert [i.message for i in built.value.issues] == messages
-    assert [i.message for i in ingested.value.issues] == messages
+    assert [i.message for i in built.value.problems] == messages
+    assert [i.message for i in ingested.value.problems] == messages
 
 
 def test_strict_ingest_refuses_an_unknown_agent_at_its_first_session():
@@ -564,7 +564,7 @@ def test_ingest_error_names_the_line_it_refuses():
             '}\n')
     with pytest.raises(IngestError) as excinfo:
         ingest_all(build(INGEST_BASE), parse_answers(text, "a.answers"))
-    assert excinfo.value.issues[0].span == ("a.answers", 4, 5)
+    assert excinfo.value.problems[0].span == ("a.answers", 4, 5)
 
 
 class TestInformationTables:

@@ -24,6 +24,7 @@ from respkit.model import (
     HazardEntry,
     InfoNeed,
     InfoProduct,
+    InputError,
     Model,
     Resource,
     ResourceKind,
@@ -658,22 +659,36 @@ def test_escape_line_ends_equals_one_replace_per_character(text):
     assert escape_line_ends(text) == expected
 
 
+def _defined(keep) -> set[str]:
+    """``module.Name`` of each class a respkit module defines that ``keep``
+    accepts."""
+    defined = set()
+    for info in pkgutil.iter_modules(respkit.__path__):
+        module = importlib.import_module(f"respkit.{info.name}")
+        defined |= {f"{info.name}.{name}" for name, value in vars(module).items()
+                    if isinstance(value, type) and value.__module__ == module.__name__
+                    and keep(value)}
+    return defined
+
+
 def test_only_the_domain_model_is_a_dataclass():
     """Defining a dataclass costs about five times a named tuple at import.
     The domain model stays frozen dataclasses; so do the requirement
     records, whose fields may need leaving out of equality, and
     ``dsl.Source``, which caches its line table in its ``__dict__``.
     Report values are named tuples."""
-    defined = set()
-    for info in pkgutil.iter_modules(respkit.__path__):
-        module = importlib.import_module(f"respkit.{info.name}")
-        defined |= {f"{info.name}.{name}" for name, value in vars(module).items()
-                    if isinstance(value, type) and value.__module__ == module.__name__
-                    and dataclasses.is_dataclass(value)}
-    assert defined == {
+    assert _defined(dataclasses.is_dataclass) == {
         "model.Agent", "model.Resource", "model.Channel", "model.InfoNeed",
         "model.InfoProduct", "model.HazardEntry", "model.Responsibility",
         "model.Model", "model.TraceRef", "model.RequirementRecord", "dsl.Source"}
+
+
+def test_every_error_is_an_input_error():
+    """Every problem with an input renders one way: each exception class a
+    respkit module defines is an ``InputError``, but for the parser's
+    private control flow, which never leaves the parser."""
+    assert _defined(lambda cls: issubclass(cls, BaseException)
+                    and not issubclass(cls, InputError)) == {"dsl._SyntaxError"}
 
 
 def _mutual_reachability(graph):

@@ -22,7 +22,7 @@ from respkit import (
 from respkit.analysis import InconsistencyKind, PerceptionInconsistency, diff_models
 from respkit.dsl import parse_model, print_requirements
 from respkit.elicitation import InfoTable
-from respkit.model import GuideWord, Model, RequirementRecord, TraceRef
+from respkit.model import GuideWord, Model, RequirementRecord, TraceRef, dedupe
 from respkit.reporting import TraceResolutionError, diff_report
 
 from dot_grammar import check_dot
@@ -278,7 +278,7 @@ class TestRequirementsReport:
             f"   traces: {in_report}"
         with pytest.raises(TraceResolutionError) as excinfo:
             requirements_report(Model(), [record])
-        assert str(excinfo.value) == f"unresolved trace references: R1: {in_report}"
+        assert str(excinfo.value) == f"error: unresolved trace references: R1: {in_report}"
 
 
 class TestFindingsReport:
@@ -410,13 +410,20 @@ class TestLineEnds:
 
 
 def _requirements(model: Model) -> list[RequirementRecord]:
-    """One requirement per duty, in its words, tracing it and its needs."""
-    return [RequirementRecord(
+    """One requirement per duty, in its words, tracing it and its needs,
+    then one for each other id that a hazard's ``mitigated_by`` names, so
+    that every id is defined once."""
+    records = [RequirementRecord(
         id=f"R-{number}", text=resp.name, rationale=" ".join(resp.notes),
         traces=(TraceRef("responsibility", resp.name),
                 *(TraceRef("information", model.resource_name(need.resource))
                   for need in resp.needs)))
         for number, resp in enumerate(model.responsibilities)]
+    defined = {record.id for record in records}
+    mitigations = dedupe(entry.mitigation for resp in model.responsibilities
+                         for entry in resp.hazards if entry.mitigation is not None)
+    return records + [RequirementRecord(id=mitigation, text="t", rationale="r")
+                      for mitigation in mitigations if mitigation not in defined]
 
 
 class TestEveryFactIsReported:
