@@ -25,15 +25,13 @@ from .dsl import (
     print_requirements,
 )
 from .elicitation import (
-    InfoTable,
     IngestError,
     answers_skeleton,
     information_recorded_table,
     information_required_table,
-    ingest,
     ingest_all,
 )
-from .hazards import Worksheet, coverage, derive_mitigations, generate_worksheet
+from .hazards import coverage, derive_mitigations, generate_worksheet
 from .model import (
     Agent,
     AgentKind,
@@ -42,6 +40,7 @@ from .model import (
     HazardEntry,
     InfoNeed,
     InfoProduct,
+    InfoTable,
     InputError,
     Model,
     Problem,

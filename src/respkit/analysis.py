@@ -19,13 +19,13 @@ from .model import (
     Finding,
     Model,
     Responsibility,
-    _finding,
-    _sorted,
     channel_flows,
     cycles,
     escape_line_ends,
     find_unassigned,
     find_unsourced_info,
+    finding,
+    sort_findings,
 )
 
 #: Agents assigned strictly more responsibilities than this are overloaded.
@@ -45,11 +45,11 @@ def find_single_channel(model: Model) -> list[Finding]:
         for resource, channels, how in channel_flows(resp):
             if len(channels) == 1 and channels[0] not in with_backup:
                 channel_name = model.channel_name(channels[0])
-                findings.append(_finding(
+                findings.append(finding(
                     "SINGLE_CHANNEL", (f"{resp.id}/{resource}",),
                     f"|{model.resource_name(resource)}| {how} by \"{resp.name}\" "
                     f"relies on the single channel \"{channel_name}\" with no backup"))
-    return _sorted(findings)
+    return sort_findings(findings)
 
 
 def find_duplicate_sources(model: Model) -> list[Finding]:
@@ -73,18 +73,18 @@ def find_duplicate_sources(model: Model) -> list[Finding]:
         source_sets = {sources for _, sources in entries}
         if len(source_sets) > 1:
             resp_names = ", ".join(sorted(f'"{r.name}"' for r, _ in entries))
-            findings.append(_finding(
+            findings.append(finding(
                 "DUPLICATE_SOURCE", (resource,),
                 f"|{model.resource_name(resource)}| is required with differing "
                 f"sources by {resp_names}"))
     for resource, resps in producers.items():
         if len(resps) > 1:
             resp_names = ", ".join(sorted(f'"{r.name}"' for r in resps))
-            findings.append(_finding(
+            findings.append(finding(
                 "DUPLICATE_SOURCE", (resource,),
                 f"|{model.resource_name(resource)}| is produced by more than "
                 f"one responsibility: {resp_names}"))
-    return _sorted(findings)
+    return sort_findings(findings)
 
 
 def find_unused_resources(model: Model) -> list[Finding]:
@@ -95,9 +95,9 @@ def find_unused_resources(model: Model) -> list[Finding]:
         touched.update(product.resource for product in resp.products)
         touched.update(resp.uses)
         touched.update(entry.item for entry in resp.hazards)
-    return _sorted([
-        _finding("UNUSED_RESOURCE", (resource.id,),
-                 f"resource \"{resource.name}\" is declared but never used")
+    return sort_findings([
+        finding("UNUSED_RESOURCE", (resource.id,),
+                f"resource \"{resource.name}\" is declared but never used")
         for resource in model.resources if resource.id not in touched
     ])
 
@@ -114,11 +114,11 @@ def agent_load(model: Model,
     findings = []
     for agent_id, count in counts.items():
         if count > threshold:
-            findings.append(_finding(
+            findings.append(finding(
                 "AGENT_OVERLOAD", (agent_id,),
                 f"<{model.agent_name(agent_id)}> holds {count} responsibilities "
                 f"(threshold {threshold})"))
-    return _sorted(findings)
+    return sort_findings(findings)
 
 
 def detect_sequence_cycles(model: Model) -> list[Finding]:
@@ -134,10 +134,10 @@ def detect_sequence_cycles(model: Model) -> list[Finding]:
         name = {m: getattr(model.responsibility_by_id(m), "name", m) for m in component}
         members = tuple(sorted(component, key=name.get))
         listing = ", ".join(f'"{name[m]}"' for m in members)
-        findings.append(_finding(
+        findings.append(finding(
             "SEQUENCE_CYCLE", members,
             f"responsibilities {listing} precede one another in a cycle"))
-    return _sorted(findings)
+    return sort_findings(findings)
 
 
 def run_all(model: Model,
@@ -152,7 +152,7 @@ def run_all(model: Model,
         + agent_load(model, load_threshold)
         + detect_sequence_cycles(model)
     )
-    return _sorted(findings)
+    return sort_findings(findings)
 
 
 # ---------------------------------------------------------------------------

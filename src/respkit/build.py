@@ -458,11 +458,11 @@ def _build_responsibility(
 
 def read_input(path: Path) -> str:
     """Text of an input file, with line ends kept as written: only "\\n"
-    ends a line, as in the parser.  Bytes that are not UTF-8 are reported
-    like an unreadable file, naming the path, rather than as a decoder
-    traceback."""
+    ends a line, as in the parser.  A UTF-8 byte-order mark at the start is
+    dropped.  Bytes that are not UTF-8 are reported like an unreadable
+    file, naming the path, rather than as a decoder traceback."""
     try:
-        with open(path, encoding="utf-8", newline="") as file:
+        with open(path, encoding="utf-8-sig", newline="") as file:
             return file.read()
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1

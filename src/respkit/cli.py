@@ -25,8 +25,8 @@ from typing import Optional, TextIO
 from . import analysis, elicitation, hazards, reporting
 from .build import load_model, read_input
 from .dsl import parse_answers, parse_requirements, print_model, print_requirements
-from .elicitation import InfoTable, ingest_all
-from .model import SEVERITIES, InputError, Problem, validate
+from .elicitation import ingest_all
+from .model import SEVERITIES, InfoTable, InputError, Problem, validate
 
 # The errors an input can cause.  Each ends a run with one line per problem
 # on stderr and exit status 2.

@@ -245,7 +245,7 @@ _VALID_ESCAPE = re.compile(r'\\(["\\])')
 
 
 class _SyntaxError(Exception):
-    """A parse problem, and the token the parser stood at when it was found."""
+    """A parse problem, and the index of the token it names."""
 
     def __init__(self, problem: Problem, at: int):
         self.problem = problem
@@ -351,9 +351,11 @@ def _odd_token(tokens: _Tokens, m: re.Match, matches) -> Optional[tuple[str, str
 
 
 def _parse_all(text: str, filename: str, parse_one, keywords: tuple[str, ...]) -> list:
-    """``parse_one`` repeated to the end of ``text``.  After an error, skip
-    the token the parser stood at, then skip to the next of ``keywords``
-    outside braces; raise ParseFailure with every error at the end."""
+    """``parse_one`` repeated to the end of ``text``.  After an error,
+    resume at the token the error stands at, or at the one after the
+    declaration's first if that is later, then skip to the next of
+    ``keywords`` outside braces; raise ParseFailure with every error at
+    the end."""
     tokens = _scan(text, filename)
     kinds, values, errors = tokens.kinds, tokens.values, tokens.errors
     results = []
@@ -364,7 +366,7 @@ def _parse_all(text: str, filename: str, parse_one, keywords: tuple[str, ...]) -
             results.append(result)
         except _SyntaxError as exc:
             errors.append(exc.problem)
-            i = exc.at + (kinds[exc.at] != EOF)
+            i = max(exc.at, i + 1)  # i is still the declaration's first token
             depth = 0
             while kinds[i] != EOF:
                 kind = kinds[i]
@@ -398,7 +400,7 @@ def _member(tokens: _Tokens, i: int, members: dict, expected: str, choices: str)
     value = _expect(tokens, i, IDENT, expected)
     if value not in members:
         raise _SyntaxError(parse_problem(
-            tokens.span(i), f"one of {choices}", repr(value)), i + 1)
+            tokens.span(i), f"one of {choices}", repr(value)), i)
     return members[value]
 
 
@@ -445,9 +447,9 @@ def _need_tail(tokens: _Tokens, i: int):
 
 def format_need_tail(model: Model, need: InfoNeed) -> str:
     """``|item| [from <agent>, ...] [via "channel", ...]``, read by ``_need_tail``."""
-    text = _ref(model.resource_name(need.resource), "information")
+    text = format_ref(model.resource_name(need.resource), "information")
     if need.sources:
-        text += " from " + ", ".join(_ref(model.agent_name(a), "agent")
+        text += " from " + ", ".join(format_ref(model.agent_name(a), "agent")
                                      for a in need.sources)
     return text + _via(model, need.channels)
 
@@ -463,7 +465,7 @@ def _product_tail(tokens: _Tokens, i: int):
 
 def format_product_tail(model: Model, product: InfoProduct) -> str:
     """``|item| [via "channel", ...] [rationale "why"]``, read by ``_product_tail``."""
-    text = _ref(model.resource_name(product.resource), "information")
+    text = format_ref(model.resource_name(product.resource), "information")
     text += _via(model, product.channels)
     if product.rationale is not None:
         text += " rationale " + quote(product.rationale)
@@ -673,7 +675,7 @@ def parse_requirements(text: str, filename: str = "<string>") -> list[Requiremen
         if ident in seen:
             raise _SyntaxError(parse_problem(
                 tokens.span(i + 1), "a unique requirement id", f"duplicate {ident!r}"),
-                i + 2)
+                i + 1)
         seen.add(ident)
         if kinds[i + 2] != LBRACE:
             raise tokens.fail(i + 2, LBRACE)
@@ -712,8 +714,8 @@ def format_trace(ref: TraceRef) -> str:
     if ref.kind == "responsibility":
         return "responsibility " + quote(ref.name)
     if ref.kind == "hazard":
-        return f"hazard {_ref(ref.name, 'information')} {ref.guide_word.value}"
-    return _ref(ref.name, ref.kind)
+        return f"hazard {format_ref(ref.name, 'information')} {ref.guide_word.value}"
+    return format_ref(ref.name, ref.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +729,7 @@ def quote(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _ref(name: str, kind: str) -> str:
+def format_ref(name: str, kind: str) -> str:
     """``name`` in the ``BRACKETS`` of ``kind``, which have no escape."""
     opener, closer = BRACKETS[kind]
     if closer in name or "\n" in name:
@@ -746,10 +748,10 @@ def print_model(model: Model) -> str:
 
     if model.agents:
         blocks.append("\n".join(
-            f"agent {_ref(a.name, 'agent')} kind {a.kind.value}"
+            f"agent {format_ref(a.name, 'agent')} kind {a.kind.value}"
             for a in model.agents))
     if model.resources:
-        blocks.append("\n".join(f"resource {_ref(r.name, r.kind.value)}"
+        blocks.append("\n".join(f"resource {format_ref(r.name, r.kind.value)}"
                                 for r in model.resources))
     if model.channels:
         lines = []
@@ -773,7 +775,7 @@ def print_model(model: Model) -> str:
         lines = [f"responsibility {quote(resp.name)} {{"]
         if resp.assigned_to:
             lines.append("  assigned to " + ", ".join(
-                _ref(model.agent_name(a), "agent") for a in resp.assigned_to))
+                format_ref(model.agent_name(a), "agent") for a in resp.assigned_to))
         for need in resp.needs:
             line = "  requires " + format_need_tail(model, need)
             if need.criticality is not None:
@@ -782,9 +784,9 @@ def print_model(model: Model) -> str:
         for product in resp.products:
             lines.append("  produces " + format_product_tail(model, product))
         for used in resp.uses:
-            lines.append("  uses " + _ref(model.resource_name(used), "physical"))
+            lines.append("  uses " + format_ref(model.resource_name(used), "physical"))
         for entry in resp.hazards:
-            line = (f"  hazard {_ref(model.resource_name(entry.item), 'information')} "
+            line = (f"  hazard {format_ref(model.resource_name(entry.item), 'information')} "
                     + format_hazard_tail(entry))
             if entry.mitigation:
                 line += f" mitigated_by {entry.mitigation}"

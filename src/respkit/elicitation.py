@@ -10,23 +10,21 @@ An answers session holds the same ``requires``, ``produces`` and ``hazard``
 clauses as a ``.resp`` responsibility block.  Ingest resolves them through
 ``build.resolve_flow`` and merges each duty's answers from every session in
 one ``build.DutyFold``, so an answer obeys the rules its clause obeys in a
-model file.  By build's rule, ingest reports every answer it refuses, one
-line each at the answer's line, in the order it meets them.  ``InfoTable``
-is a named tuple, cheap to define and to make: it compares and unpacks as
-a tuple.
+model file.  By build's rule, ingest reports every answer it refuses,
+and every session whose header names no duty, one line each at the
+answer's line or the header, in the order it meets them.
 """
 
 from dataclasses import replace
-from typing import NamedTuple
 
 from . import dsl
 from .build import DutyFold, ModelBuildError, SymbolTable, resolve_flow
 from .model import (
+    InfoTable,
     Model,
-    Problem,
-    Responsibility,
     UnknownResponsibility,
     escape_line_ends,
+    require_responsibility,
 )
 
 
@@ -51,21 +49,10 @@ QUESTIONS: tuple[tuple[str, str], ...] = (
 )
 
 
-def _require(model: Model, responsibility: str) -> Responsibility:
-    resp = model.responsibility_named(responsibility)
-    if resp is None:
-        listing = ", ".join(f'"{r.name}"' for r in model.responsibilities) or "(none)"
-        # The name asked for may come from a command line and hold a "\n".
-        message = f'unknown responsibility "{responsibility}"; model defines: {listing}'
-        raise UnknownResponsibility(
-            [Problem(None, escape_line_ends(message).replace("\n", "\\n"))])
-    return resp
-
-
 def answers_skeleton(model: Model, responsibility: str) -> str:
     """The six questions as a commented answers file to edit in place, its
     lines drafted from what the model records for the duty."""
-    resp = _require(model, responsibility)
+    resp = require_responsibility(model, responsibility)
     lines = [f"# Elicitation sheet for responsibility {dsl.quote(resp.name)}.",
              "# Work through the questions below; lines already present were",
              "# drafted from the current model."]
@@ -84,7 +71,7 @@ def answers_skeleton(model: Model, responsibility: str) -> str:
         hazards_of.setdefault(entry.item, []).append(
             "    " + dsl.format_hazard_tail(entry))
     for need in resp.needs:
-        item = dsl._ref(model.resource_name(need.resource), "information")
+        item = dsl.format_ref(model.resource_name(need.resource), "information")
         lines.append(f"  hazards {item} {{")
         lines += hazards_of.get(need.resource, ())
         lines.append("  }")
@@ -112,17 +99,20 @@ def ingest_all(model: Model, records: list[dsl.ElicitationRecord],
     resolve; otherwise they are declared implicitly.  All records share one
     symbol table, each duty answered has one ``DutyFold`` across all its
     sessions, and the new model is built once, at the end, unless problems
-    were met: one ``IngestError`` then lists them all.  A header that names
-    no duty stops at once, with the problems met before it, if any.
+    were met: one ``IngestError`` then lists them all.  A session whose
+    header names no duty is one of them, at the header.
     """
     if not records:
         return model
     table = SymbolTable(model, strict)
     folds: dict[str, DutyFold] = {}
     for record in records:
-        if table.problems and model.responsibility_named(record.responsibility) is None:
-            raise IngestError(table.problems)
-        resp = _require(model, record.responsibility)
+        try:
+            resp = require_responsibility(model, record.responsibility)
+        except UnknownResponsibility as exc:
+            (problem,) = exc.problems
+            table.error(problem.message, record)
+            continue
         fold = folds.get(resp.id) or folds.setdefault(resp.id, DutyFold(resp))
         fold.add([(resolve_flow(table, clause), clause)
                   for clause in (*record.needs, *record.records, *record.hazards)],
@@ -139,19 +129,9 @@ def ingest_all(model: Model, records: list[dsl.ElicitationRecord],
     )
 
 
-def ingest(model: Model, record: dsl.ElicitationRecord, strict: bool = False) -> Model:
-    """Merge one answer record into the model; see ``ingest_all``."""
-    return ingest_all(model, [record], strict)
-
-
 # ---------------------------------------------------------------------------
 # Information tables
 # ---------------------------------------------------------------------------
-
-
-class InfoTable(NamedTuple):
-    columns: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
 
 
 REQUIRED_COLUMNS = ("Information required", "Source", "Communication channel")
@@ -165,7 +145,7 @@ def _canonical_rows(model: Model, flows) -> list:
 
 def information_required_table(model: Model, responsibility: str) -> InfoTable:
     """One row per information need: item, sources, channels."""
-    resp = _require(model, responsibility)
+    resp = require_responsibility(model, responsibility)
     rows = []
     for need in _canonical_rows(model, resp.needs):
         rows.append((
@@ -178,7 +158,7 @@ def information_required_table(model: Model, responsibility: str) -> InfoTable:
 
 def information_recorded_table(model: Model, responsibility: str) -> InfoTable:
     """One row per information product: item, channels."""
-    resp = _require(model, responsibility)
+    resp = require_responsibility(model, responsibility)
     rows = []
     for product in _canonical_rows(model, resp.products):
         rows.append((

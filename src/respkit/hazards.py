@@ -7,9 +7,6 @@ early).  Guide words are applied to required information only; hazards on
 products are modelled from the consuming responsibility's side.
 """
 
-from typing import NamedTuple
-
-from .elicitation import _require
 from .model import (
     GUIDE_WORDS,
     GuideWord,
@@ -18,27 +15,20 @@ from .model import (
     RequirementRecord,
     Severity,
     TraceRef,
+    require_responsibility,
 )
 
 #: Assessed hazards at or above this severity get a mitigation stub.
 DEFAULT_MITIGATION_THRESHOLD = Severity.MEDIUM
 
 
-class Worksheet(NamedTuple):
-    rows: tuple[HazardEntry, ...]
-
-    @property
-    def assessed_rows(self) -> tuple[HazardEntry, ...]:
-        return tuple(row for row in self.rows if row.assessed)
-
-
-def generate_worksheet(model: Model, responsibility: str) -> Worksheet:
-    """Materialize the full deviation grid, pre-filled from the model.
+def generate_worksheet(model: Model, responsibility: str) -> tuple[HazardEntry, ...]:
+    """The rows of the full deviation grid, pre-filled from the model.
 
     Rows never recorded in the model appear with an empty consequence and
     severity none; the row count is always (number of needs) x 5.
     """
-    resp = _require(model, responsibility)
+    resp = require_responsibility(model, responsibility)
     recorded: dict[tuple[str, GuideWord], HazardEntry] = {}
     for entry in resp.hazards:
         recorded.setdefault((entry.item, entry.guide_word), entry)
@@ -50,7 +40,7 @@ def generate_worksheet(model: Model, responsibility: str) -> Worksheet:
             existing = recorded.get((item, guide_word))
             rows.append(existing if existing is not None
                         else HazardEntry(item, guide_word))
-    return Worksheet(rows=tuple(rows))
+    return tuple(rows)
 
 
 def derive_mitigations(
@@ -64,10 +54,9 @@ def derive_mitigations(
     already linked to a mitigation are skipped, so re-deriving after the
     stubs were linked back into the model adds nothing.
     """
-    resp = _require(model, responsibility)
-    worksheet = generate_worksheet(model, responsibility)
+    resp = require_responsibility(model, responsibility)
     stubs = []
-    for row in worksheet.rows:
+    for row in generate_worksheet(model, responsibility):
         if not row.assessed or row.severity < threshold or row.mitigation:
             continue
         item_name = model.resource_name(row.item)
@@ -85,8 +74,8 @@ def derive_mitigations(
 
 def coverage(model: Model, responsibility: str) -> float:
     """Fraction of worksheet rows assessed; 1.0 when there are no rows."""
-    worksheet = generate_worksheet(model, responsibility)
-    if not worksheet.rows:
+    rows = generate_worksheet(model, responsibility)
+    if not rows:
         return 1.0
-    return len(worksheet.assessed_rows) / len(worksheet.rows)
+    return sum(row.assessed for row in rows) / len(rows)
 

@@ -3,8 +3,9 @@
 A model holds agents, resources, channels and responsibilities, plus the
 sequencing links between responsibilities.  Values are frozen dataclasses:
 once built they are safe to share between threads and between analyses.
-``Finding``, the report value of ``check`` and ``analyze``, is a named
-tuple instead, cheaper to define and to make: it compares as a tuple.
+``Finding``, the report value of ``check`` and ``analyze``, and
+``InfoTable``, that of the tables and the worksheet, are named tuples
+instead, cheaper to define and to make: they compare as tuples.
 
 Element identifiers are deterministic slugs of display names, so two
 elements of the same kind may not have names that collapse to the same
@@ -373,6 +374,20 @@ class UnknownResponsibility(InputError, KeyError):
     """Raised when an operation names a responsibility the model lacks."""
 
 
+def require_responsibility(model: Model, name: str) -> Responsibility:
+    """The duty of ``model`` named ``name``.  Raise UnknownResponsibility,
+    one problem with no place that lists the duties the model defines, when
+    there is none."""
+    resp = model.responsibility_named(name)
+    if resp is None:
+        listing = ", ".join(f'"{r.name}"' for r in model.responsibilities) or "(none)"
+        # The name asked for may come from a command line and hold a "\n".
+        message = f'unknown responsibility "{name}"; model defines: {listing}'
+        raise UnknownResponsibility(
+            [Problem(None, escape_line_ends(message).replace("\n", "\\n"))])
+    return resp
+
+
 # ---------------------------------------------------------------------------
 # Requirements
 # ---------------------------------------------------------------------------
@@ -401,7 +416,7 @@ class RequirementRecord:
 
 
 # ---------------------------------------------------------------------------
-# Findings
+# Findings and tables
 # ---------------------------------------------------------------------------
 
 #: Every finding code, with its fixed severity.  ``validate`` reports the
@@ -456,12 +471,21 @@ class Finding(NamedTuple):
             f"{self.code} {self.severity.token} {self.subject}: {self.explanation}")
 
 
-def _finding(code: str, subjects: tuple[str, ...], explanation: str) -> Finding:
+def finding(code: str, subjects: tuple[str, ...], explanation: str) -> Finding:
+    """The finding of catalog ``code``, at the code's fixed severity."""
     return Finding(code, FINDING_CATALOG[code], subjects, explanation)
 
 
-def _sorted(findings: list[Finding]) -> list[Finding]:
+def sort_findings(findings: list[Finding]) -> list[Finding]:
+    """``findings`` in canonical order: by code, then by subjects."""
     return sorted(findings, key=lambda f: (f.code, f.subjects))
+
+
+class InfoTable(NamedTuple):
+    """Column headings and rows of string cells, as ``reporting`` renders them."""
+
+    columns: tuple[str, ...]
+    rows: tuple[tuple[str, ...], ...]
 
 
 def channel_flows(resp: Responsibility) -> list[tuple[str, tuple[str, ...], str]]:
@@ -473,9 +497,9 @@ def channel_flows(resp: Responsibility) -> list[tuple[str, tuple[str, ...], str]
 
 def find_unassigned(model: Model) -> list[Finding]:
     """One finding per responsibility that no agent holds."""
-    return _sorted([
-        _finding("UNASSIGNED_RESP", (resp.id,),
-                 f'responsibility "{resp.name}" has no assigned agent')
+    return sort_findings([
+        finding("UNASSIGNED_RESP", (resp.id,),
+                f'responsibility "{resp.name}" has no assigned agent')
         for resp in model.responsibilities if not resp.assigned_to
     ])
 
@@ -483,10 +507,10 @@ def find_unassigned(model: Model) -> list[Finding]:
 def _unsourced(model: Model, scope: str) -> list[Finding]:
     """Needs with no source and no producer; ``scope`` ends each explanation."""
     produced = {p.resource for r in model.responsibilities for p in r.products}
-    return _sorted([
-        _finding("UNSOURCED_INFO", (f"{resp.id}/{need.resource}",),
-                 f"|{model.resource_name(need.resource)}| required by "
-                 f'"{resp.name}" has no source and no producer{scope}')
+    return sort_findings([
+        finding("UNSOURCED_INFO", (f"{resp.id}/{need.resource}",),
+                f"|{model.resource_name(need.resource)}| required by "
+                f'"{resp.name}" has no source and no producer{scope}')
         for resp in model.responsibilities for need in resp.needs
         if not need.sources and need.resource not in produced
     ])
@@ -514,15 +538,15 @@ def validate(model: Model, strict: bool = False) -> list[Finding]:
             + [("channel", c.id, c.name) for c in model.channels if c.implicit]
         )
         findings += [
-            _finding("IMPLICIT_DECL", (element_id,),
-                     f'{kind} "{name}" was never declared explicitly')
+            finding("IMPLICIT_DECL", (element_id,),
+                    f'{kind} "{name}" was never declared explicitly')
             for kind, element_id, name in implicit
         ]
         findings += [
-            _finding("NO_CHANNEL", (f"{resp.id}/{resource}",),
-                     f"no communication channel recorded for "
-                     f'|{model.resource_name(resource)}| {how} by "{resp.name}"')
+            finding("NO_CHANNEL", (f"{resp.id}/{resource}",),
+                    f"no communication channel recorded for "
+                    f'|{model.resource_name(resource)}| {how} by "{resp.name}"')
             for resp in model.responsibilities
             for resource, channels, how in channel_flows(resp) if not channels
         ]
-    return _sorted(findings)
+    return sort_findings(findings)

@@ -15,11 +15,10 @@ physical ``uses`` edges are drawn without arrowheads.
 import io
 from typing import Any, Callable
 
-from .analysis import Finding, PerceptionInconsistency
+from .analysis import PerceptionInconsistency
 from .dsl import BRACKETS, format_trace
-from .elicitation import InfoTable
-from .hazards import Worksheet
-from .model import InputError, Model, Problem, RequirementRecord, TraceRef, escape_line_ends
+from .model import (Finding, HazardEntry, InfoTable, InputError, Model, Problem,
+                    RequirementRecord, TraceRef, escape_line_ends)
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +111,10 @@ def table_to_csv(table: InfoTable) -> str:
     return buffer.getvalue()
 
 
-def worksheet_table(model: Model, worksheet: Worksheet) -> InfoTable:
-    """Flatten a hazard worksheet into a renderable table."""
+def worksheet_table(model: Model, worksheet: tuple[HazardEntry, ...]) -> InfoTable:
+    """Flatten the rows of a hazard worksheet into a renderable table."""
     rows = []
-    for entry in worksheet.rows:
+    for entry in worksheet:
         rows.append((
             model.resource_name(entry.item),
             entry.guide_word.value,

@@ -115,8 +115,11 @@ class _Parser:
     def expect_keyword(self, word: str) -> Token:
         return self.expect(IDENT, word, expected=f"'{word}'")
 
-    def fail(self, expected: str) -> "_SyntaxError":
-        return _SyntaxError(parse_problem(self.current.span, expected, self.current.describe()))
+    def fail(self, expected: str, found: Optional[str] = None) -> "_SyntaxError":
+        """The error for the current token: an error always names the token
+        the parser stands at, and recovery starts from there."""
+        return _SyntaxError(parse_problem(self.current.span, expected,
+                                          found or self.current.describe()))
 
     def skip_to_toplevel(self, keywords: tuple[str, ...]) -> None:
         """Resynchronize after an error: skip to the next declaration."""
@@ -138,18 +141,15 @@ class _Parser:
         return tuple(values)
 
     def severity_token(self) -> Severity:
-        tok = self.expect(IDENT, expected=f"a severity ({SEVERITY_TOKENS})")
-        if tok.value not in SEVERITIES:
-            raise _SyntaxError(parse_problem(
-                tok.span, f"one of {SEVERITY_TOKENS}", f"{tok.value!r}"))
-        return SEVERITIES[tok.value]
+        if self.at(IDENT) and self.current.value not in SEVERITIES:
+            raise self.fail(f"one of {SEVERITY_TOKENS}", f"{self.current.value!r}")
+        return SEVERITIES[self.expect(IDENT, expected=f"a severity ({SEVERITY_TOKENS})").value]
 
     def guide_word_token(self) -> GuideWord:
-        tok = self.expect(IDENT, expected=f"a guide word ({GUIDE_WORD_TOKENS})")
-        if tok.value not in GUIDE_WORDS_BY_TOKEN:
-            raise _SyntaxError(parse_problem(
-                tok.span, f"one of {GUIDE_WORD_TOKENS}", f"{tok.value!r}"))
-        return GUIDE_WORDS_BY_TOKEN[tok.value]
+        if self.at(IDENT) and self.current.value not in GUIDE_WORDS_BY_TOKEN:
+            raise self.fail(f"one of {GUIDE_WORD_TOKENS}", f"{self.current.value!r}")
+        return GUIDE_WORDS_BY_TOKEN[
+            self.expect(IDENT, expected=f"a guide word ({GUIDE_WORD_TOKENS})").value]
 
 
 def _channels(parser: _Parser) -> tuple[str, ...]:
@@ -185,6 +185,7 @@ def _finish(errors: list[Problem]) -> None:
 
 _RESP_TOPLEVEL = ("model", "agent", "resource", "channel", "responsibility")
 _AGENT_KINDS = ", ".join(k.value for k in AgentKind)
+_AGENT_KIND_VALUES = {k.value for k in AgentKind}
 
 
 def parse_model(text: str, filename: str = "<string>") -> list[Declaration]:
@@ -199,6 +200,7 @@ def parse_model(text: str, filename: str = "<string>") -> list[Declaration]:
     saw_other = False
 
     while not parser.at(EOF):
+        start = parser.pos
         try:
             tok = parser.current
             if tok.kind != IDENT:
@@ -216,13 +218,11 @@ def parse_model(text: str, filename: str = "<string>") -> list[Declaration]:
                 name = parser.expect(AGENT_REF).value
                 kind: Optional[AgentKind] = None
                 if parser.accept(IDENT, "kind"):
-                    kind_tok = parser.expect(IDENT, expected=f"one of {_AGENT_KINDS}")
-                    try:
-                        kind = AgentKind(kind_tok.value)
-                    except ValueError:
-                        raise _SyntaxError(parse_problem(
-                            kind_tok.span, f"one of {_AGENT_KINDS}",
-                            f"{kind_tok.value!r}"))
+                    if parser.at(IDENT) and parser.current.value not in _AGENT_KIND_VALUES:
+                        raise parser.fail(f"one of {_AGENT_KINDS}",
+                                          f"{parser.current.value!r}")
+                    kind = AgentKind(
+                        parser.expect(IDENT, expected=f"one of {_AGENT_KINDS}").value)
                 declarations.append(AgentDecl(name, kind, *_at(tok.span)))
             elif tok.value == "resource":
                 parser.advance()
@@ -256,8 +256,7 @@ def parse_model(text: str, filename: str = "<string>") -> list[Declaration]:
             saw_other = saw_other or tok.value != "model"
         except _SyntaxError as exc:
             errors.append(exc.error)
-            if not parser.at(EOF):
-                parser.advance()
+            parser.pos = max(parser.pos, start + 1)
             parser.skip_to_toplevel(_RESP_TOPLEVEL)
             saw_other = True
 
@@ -345,12 +344,12 @@ def parse_answers(text: str, filename: str = "<string>") -> list[ElicitationReco
     records: list[ElicitationRecord] = []
 
     while not parser.at(EOF):
+        start = parser.pos
         try:
             records.append(_parse_session(parser))
         except _SyntaxError as exc:
             errors.append(exc.error)
-            if not parser.at(EOF):
-                parser.advance()
+            parser.pos = max(parser.pos, start + 1)
             parser.skip_to_toplevel(("elicitation",))
 
     _finish(errors)
@@ -425,13 +424,13 @@ def parse_requirements(text: str, filename: str = "<string>") -> list[Requiremen
     seen_ids: dict[str, SourceSpan] = {}
 
     while not parser.at(EOF):
+        start = parser.pos
         try:
             parser.expect(IDENT, "requirement", expected="'requirement'")
+            if parser.at(IDENT) and parser.current.value in seen_ids:
+                raise parser.fail("a unique requirement id",
+                                  f"duplicate {parser.current.value!r}")
             id_tok = parser.expect(IDENT, expected="a requirement id")
-            if id_tok.value in seen_ids:
-                raise _SyntaxError(parse_problem(
-                    id_tok.span, "a unique requirement id",
-                    f"duplicate {id_tok.value!r}"))
             seen_ids[id_tok.value] = id_tok.span
             parser.expect(LBRACE)
             parser.expect(IDENT, "text", expected="'text'")
@@ -447,8 +446,7 @@ def parse_requirements(text: str, filename: str = "<string>") -> list[Requiremen
                 traces=tuple(traces)))
         except _SyntaxError as exc:
             errors.append(exc.error)
-            if not parser.at(EOF):
-                parser.advance()
+            parser.pos = max(parser.pos, start + 1)
             parser.skip_to_toplevel(("requirement",))
 
     _finish(errors)

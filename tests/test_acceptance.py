@@ -69,15 +69,15 @@ def test_criterion_4_worksheet_shape(evacuation, evacuation_answers):
     """criterion 4: the hazard worksheet is 8x5 with prefilled assessments and four mitigation stubs"""
     merged = ingest_all(evacuation, evacuation_answers)
     worksheet = generate_worksheet(merged, "Evacuate area")
-    assert len(worksheet.rows) == 40
+    assert len(worksheet) == 40
 
     expected_order = [GuideWord.UNAVAILABLE, GuideWord.INACCURATE,
                       GuideWord.INCOMPLETE, GuideWord.LATE, GuideWord.EARLY]
     for offset in range(0, 40, 5):
-        assert [r.guide_word for r in worksheet.rows[offset:offset + 5]] == \
+        assert [r.guide_word for r in worksheet[offset:offset + 5]] == \
             expected_order
 
-    (early,) = [row for row in worksheet.rows
+    (early,) = [row for row in worksheet
                 if row.item == "priority-premises-list"
                 and row.guide_word is GuideWord.EARLY]
     assert early.consequence == "No consequence."

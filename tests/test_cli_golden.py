@@ -5,7 +5,8 @@ Each form's stdout, stderr and exit status are pinned under
 output of ``ingest`` on the corpus answers to a temporary file.
 
 The same snapshots are checked once more for every form on a copy of the
-corpus with CRLF line ends, and through the real entry point, as a fresh
+corpus with CRLF line ends, on one whose files start with a UTF-8
+byte-order mark, and through the real entry point, as a fresh
 process: every form once, and a few forms under several ``PYTHONHASHSEED``
 values.
 
@@ -19,6 +20,7 @@ To regenerate the snapshots after an intended output change, run
 and review the diff.
 """
 
+import codecs
 import io
 import json
 import os
@@ -128,22 +130,42 @@ def test_cli_form_matches_golden(name, statuses, at_repo_root):
     assert err == _read(GOLDEN_CLI / f"{name}.err")
 
 
-@pytest.fixture()
-def at_crlf_copy(monkeypatch, tmp_path):
-    """A directory holding the three corpus files with CRLF line ends."""
+def _corpus_copy(monkeypatch, tmp_path, convert) -> Path:
+    """Change to a directory holding the three corpus files, each as
+    ``convert`` makes it of the original bytes; return a work directory."""
     (tmp_path / "corpus").mkdir()
     for name in (RESP, ANSWERS, REQS):
         text = (REPO / name).read_bytes()
-        assert b"\r" not in text
-        (tmp_path / name).write_bytes(text.replace(b"\n", b"\r\n"))
+        assert b"\r" not in text and not text.startswith(codecs.BOM_UTF8)
+        (tmp_path / name).write_bytes(convert(text))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "work").mkdir()
     return tmp_path / "work"
 
 
+@pytest.fixture()
+def at_crlf_copy(monkeypatch, tmp_path):
+    """A directory holding the three corpus files with CRLF line ends."""
+    return _corpus_copy(monkeypatch, tmp_path, lambda text: text.replace(b"\n", b"\r\n"))
+
+
+@pytest.fixture()
+def at_bom_copy(monkeypatch, tmp_path):
+    """A directory holding the three corpus files, each after a UTF-8
+    byte-order mark, as some editors save them."""
+    return _corpus_copy(monkeypatch, tmp_path, lambda text: codecs.BOM_UTF8 + text)
+
+
 @pytest.mark.parametrize("name", sorted(FORMS))
 def test_crlf_corpus_matches_golden(name, statuses, at_crlf_copy):
     assert _run_form(name, at_crlf_copy) == (
+        statuses[name], _read(GOLDEN_CLI / f"{name}.out"),
+        _read(GOLDEN_CLI / f"{name}.err"))
+
+
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_bom_corpus_matches_golden(name, statuses, at_bom_copy):
+    assert _run_form(name, at_bom_copy) == (
         statuses[name], _read(GOLDEN_CLI / f"{name}.out"),
         _read(GOLDEN_CLI / f"{name}.err"))
 

@@ -225,6 +225,7 @@ def test_node_shape(name, fields):
 # Scanner errors, pinned as the rendered ParseFailure text: message,
 # position and order.  Tabs and carriage returns count one column each.
 _ESCAPE = r"""expected escape '\"' or '\\'"""
+_KINDS = "organization, role, person, system, group"
 SCAN_ERRORS = [
     ('model "a\\qb"', [
         rf"t.resp:1:9: error: {_ESCAPE}, found '\q'"]),
@@ -294,6 +295,20 @@ SCAN_ERRORS = [
         "t.resp:1:7: error: expected agent reference, found '{'"]),
     ("model ,", [
         "t.resp:1:7: error: expected string, found ','"]),
+    # Recovery resumes at the token an error names, so a declaration after
+    # a bad word is parsed, and reported, on its own.
+    ("agent <A> kind bogus\nagent <B> kind bad", [
+        f"t.resp:1:16: error: expected one of {_KINDS}, found 'bogus'",
+        f"t.resp:2:16: error: expected one of {_KINDS}, found 'bad'"]),
+    ("agent <A> kind @@\nagent <B> kind bad", [
+        "t.resp:1:16: error: expected a valid token, found '@@'",
+        f"t.resp:2:1: error: expected one of {_KINDS}, found 'agent'",
+        f"t.resp:2:16: error: expected one of {_KINDS}, found 'bad'"]),
+    # The grammar ignores line ends: "medium" takes "agent" as its value, and
+    # line 2 starts at <B>, which is no declaration.
+    ('channel "C" medium\nagent <B> kind bad', [
+        "t.resp:2:7: error: expected a declaration keyword (model, agent, resource, "
+        "channel, responsibility), found agent reference 'B'"]),
 ]
 
 

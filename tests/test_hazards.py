@@ -23,11 +23,11 @@ def assessed(evacuation, evacuation_answers):
 class TestGenerateWorksheet:
     def test_grid_is_items_by_guide_words(self, assessed):
         worksheet = generate_worksheet(assessed, "Evacuate area")
-        assert len(worksheet.rows) == 8 * 5
+        assert len(worksheet) == 8 * 5
 
     def test_guide_word_order_within_each_item(self, assessed):
         worksheet = generate_worksheet(assessed, "Evacuate area")
-        words = [row.guide_word for row in worksheet.rows]
+        words = [row.guide_word for row in worksheet]
         expected_cycle = list(GuideWord)
         for offset in range(0, len(words), 5):
             assert words[offset:offset + 5] == expected_cycle
@@ -35,14 +35,14 @@ class TestGenerateWorksheet:
     def test_row_count_matches_needs_brute_force(self, assessed):
         for resp in assessed.responsibilities:
             worksheet = generate_worksheet(assessed, resp.name)
-            assert len(worksheet.rows) == len(resp.needs) * 5
+            assert len(worksheet) == len(resp.needs) * 5
 
     def test_no_needs_no_rows(self, assessed):
-        assert generate_worksheet(assessed, "Search and rescue").rows == ()
+        assert generate_worksheet(assessed, "Search and rescue") == ()
 
     def test_prefilled_early_row(self, assessed):
         worksheet = generate_worksheet(assessed, "Evacuate area")
-        (early,) = [row for row in worksheet.rows
+        (early,) = [row for row in worksheet
                     if row.item == "priority-premises-list"
                     and row.guide_word is GuideWord.EARLY]
         assert early.consequence == "No consequence."
@@ -50,7 +50,7 @@ class TestGenerateWorksheet:
 
     def test_unassessed_rows_are_blank(self, assessed):
         worksheet = generate_worksheet(assessed, "Evacuate area")
-        blank = [row for row in worksheet.rows if row.item == "area-map"]
+        blank = [row for row in worksheet if row.item == "area-map"]
         assert all(row.consequence == "" and row.severity is Severity.NONE
                    for row in blank)
 

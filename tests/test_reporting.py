@@ -246,7 +246,7 @@ class TestRequirementsReport:
 
     def test_hazard_trace_to_a_produced_only_item_is_unresolved(self):
         model = build('responsibility "R" { produces |Log| }')
-        assert generate_worksheet(model, "R").rows == ()
+        assert generate_worksheet(model, "R") == ()
         record = RequirementRecord(
             id="R1", text="t", rationale="r",
             traces=(TraceRef("hazard", "Log", GuideWord.LATE),))
@@ -437,7 +437,7 @@ class TestEveryFactIsReported:
                  diff_report(diff_models(model, other), "text")]
         for resp in model.responsibilities:
             worksheet = generate_worksheet(model, resp.name)
-            assert all(entry in worksheet.rows for entry in resp.hazards)
+            assert all(entry in worksheet for entry in resp.hazards)
             required = information_required_table(model, resp.name)
             recorded = information_recorded_table(model, resp.name)
             assert (sorted(row[0] for row in required.rows)
