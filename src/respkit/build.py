@@ -40,7 +40,6 @@ from .model import (
     canonical_elements,
     cycles,
     dedupe,
-    escape_line_ends,
     slugify,
 )
 
@@ -140,7 +139,7 @@ class SymbolTable:
         return self._agent_ids.get(name) or self._resolve(
             self._agent_ids, "agent", self.agents, name, site,
             lambda slug: Agent(slug, name.strip(), AgentKind.ORGANIZATION, implicit=True),
-            None, escape_line_ends(f"unknown agent <{name}>") if self.strict else None)
+            None, f"unknown agent <{name}>" if self.strict else None)
 
     def resource(self, name: str, kind: ResourceKind, site: Site) -> Optional[str]:
         ids = self._resource_ids[kind]
@@ -150,14 +149,13 @@ class SymbolTable:
             lambda existing: None if existing.kind is kind else (
                 f"conflicting resource kind: {existing.name!r} is "
                 f"{existing.kind.value} but is used as {kind.value}"),
-            escape_line_ends(f"unknown {kind.value} resource |{name}|")
-            if self.strict else None)
+            f"unknown {kind.value} resource |{name}|" if self.strict else None)
 
     def channel(self, name: str, site: Site) -> Optional[str]:
         return self._channel_ids.get(name) or self._resolve(
             self._channel_ids, "channel", self.channels, name, site,
             lambda slug: Channel(slug, name.strip(), implicit=True),
-            None, escape_line_ends(f'unknown channel "{name}"') if self.strict else None)
+            None, f'unknown channel "{name}"' if self.strict else None)
 
     # -- explicit declarations ------------------------------------------------
     #
@@ -171,8 +169,8 @@ class SymbolTable:
             self._agent_ids, "agent", self.agents, decl.name, decl,
             lambda slug: Agent(slug, decl.name.strip(), kind),
             lambda existing: None if decl.kind in (None, existing.kind) else (
-                escape_line_ends(f"conflicting agent kind for <{existing.name}>: "
-                                 f"{existing.kind.value} vs {kind.value}")), None)
+                f"conflicting agent kind for <{existing.name}>: "
+                f"{existing.kind.value} vs {kind.value}"), None)
 
     def declare_resource(self, decl: dsl.ResourceDecl) -> None:
         self._resolve(
@@ -447,8 +445,8 @@ def _build_responsibility(
             notes.append(item.text)
 
     def orphan(clause: dsl.HazardClause) -> None:
-        orphans.append(Problem(decl.span, escape_line_ends(
-            f'hazard on |{clause.item}| but "{decl.name}" does not require it')))
+        orphans.append(Problem(
+            decl.span, f'hazard on |{clause.item}| but "{decl.name}" does not require it'))
 
     fold = DutyFold()
     fold.add(flows, orphan)
@@ -466,8 +464,7 @@ def read_input(path: Path) -> str:
             return file.read()
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
-        name = escape_line_ends(str(path)).replace("\n", "\\n")
-        raise OSError(f"{name}: line {line}: not valid UTF-8 "
+        raise OSError(f"{path}: line {line}: not valid UTF-8 "
                       f"({exc.reason})") from None
 
 

@@ -26,7 +26,7 @@ from . import analysis, elicitation, hazards, reporting
 from .build import load_model, read_input
 from .dsl import parse_answers, parse_requirements, print_model, print_requirements
 from .elicitation import ingest_all
-from .model import SEVERITIES, InfoTable, InputError, Problem, validate
+from .model import SEVERITIES, InfoTable, InputError, Problem, printable, validate
 
 # The errors an input can cause.  Each ends a run with one line per problem
 # on stderr and exit status 2.
@@ -35,9 +35,9 @@ INPUT_ERRORS = (InputError, OSError)
 
 def input_error(exc: Exception) -> str:
     """The stderr text for one of ``INPUT_ERRORS``: one rendered line per
-    problem.  Each line of an ``OSError``'s text is a problem with no place."""
+    problem.  An ``OSError`` is one problem with no place."""
     if isinstance(exc, OSError):
-        exc = InputError(Problem(None, line) for line in str(exc).split("\n"))
+        exc = InputError([Problem(None, str(exc))])
     return f"{exc}\n"
 
 
@@ -46,7 +46,7 @@ Output = tuple[str, str, int]  # stdout text, stderr text, exit status
 
 def _check(args: argparse.Namespace) -> Output:
     findings = validate(load_model(args.file), strict=args.strict)
-    return "", "".join(finding.render() + "\n" for finding in findings), 0
+    return "", "".join(printable(finding.render()) + "\n" for finding in findings), 0
 
 
 def _analyze(args: argparse.Namespace) -> Output:

@@ -76,7 +76,6 @@ from .model import (
     SEVERITIES,
     SEVERITY_TOKENS,
     TraceRef,
-    escape_line_ends,
 )
 
 # ---------------------------------------------------------------------------
@@ -91,10 +90,6 @@ class SourceSpan(NamedTuple):
     file: str
     line: int
     column: int
-
-    def __str__(self) -> str:  # a file name may hold any line end
-        file = escape_line_ends(self.file).replace("\n", "\\n")
-        return f"{file}:{self.line}:{self.column}"
 
 
 @dataclass(frozen=True)
@@ -354,8 +349,8 @@ def _parse_all(text: str, filename: str, parse_one, keywords: tuple[str, ...]) -
     """``parse_one`` repeated to the end of ``text``.  After an error,
     resume at the token the error stands at, or at the one after the
     declaration's first if that is later, then skip to the next of
-    ``keywords`` outside braces; raise ParseFailure with every error at
-    the end."""
+    ``keywords`` outside braces; raise ParseFailure at the end with every
+    error, at most one a token."""
     tokens = _scan(text, filename)
     kinds, values, errors = tokens.kinds, tokens.values, tokens.errors
     results = []
@@ -365,7 +360,8 @@ def _parse_all(text: str, filename: str, parse_one, keywords: tuple[str, ...]) -
             result, i = parse_one(tokens, i)
             results.append(result)
         except _SyntaxError as exc:
-            errors.append(exc.problem)
+            if not errors or errors[-1].span != exc.problem.span:
+                errors.append(exc.problem)
             i = max(exc.at, i + 1)  # i is still the declaration's first token
             depth = 0
             while kinds[i] != EOF:

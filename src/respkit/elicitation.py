@@ -19,13 +19,7 @@ from dataclasses import replace
 
 from . import dsl
 from .build import DutyFold, ModelBuildError, SymbolTable, resolve_flow
-from .model import (
-    InfoTable,
-    Model,
-    UnknownResponsibility,
-    escape_line_ends,
-    require_responsibility,
-)
+from .model import InfoTable, Model, require_responsibility, unknown_responsibility
 
 
 #: The six questions asked about one responsibility, in order, each with the
@@ -107,18 +101,16 @@ def ingest_all(model: Model, records: list[dsl.ElicitationRecord],
     table = SymbolTable(model, strict)
     folds: dict[str, DutyFold] = {}
     for record in records:
-        try:
-            resp = require_responsibility(model, record.responsibility)
-        except UnknownResponsibility as exc:
-            (problem,) = exc.problems
-            table.error(problem.message, record)
+        resp = model.responsibility_named(record.responsibility)
+        if resp is None:
+            table.error(unknown_responsibility(model, record.responsibility), record)
             continue
         fold = folds.get(resp.id) or folds.setdefault(resp.id, DutyFold(resp))
         fold.add([(resolve_flow(table, clause), clause)
                   for clause in (*record.needs, *record.records, *record.hazards)],
-                 lambda clause: table.error(escape_line_ends(
+                 lambda clause: table.error(
                      f'hazard block for |{clause.item}| but "{resp.name}" does not '
-                     'require it'), clause))
+                     'require it', clause))
     if table.problems:
         raise IngestError(table.problems)
     return replace(

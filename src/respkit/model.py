@@ -344,17 +344,26 @@ def canonical_elements(elements: Iterable) -> tuple:
     return tuple(sorted(elements, key=lambda e: e.name))
 
 
+def printable(text: str) -> str:
+    """``text`` as one printable line for stderr: each character that
+    ``str.isprintable()`` rejects, such as a line end or a terminal
+    escape, is written as its Python escape (``\\n``, ``\\x1b``,
+    ``\\u2028``).  A backslash stays as written."""
+    if text.isprintable():
+        return text
+    return "".join(char if char.isprintable() else repr(char)[1:-1] for char in text)
+
+
 class Problem(NamedTuple):
     """One problem in an input: where it is, a ``dsl.SourceSpan`` or None,
-    and what it is."""
+    and what it is.  It renders as one printable line."""
 
     span: Optional[tuple]
     message: str
 
     def render(self) -> str:
-        if self.span is None:
-            return f"error: {self.message}"
-        return f"{self.span}: error: {self.message}"
+        place = "" if self.span is None else "{}:{}:{}: ".format(*self.span)
+        return printable(f"{place}error: {self.message}")
 
 
 class InputError(ValueError):
@@ -374,17 +383,23 @@ class UnknownResponsibility(InputError, KeyError):
     """Raised when an operation names a responsibility the model lacks."""
 
 
+def unknown_responsibility(model: Model, name: str) -> str:
+    """The message for a ``name`` that names no duty of ``model``: how many
+    duties it defines and at most three close names, not every name."""
+    import difflib  # an error path: a run that finds its duty never loads it
+
+    names = [r.name for r in model.responsibilities]
+    close = ", ".join(f'"{match}"' for match in difflib.get_close_matches(name, names, 3))
+    return (f'unknown responsibility "{name}"; model defines {len(names)}, '
+            f"closest: {close or '(none)'}")
+
+
 def require_responsibility(model: Model, name: str) -> Responsibility:
     """The duty of ``model`` named ``name``.  Raise UnknownResponsibility,
-    one problem with no place that lists the duties the model defines, when
-    there is none."""
+    one problem with no place, when there is none."""
     resp = model.responsibility_named(name)
     if resp is None:
-        listing = ", ".join(f'"{r.name}"' for r in model.responsibilities) or "(none)"
-        # The name asked for may come from a command line and hold a "\n".
-        message = f'unknown responsibility "{name}"; model defines: {listing}'
-        raise UnknownResponsibility(
-            [Problem(None, escape_line_ends(message).replace("\n", "\\n"))])
+        raise UnknownResponsibility([Problem(None, unknown_responsibility(model, name))])
     return resp
 
 

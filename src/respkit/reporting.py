@@ -179,8 +179,7 @@ def check_traces(model: Model,
                                 f"{format_trace(TraceRef('responsibility', resp.name))}: "
                                 f"{format_trace(row)}: {entry.mitigation}")
     if messages:
-        raise TraceResolutionError(
-            [Problem(None, escape_line_ends(message)) for message in messages])
+        raise TraceResolutionError([Problem(None, message) for message in messages])
 
 
 def requirements_report(model: Model, records: list[RequirementRecord]) -> str:

@@ -255,7 +255,8 @@ def parse_model(text: str, filename: str = "<string>") -> list[Declaration]:
                                   "(model, agent, resource, channel, responsibility)")
             saw_other = saw_other or tok.value != "model"
         except _SyntaxError as exc:
-            errors.append(exc.error)
+            if not errors or errors[-1].span != exc.error.span:  # one per token
+                errors.append(exc.error)
             parser.pos = max(parser.pos, start + 1)
             parser.skip_to_toplevel(_RESP_TOPLEVEL)
             saw_other = True
@@ -348,7 +349,8 @@ def parse_answers(text: str, filename: str = "<string>") -> list[ElicitationReco
         try:
             records.append(_parse_session(parser))
         except _SyntaxError as exc:
-            errors.append(exc.error)
+            if not errors or errors[-1].span != exc.error.span:  # one per token
+                errors.append(exc.error)
             parser.pos = max(parser.pos, start + 1)
             parser.skip_to_toplevel(("elicitation",))
 
@@ -445,7 +447,8 @@ def parse_requirements(text: str, filename: str = "<string>") -> list[Requiremen
                 id=id_tok.value, text=req_text, rationale=rationale,
                 traces=tuple(traces)))
         except _SyntaxError as exc:
-            errors.append(exc.error)
+            if not errors or errors[-1].span != exc.error.span:  # one per token
+                errors.append(exc.error)
             parser.pos = max(parser.pos, start + 1)
             parser.skip_to_toplevel(("requirement",))
 

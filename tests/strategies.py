@@ -244,6 +244,11 @@ _enclosed = st.builds(
     st.lists(st.sampled_from(["\n", " ", "a", "\\", '"']), max_size=4),
     st.integers(0, 4).map(bool))
 line_text = st.lists(_enclosed | st.sampled_from(_LINE_PIECES), max_size=12).map("".join)
+# Declaration keywords among the tokens that follow them, so that a
+# declaration often starts at the token where the one before it failed.
+keyword_text = st.lists(st.sampled_from(
+    ["model", "agent", "resource", "channel", "responsibility", "elicitation",
+     "requirement", "kind", "role", '"M"', "<A>", "|I|", "{", "}"]), max_size=8).map(" ".join)
 
 # Documents of all three formats built from whole lines and blocks over a
 # small pool of names, so random input often parses and reaches build,

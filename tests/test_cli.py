@@ -9,11 +9,12 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from respkit import build, build_model, cli, load_model
 from respkit.dsl import parse_model, parse_requirements
+from respkit.model import printable
 
 from strategies import answers_text, dsl_text, one_in, reqs_text, resp_text
 
@@ -166,6 +167,15 @@ class TestAnalyze:
             f"error: --load-threshold must be at least 1, got {value}"]
 
 
+@pytest.fixture(scope="module")
+def thousand_duties(tmp_path_factory) -> Path:
+    """A model file of 1000 duties, "Duty 0000" to "Duty 0999"."""
+    path = tmp_path_factory.mktemp("large") / "m.resp"
+    path.write_text("".join(f'responsibility "Duty {i:04d}" {{\n}}\n' for i in range(1000)),
+                    encoding="utf-8")
+    return path
+
+
 class TestElicit:
     def test_skeleton_to_stdout(self, run_cli, resp_path):
         status, out, _ = run_cli("elicit", str(resp_path),
@@ -185,9 +195,23 @@ class TestElicit:
 
     def test_unknown_responsibility_is_status_2(self, run_cli, resp_path):
         status, _, err = run_cli("elicit", str(resp_path),
-                                 "--responsibility", "Ghost")
+                                 "--responsibility", "Evacuate aera")
         assert status == 2
         assert '"Evacuate area"' in err
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.text() | st.sampled_from(["Duty 1000", "duty 0001", "Duty 00012"]))
+    def test_unknown_duty_line_does_not_grow_with_the_model(self, thousand_duties,
+                                                            name):
+        """The line names how many duties there are and at most three close
+        names, not every duty."""
+        stderr = io.StringIO()
+        status = cli.run(["elicit", str(thousand_duties), f"--responsibility={name}"],
+                         stdout=io.StringIO(), stderr=stderr)
+        assume(status == 2)
+        (line,) = stderr.getvalue().splitlines()
+        assert line.startswith("error: unknown responsibility")
+        assert len(line) < 120 + len(printable(name))
 
 
 @pytest.mark.parametrize("sub", ["elicit", "tables", "hazards", "mitigations"])
@@ -551,16 +575,17 @@ class TestDiff:
 
 
 class TestOneLineDiagnostics:
-    """An error escapes a name the way reports do, so a line end in a name
-    (or a "\\n" in a name asked for) keeps the error one line on stderr."""
+    """An error writes a line end in a name, or in a name asked for, as its
+    Python escape, so the error stays one line on stderr."""
 
     MODEL = b'responsibility "Say\rwhen" {\n  requires |Fact| from <A> via "Phone"\n}\n'
 
     @pytest.mark.parametrize("argv, files, expected", [
         (("elicit", "{m}", "--responsibility", "nope"), {"m": MODEL},
-         'error: unknown responsibility "nope"; model defines: "Say\\rwhen"'),
-        (("elicit", "{m}", "--responsibility", "a\nb\rc"), {"m": MODEL},
-         'error: unknown responsibility "a\\nb\\rc"; model defines: "Say\\rwhen"'),
+         'error: unknown responsibility "nope"; model defines 1, closest: (none)'),
+        (("elicit", "{m}", "--responsibility", "Say\nwhen"), {"m": MODEL},
+         'error: unknown responsibility "Say\\nwhen"; model defines 1, '
+         'closest: "Say\\rwhen"'),
         (("requirements", "{m}", "{r}"),
          {"m": MODEL, "r": b'requirement R1 {\n  text "t"\n  rationale "r"\n'
                            b'  traces |Gone\rx|\n}\n'},
@@ -605,6 +630,49 @@ class TestOneLineDiagnostics:
         assert len(err.splitlines()) == 1
 
 
+ESC = "\x1b"
+
+
+class TestPrintableStderr:
+    """Each producer of a diagnostic builds a plain message, and each line
+    written to stderr writes what ``str.isprintable()`` rejects, such as a
+    terminal escape, as its Python escape.  A backslash stays as written.
+    ``{dir}`` is the directory that holds the files."""
+
+    MODEL = 'agent <Ops>\nresponsibility "R" {\n  requires |Map|\n}\n'
+
+    @pytest.mark.parametrize("argv, files, expected", [
+        (["check", "m.resp"], {"m.resp": f'model "\\{ESC}"\n'},
+         """{dir}/m.resp:1:8: error: expected escape '\\"' or '\\\\', found '\\\\x1b'"""),
+        (["ingest", "--strict", "m.resp", "a.answers"],
+         {"m.resp": MODEL,
+          "a.answers": f'elicitation "R" {{\n  needs {{ |Map| from <Ops {ESC}[2J> }}\n}}\n'},
+         "{dir}/a.answers:2:11: error: unknown agent <Ops \\x1b[2J>"),
+        (["check", "m.resp"],
+         {"m.resp": f'responsibility "R" {{\n  hazard |X{ESC}Y| late "c"\n}}\n'},
+         '{dir}/m.resp:1:1: error: hazard on |X\\x1bY| but "R" does not require it'),
+        (["requirements", "m.resp", "r.reqs"],
+         {"m.resp": MODEL, "r.reqs": 'requirement R1 {\n  text "t"\n  rationale "r"\n'
+                                     f'  traces <Ops {ESC}]0;pwn\a>\n}}\n'},
+         "error: unresolved trace references: R1: <Ops \\x1b]0;pwn\\x07>"),
+        (["elicit", "m.resp", "--responsibility", f"R{ESC}[31m"], {"m.resp": MODEL},
+         'error: unknown responsibility "R\\x1b[31m"; model defines 1, closest: (none)'),
+        (["check", f"m{ESC}[31m.resp"], {f"m{ESC}[31m.resp": 'responsibility "R" {'},
+         "{dir}/m\\x1b[31m.resp:1:21: error: expected '}', found end of file"),
+        (["check", "m.resp"], {"m.resp": f'responsibility "Say{ESC}[31mhi" {{\n}}\n'},
+         'UNASSIGNED_RESP high say-31mhi: responsibility "Say\\x1b[31mhi" has no '
+         "assigned agent"),
+    ], ids=["bad-escape", "strict-agent", "orphan-hazard", "trace", "asked-name",
+            "file-name", "finding"])
+    def test_line_is_printable(self, run_cli, tmp_path, argv, files, expected):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        _, out, err = run_cli(*(str(tmp_path / arg) if arg in files else arg
+                                for arg in argv))
+        assert out == ""
+        assert err == expected.replace("{dir}", str(tmp_path)) + "\n"
+
+
 class TestFailingRunWritesNothing:
     """A run that fails writes its one error line and no artifact: nothing
     on stdout, and no file at the ``-o`` path."""
@@ -614,9 +682,7 @@ class TestFailingRunWritesNothing:
 
     @pytest.mark.parametrize("argv, expected", [
         (("elicit", "{resp}", "--responsibility", "Ghost"),
-         'error: unknown responsibility "Ghost"; model defines: "Arrange transport", '
-         '"Collect evacuee information", "Evacuate area", "Initiate evacuation", '
-         '"Search and rescue", "Set up reception centres"'),
+         'error: unknown responsibility "Ghost"; model defines 6, closest: (none)'),
         (("ingest", "{resp}", "{answers}"),
          "{answers}:2:11: error: resource name '!!!' needs at least one alphanumeric "
          "character"),
@@ -914,8 +980,10 @@ def _contents(kind: str):
 
 
 @st.composite
-def invocations(draw):
-    """A subcommand with its files' contents and a random set of flags."""
+def invocations(draw, stray: bool = True):
+    """A subcommand with its files' contents and a random set of flags.
+    Unless ``stray`` is False, now and then one more argument goes anywhere
+    in the command line, which argparse may refuse."""
     command = draw(st.sampled_from(sorted(_COMMANDS)))
     kinds, options = _COMMANDS[command]
     files = [(f"{i}.{kind}", draw(_contents(kind))) for i, kind in enumerate(kinds)]
@@ -927,21 +995,37 @@ def invocations(draw):
         argv.append(flag)
         if options[flag] is not None:
             argv.append(draw(options[flag]))
-    if draw(one_in(8)):
+    if stray and draw(one_in(8)):
         argv.insert(draw(st.integers(0, len(argv))), draw(dsl_text))
     return argv, files
+
+
+def _run_invocation(invocation) -> tuple[int, str]:
+    """The exit status and the stderr text of one drawn invocation, run in a
+    new directory that holds its files."""
+    argv, files = invocation
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in files:
+            if content is not None:
+                (Path(tmp) / name).write_bytes(content)
+        argv = [str(Path(tmp) / a) if a in ("out", ".") or
+                any(a == name for name, _ in files) else a for a in argv]
+        status = cli.run(argv, stdout=io.StringIO(), stderr=stderr)
+    return status, stderr.getvalue()
 
 
 class TestFuzz:
     @settings(max_examples=400, deadline=None)
     @given(invocations())
     def test_run_exits_0_1_or_2(self, invocation):
-        argv, files = invocation
-        with tempfile.TemporaryDirectory() as tmp:
-            for name, content in files:
-                if content is not None:
-                    (Path(tmp) / name).write_bytes(content)
-            argv = [str(Path(tmp) / a) if a in ("out", ".") or
-                    any(a == name for name, _ in files) else a for a in argv]
-            status = cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO())
+        status, _ = _run_invocation(invocation)
         assert status in (0, 1, 2)
+
+    # argparse's own usage errors quote a stray argument as given, so every
+    # argument drawn here is one that argparse takes or refuses by its repr.
+    @settings(max_examples=300, deadline=None)
+    @given(invocations(stray=False))
+    def test_every_stderr_line_is_printable(self, invocation):
+        _, err = _run_invocation(invocation)
+        assert [line for line in err.split("\n") if not line.isprintable()] == []

@@ -26,8 +26,8 @@ from respkit.model import GuideWord, Model, Responsibility, Severity
 import reference_parser
 import reference_scanner
 from reference_scanner import Token
-from strategies import (answers_text, dsl_text, ingested_models, line_text, models,
-                        reqs_text, requirement_records, resp_text)
+from strategies import (answers_text, dsl_text, ingested_models, keyword_text, line_text,
+                        models, reqs_text, requirement_records, resp_text)
 
 
 def build(text: str) -> Model:
@@ -309,6 +309,10 @@ SCAN_ERRORS = [
     ('channel "C" medium\nagent <B> kind bad', [
         "t.resp:2:7: error: expected a declaration keyword (model, agent, resource, "
         "channel, responsibility), found agent reference 'B'"]),
+    # At most one problem a token: recovery resumes at "model", whose own
+    # declaration fails there again, and that second problem is dropped.
+    ('agent model "M"', [
+        "t.resp:1:7: error: expected agent reference, found identifier 'model'"]),
 ]
 
 
@@ -390,6 +394,16 @@ class TestParserFuzz:
     def test_parse_requirements_matches_reference(self, text):
         assert (_outcome(parse_requirements, text)
                 == _outcome(reference_parser.parse_requirements, text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(keyword_text | st.text() | dsl_text | line_text | resp_text | answers_text
+           | reqs_text)
+    def test_no_two_problems_share_a_span(self, text):
+        for parse in (parse_model, parse_answers, parse_requirements):
+            outcome, problems = _outcome(parse, text)
+            if outcome == "failed":
+                spans = [problem.span for problem in problems]
+                assert len(set(spans)) == len(spans)
 
     @pytest.mark.parametrize("text, rendered", SCAN_ERRORS)
     def test_reference_renders_the_pinned_errors(self, text, rendered):

@@ -31,8 +31,10 @@ from respkit.model import (
     Responsibility,
     SEVERITIES,
     Severity,
+    Problem,
     cycles,
     escape_line_ends,
+    printable,
 )
 
 from strategies import names
@@ -657,6 +659,23 @@ def test_escape_line_ends_equals_one_replace_per_character(text):
     for char in _LINE_ENDS:
         expected = expected.replace(char, repr(char)[1:-1])
     assert escape_line_ends(text) == expected
+
+
+@given(st.text(alphabet=st.sampled_from(_LINE_ENDS + "\n\t\x00\x1b\x7f\u200b r\u00e9"))
+       | st.text())
+def test_printable_escapes_each_unprintable_character_alone(text):
+    escaped = printable(text)
+    assert escaped.isprintable()
+    assert escaped == "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+    if text.isprintable():
+        assert escaped is text
+
+
+def test_a_problem_renders_as_one_printable_line():
+    span = SourceSpan("m\x1b[2J.resp", 3, 7)
+    assert Problem(span, 'bad "\\" \n\r\u2028').render() == (
+        'm\\x1b[2J.resp:3:7: error: bad "\\" \\n\\r\\u2028')
+    assert Problem(None, "x").render() == "error: x"
 
 
 def _defined(keep) -> set[str]:

@@ -253,8 +253,8 @@ class TestRequirementsReport:
         with pytest.raises(TraceResolutionError, match=r"R1: hazard \|Log\| late"):
             requirements_report(model, [record])
 
-    # Each trace kind as a .reqs file writes it and as the report and the
-    # trace error show it: the report text escapes each backslash again.
+    # Each trace kind as a .reqs file writes it and as the report shows it:
+    # the report text escapes each backslash again, the trace error does not.
     TRACES = [
         (TraceRef("agent", "Ops"), "<Ops>", "<Ops>"),
         (TraceRef("information", "Map"), "|Map|", "|Map|"),
@@ -278,7 +278,7 @@ class TestRequirementsReport:
             f"   traces: {in_report}"
         with pytest.raises(TraceResolutionError) as excinfo:
             requirements_report(Model(), [record])
-        assert str(excinfo.value) == f"error: unresolved trace references: R1: {in_report}"
+        assert str(excinfo.value) == f"error: unresolved trace references: R1: {in_reqs}"
 
 
 class TestFindingsReport:
