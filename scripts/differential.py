@@ -7,9 +7,9 @@ two beside a drawn model.  Each text is written to one fixed work directory,
 so a path echoed in a diagnostic is the same for both trees, and run
 through ``respkit.cli.run`` in one process per tree:
 
-- a model text through ``check``, ``check --strict``, and ``elicit``,
-  ``tables``, ``hazards`` and ``mitigations`` with a drawn
-  ``--responsibility``;
+- a model text through ``check``, ``check --strict``, ``analyze
+  --format=json`` and ``dot``, and ``elicit``, ``tables``, ``hazards`` and
+  ``mitigations`` with a drawn ``--responsibility``;
 - an answers text through ``ingest`` and ``ingest --strict``;
 - a requirements text through ``requirements`` and ``requirements --report``.
 
@@ -42,6 +42,7 @@ REPO = Path(__file__).resolve().parent.parent
 # files in the work directory; DUTY stands for its drawn duty name.
 RUNS = {
     "resp": [["check", "m.resp"], ["check", "--strict", "m.resp"],
+             ["analyze", "m.resp", "--format=json"], ["dot", "m.resp"],
              *[[command, "m.resp", "--responsibility=DUTY"]
                for command in ("elicit", "tables", "hazards", "mitigations")]],
     "answers": [["ingest", "m.resp", "a.answers"],

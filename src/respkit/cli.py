@@ -20,7 +20,7 @@ import os
 import stat
 import sys
 from pathlib import Path
-from typing import Optional, TextIO
+from typing import NoReturn, Optional, TextIO
 
 from . import analysis, elicitation, hazards, reporting
 from .build import load_model, read_input
@@ -255,13 +255,22 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage error is one printable line, as every
+    other diagnostic is: a stray argument is quoted as given.  Its
+    subparsers are of its class, so they print theirs the same way."""
+
+    def error(self, message: str) -> NoReturn:
+        super().error(printable(message))
+
+
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     """The parser for ``argv``.  When its first argument names a subcommand,
     only that subcommand is added, under the metavar that lists them all,
     so every usage line reads as the full parser's.  Any other command line
     (none, ``--help``, an option first, an unknown name) gets every
     subcommand, for the help and the errors that list the choices."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="respkit",
         description="Responsibility modelling toolkit: check models, find "
                     "vulnerabilities, drive elicitation, analyse information "

@@ -164,6 +164,8 @@ def cycles(graph: dict[str, list[str]]) -> list[list[str]]:
 
 @dataclass(frozen=True)
 class Agent:
+    """A person, role, system, group or organization that can hold duties."""
+
     id: str
     name: str
     kind: AgentKind = AgentKind.ORGANIZATION
@@ -173,6 +175,8 @@ class Agent:
 
 @dataclass(frozen=True)
 class Resource:
+    """A physical or information resource that duties need, make or use."""
+
     id: str
     name: str
     kind: ResourceKind
@@ -180,6 +184,8 @@ class Resource:
 
 @dataclass(frozen=True)
 class Channel:
+    """A way information travels, with its medium and the channel it backs up."""
+
     id: str
     name: str
     medium: Optional[str] = None
@@ -245,6 +251,8 @@ class Responsibility:
 
 @dataclass(frozen=True)
 class Model:
+    """A whole responsibility model: its elements and its duties' ``precedes`` links."""
+
     name: str = ""
     agents: tuple[Agent, ...] = ()
     resources: tuple[Resource, ...] = ()
@@ -424,6 +432,8 @@ class TraceRef:
 
 @dataclass(frozen=True)
 class RequirementRecord:
+    """One requirement of a ``.reqs`` file, with its trace links into the model."""
+
     id: str
     text: str
     rationale: str

@@ -18,7 +18,7 @@ from typing import Any, Callable
 from .analysis import PerceptionInconsistency
 from .dsl import BRACKETS, format_trace
 from .model import (Finding, HazardEntry, InfoTable, InputError, Model, Problem,
-                    RequirementRecord, TraceRef, escape_line_ends)
+                    RequirementRecord, ResourceKind, TraceRef, escape_line_ends)
 
 
 # ---------------------------------------------------------------------------
@@ -27,8 +27,28 @@ from .model import (Finding, HazardEntry, InfoTable, InputError, Model, Problem,
 
 
 def _dot_quote(value: str) -> str:
+    if value.isprintable() and '"' not in value and "\\" not in value:
+        return f'"{value}"'
     escaped = escape_line_ends(value).replace('"', '\\"')
     return f'"{escaped}"'
+
+
+# The label brackets of each resource kind, as ``dsl.BRACKETS`` spells them.
+_RESOURCE_BRACKETS = {kind: BRACKETS[kind.value] for kind in ResourceKind}
+
+
+class _NodeIds(dict):
+    """Quoted DOT node ids by element id.  Each id is quoted once, when it
+    is first looked up: an element's id by its node line, and an id that no
+    element holds, as a hand-built model may name, by its first edge."""
+
+    def __init__(self, prefix: str) -> None:
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, element_id: str) -> str:
+        quoted = self[element_id] = _dot_quote(self.prefix + element_id)
+        return quoted
 
 
 def to_dot(model: Model) -> str:
@@ -42,39 +62,37 @@ def to_dot(model: Model) -> str:
     out.append(f"digraph {title} {{")
     out.append("  rankdir=LR;")
 
+    agents, resources, duties = _NodeIds("agent-"), _NodeIds("resource-"), _NodeIds("")
     for agent in model.agents:
         label = agent.name.join(BRACKETS["agent"])
-        out.append(f"  {_dot_quote('agent-' + agent.id)} "
-                   f"[shape=plaintext, label={_dot_quote(label)}];")
+        out.append(f"  {agents[agent.id]} [shape=plaintext, label={_dot_quote(label)}];")
     for resource in model.resources:
-        label = resource.name.join(BRACKETS[resource.kind.value])
-        out.append(f"  {_dot_quote('resource-' + resource.id)} "
+        label = resource.name.join(_RESOURCE_BRACKETS[resource.kind])
+        out.append(f"  {resources[resource.id]} "
                    f"[shape=plaintext, label={_dot_quote(label)}];")
     for resp in model.responsibilities:
-        out.append(f"  {_dot_quote(resp.id)} "
+        out.append(f"  {duties[resp.id]} "
                    f"[shape=box, style=rounded, label={_dot_quote(resp.name)}];")
 
     # Insertion-ordered set: an edge keeps the place of its first mention.
     edges: dict[str, None] = {}
-
-    def edge(source: str, target: str, attrs: str = "") -> None:
-        suffix = f" [{attrs}]" if attrs else ""
-        edges.setdefault(f"  {_dot_quote(source)} -> {_dot_quote(target)}{suffix};")
-
     for resp in model.responsibilities:
+        node = duties[resp.id]
         for agent_id in resp.assigned_to:
-            edge("agent-" + agent_id, resp.id, "dir=none")
+            edges[f"  {agents[agent_id]} -> {node} [dir=none];"] = None
     for resp in model.responsibilities:
+        node = duties[resp.id]
         for need in resp.needs:
+            item = resources[need.resource]
             for agent_id in need.sources:
-                edge("agent-" + agent_id, "resource-" + need.resource)
-            edge("resource-" + need.resource, resp.id)
+                edges[f"  {agents[agent_id]} -> {item};"] = None
+            edges[f"  {item} -> {node};"] = None
         for product in resp.products:
-            edge(resp.id, "resource-" + product.resource)
+            edges[f"  {node} -> {resources[product.resource]};"] = None
         for used in resp.uses:
-            edge(resp.id, "resource-" + used, "dir=none")
+            edges[f"  {node} -> {resources[used]} [dir=none];"] = None
     for source, target in model.sequence_links:
-        edge(source, target, "style=dashed")
+        edges[f"  {duties[source]} -> {duties[target]} [style=dashed];"] = None
 
     out.extend(edges)
     out.append("}")

@@ -672,6 +672,21 @@ class TestPrintableStderr:
         assert out == ""
         assert err == expected.replace("{dir}", str(tmp_path)) + "\n"
 
+    # A stray argument in argparse's own usage error, to the parser of every
+    # subcommand or of none, and as a value that no choice holds.
+    @pytest.mark.parametrize("argv", [
+        ["check", "{model}", f"x{ESC}[2J"],
+        [f"--x{ESC}[2J", "dot", "{model}"],
+        ["diff", "{model}", "{model}", f"y\u2028{ESC}]0;pwn\a"],
+        [f"x{ESC}[2J"],
+        ["analyze", "{model}", "--format", f"x{ESC}[2J"],
+    ], ids=["subcommand", "top-level", "line-end", "choice", "option-value"])
+    def test_usage_error_is_printable(self, run_cli, resp_path, argv):
+        status, out, err = run_cli(*(arg.replace("{model}", str(resp_path)) for arg in argv))
+        assert (status, out) == (2, "")
+        assert err.endswith("\n") and "error: " in err.splitlines()[-1]
+        assert [line for line in err.split("\n") if not line.isprintable()] == []
+
 
 class TestFailingRunWritesNothing:
     """A run that fails writes its one error line and no artifact: nothing
@@ -980,10 +995,10 @@ def _contents(kind: str):
 
 
 @st.composite
-def invocations(draw, stray: bool = True):
+def invocations(draw):
     """A subcommand with its files' contents and a random set of flags.
-    Unless ``stray`` is False, now and then one more argument goes anywhere
-    in the command line, which argparse may refuse."""
+    Now and then one more argument goes anywhere in the command line, which
+    argparse may refuse."""
     command = draw(st.sampled_from(sorted(_COMMANDS)))
     kinds, options = _COMMANDS[command]
     files = [(f"{i}.{kind}", draw(_contents(kind))) for i, kind in enumerate(kinds)]
@@ -995,7 +1010,7 @@ def invocations(draw, stray: bool = True):
         argv.append(flag)
         if options[flag] is not None:
             argv.append(draw(options[flag]))
-    if stray and draw(one_in(8)):
+    if draw(one_in(8)):
         argv.insert(draw(st.integers(0, len(argv))), draw(dsl_text))
     return argv, files
 
@@ -1022,10 +1037,8 @@ class TestFuzz:
         status, _ = _run_invocation(invocation)
         assert status in (0, 1, 2)
 
-    # argparse's own usage errors quote a stray argument as given, so every
-    # argument drawn here is one that argparse takes or refuses by its repr.
     @settings(max_examples=300, deadline=None)
-    @given(invocations(stray=False))
+    @given(invocations())
     def test_every_stderr_line_is_printable(self, invocation):
         _, err = _run_invocation(invocation)
         assert [line for line in err.split("\n") if not line.isprintable()] == []

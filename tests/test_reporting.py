@@ -22,7 +22,8 @@ from respkit import (
 from respkit.analysis import InconsistencyKind, PerceptionInconsistency, diff_models
 from respkit.dsl import parse_model, print_requirements
 from respkit.elicitation import InfoTable
-from respkit.model import GuideWord, Model, RequirementRecord, TraceRef, dedupe
+from respkit.model import (Agent, GuideWord, InfoNeed, InfoProduct, Model, RequirementRecord,
+                           Resource, ResourceKind, Responsibility, TraceRef, dedupe)
 from respkit.reporting import TraceResolutionError, diff_report
 
 from dot_grammar import check_dot
@@ -93,6 +94,56 @@ class TestToDot:
         assert "\r" not in text
         assert 'digraph "plan\\r2" {' in text
         assert 'label="say\\rwhen"' in text
+
+    def test_hand_built_model_names_ids_no_element_holds(self):
+        """Ids hold a quote, a backslash and a carriage return.  Duties name
+        an agent, a need's source and item, a product, a use and a sequence
+        link that no element holds; each is written where first met, the
+        same way each time, and ``drive`` is an agent's id beside a duty's."""
+        model = Model(
+            name='Plan "A"\\1',
+            agents=(Agent('ops"1', 'Ops "HQ"'), Agent("back\\slash", "Back\\slash")),
+            resources=(Resource("map\r", "Map\rold", ResourceKind.INFORMATION),
+                       Resource("van", "Van", ResourceKind.PHYSICAL)),
+            responsibilities=(
+                Responsibility(
+                    'say"when', 'Say "when"', assigned_to=('ops"1', "ghost"),
+                    needs=(InfoNeed("map\r", sources=("ghost", "nobody\\", "drive")),
+                           InfoNeed('lost"item', sources=('ops"1',))),
+                    products=(InfoProduct("made\r"),), uses=("van", "tool\\")),
+                Responsibility("drive", "Drive", assigned_to=("back\\slash",),
+                               needs=(InfoNeed('lost"item'),), uses=("tool\\",)),
+            ),
+            sequence_links=(('say"when', "drive"), ("drive", 'gone"'),
+                            ('gone"', 'say"when')),
+        )
+        assert to_dot(model) == r'''digraph "Plan \"A\"\\1" {
+  rankdir=LR;
+  "agent-ops\"1" [shape=plaintext, label="<Ops \"HQ\">"];
+  "agent-back\\slash" [shape=plaintext, label="<Back\\slash>"];
+  "resource-map\r" [shape=plaintext, label="|Map\rold|"];
+  "resource-van" [shape=plaintext, label="[Van]"];
+  "say\"when" [shape=box, style=rounded, label="Say \"when\""];
+  "drive" [shape=box, style=rounded, label="Drive"];
+  "agent-ops\"1" -> "say\"when" [dir=none];
+  "agent-ghost" -> "say\"when" [dir=none];
+  "agent-back\\slash" -> "drive" [dir=none];
+  "agent-ghost" -> "resource-map\r";
+  "agent-nobody\\" -> "resource-map\r";
+  "agent-drive" -> "resource-map\r";
+  "resource-map\r" -> "say\"when";
+  "agent-ops\"1" -> "resource-lost\"item";
+  "resource-lost\"item" -> "say\"when";
+  "say\"when" -> "resource-made\r";
+  "say\"when" -> "resource-van" [dir=none];
+  "say\"when" -> "resource-tool\\" [dir=none];
+  "resource-lost\"item" -> "drive";
+  "drive" -> "resource-tool\\" [dir=none];
+  "say\"when" -> "drive" [style=dashed];
+  "drive" -> "gone\"" [style=dashed];
+  "gone\"" -> "say\"when" [style=dashed];
+}
+'''
 
     def test_repeated_edges_are_emitted_once(self):
         model = build('responsibility "A" {\n'
