@@ -113,8 +113,13 @@ def _dot(args: argparse.Namespace) -> Output:
 # ``diff`` loads its smaller model in a forked child while this process
 # loads the larger one, when the smaller file has at least this many bytes.
 # Below it, the fork and the pickle cost more than the overlap saves.  The
-# break-even was measured when the child handed back a whole model; it now
-# hands back a perception, under a third the size, and the value stands.
+# break-even was measured on a shared 2-core host when the child handed back
+# a whole model (BENCH_24.json); the perception it hands back now is under a
+# third of that pickle (BENCH_26.json), and the floor has not been measured
+# again since.  The overlap pays only when the second CPU is free: with the
+# code unchanged, benchmark sessions on that host read ``review`` ``diff_ms``
+# at 182 ms on one day and 243-247 ms on two later ones, and ``elicitation``
+# at 130 ms, then 157-159 ms.
 PARALLEL_LOAD_FLOOR = 64 * 1024
 
 

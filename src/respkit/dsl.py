@@ -50,6 +50,19 @@ the parse tail it mirrors, and ``print_model`` and
 the ``.resp``-only ``criticality`` and ``mitigated_by``.  A trace target
 has one formatter too, ``format_trace``, which ``print_requirements`` and
 the requirement report and trace errors in ``reporting`` call.
+
+A printed document renders each element reference once.  Its
+``ReferenceTable`` maps each agent, information item, physical resource
+and channel id to the text that mentions it: ``print_model`` fills it as
+it writes each element's declaration line, the first element winning on
+a shared id as in ``Model.agent_name``, and every mention in the duty
+blocks reads it.  An id that no element holds, or one mentioned in
+another kind's brackets, renders on first use and is kept; the answers
+skeleton fills nothing ahead, so it renders only what its duty names.
+Either way the bytes and every ``ValueError`` for an unprintable name come
+out as if each mention were rendered where it stands.  A medium, a
+mitigation and a requirement id must each read back as one identifier
+token (``identifier``), or printing raises ``ValueError`` too.
 """
 
 import re
@@ -203,8 +216,10 @@ BRACKETS = {"agent": "<>", "physical": "[]", "information": "||"}
 
 _KINDS = {"ident": IDENT, "lbrace": LBRACE, "rbrace": RBRACE, "comma": COMMA,
           "string": STRING, "agent": AGENT_REF, "phys": PHYS_REF, "info": INFO_REF}
-# The kind word of each reference token.
+# The kind word of each reference token, and the kind of resource each
+# resource reference declares.
 _TRACE_REFS = {INFO_REF: "information", AGENT_REF: "agent", PHYS_REF: "physical"}
+_RESOURCE_KINDS = {PHYS_REF: ResourceKind.PHYSICAL, INFO_REF: ResourceKind.INFORMATION}
 
 # A run of characters that starts no token, up to the next delimiter.
 _RUN = re.compile(r'[^ \t\r\n#{},"<\[|]+')
@@ -405,6 +420,10 @@ _AGENT_KIND = ({k.value: k for k in AgentKind}, f"one of {_AGENT_KINDS}", _AGENT
 _SEVERITY = (SEVERITIES, f"a severity ({SEVERITY_TOKENS})", SEVERITY_TOKENS)
 _GUIDE_WORD = (GUIDE_WORDS_BY_TOKEN, f"a guide word ({GUIDE_WORD_TOKENS})",
                GUIDE_WORD_TOKENS)
+# The word each enum member is written as, for the printers: one lookup,
+# not an Enum ``value`` or ``token`` property call on every line.
+_WORDS = {**{member: member.value for member in (*AgentKind, *ResourceKind, *GuideWord)},
+          **{severity: severity.token for severity in Severity}}
 
 
 def _list(tokens: _Tokens, i: int, kind: str) -> tuple[tuple[str, ...], int]:
@@ -424,11 +443,11 @@ def _channels(tokens: _Tokens, i: int) -> tuple[tuple[str, ...], int]:
     return (), i
 
 
-def _via(model: Model, channels: tuple[str, ...]) -> str:
+def _via(refs: "ReferenceTable", channels: tuple[str, ...]) -> str:
     """`` via "channel", ...`` as ``_channels`` reads it, or nothing."""
     if not channels:
         return ""
-    return " via " + ", ".join(quote(model.channel_name(c)) for c in channels)
+    return " via " + ", ".join(map(refs.channels.__getitem__, channels))
 
 
 def _need_tail(tokens: _Tokens, i: int):
@@ -441,13 +460,12 @@ def _need_tail(tokens: _Tokens, i: int):
     return sources, channels, i
 
 
-def format_need_tail(model: Model, need: InfoNeed) -> str:
+def format_need_tail(refs: "ReferenceTable", need: InfoNeed) -> str:
     """``|item| [from <agent>, ...] [via "channel", ...]``, read by ``_need_tail``."""
-    text = format_ref(model.resource_name(need.resource), "information")
+    text = refs.information[need.resource]
     if need.sources:
-        text += " from " + ", ".join(format_ref(model.agent_name(a), "agent")
-                                     for a in need.sources)
-    return text + _via(model, need.channels)
+        text += " from " + ", ".join(map(refs.agents.__getitem__, need.sources))
+    return text + _via(refs, need.channels)
 
 
 def _product_tail(tokens: _Tokens, i: int):
@@ -459,10 +477,9 @@ def _product_tail(tokens: _Tokens, i: int):
     return channels, None, i
 
 
-def format_product_tail(model: Model, product: InfoProduct) -> str:
+def format_product_tail(refs: "ReferenceTable", product: InfoProduct) -> str:
     """``|item| [via "channel", ...] [rationale "why"]``, read by ``_product_tail``."""
-    text = format_ref(model.resource_name(product.resource), "information")
-    text += _via(model, product.channels)
+    text = refs.information[product.resource] + _via(refs, product.channels)
     if product.rationale is not None:
         text += " rationale " + quote(product.rationale)
     return text
@@ -481,8 +498,8 @@ def _hazard_tail(tokens: _Tokens, i: int):
 
 def format_hazard_tail(entry: HazardEntry) -> str:
     """``GUIDEWORD "consequence" severity LEVEL``, read by ``_hazard_tail``."""
-    return (f"{entry.guide_word.value} {quote(entry.consequence)}"
-            f" severity {entry.severity.token}")
+    return (f"{_WORDS[entry.guide_word]} {quote(entry.consequence)}"
+            f" severity {_WORDS[entry.severity]}")
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +533,9 @@ def _declaration(tokens: _Tokens, i: int) -> tuple[Declaration, int]:
             kind, j = _member(tokens, j + 1, *_AGENT_KIND), j + 2
         return AgentDecl(name, kind, at, source), j
     if word == "resource":
-        if kinds[i + 1] not in (PHYS_REF, INFO_REF):
+        kind = _RESOURCE_KINDS.get(kinds[i + 1])
+        if kind is None:
             raise tokens.fail(i + 1, "a resource reference ([name] or |name|)")
-        kind = ResourceKind(_TRACE_REFS[kinds[i + 1]])
         return ResourceDecl(values[i + 1], kind, at, source), i + 2
     if word == "channel":
         name, medium, backup_of, j = _expect(tokens, i + 1, STRING), None, None, i + 2
@@ -733,6 +750,48 @@ def format_ref(name: str, kind: str) -> str:
     return f"{opener}{name}{closer}"
 
 
+def identifier(value: str, what: str) -> str:
+    """``value`` if the scanner reads it back as one identifier token, as a
+    medium, a mitigation and a requirement id are written; else ValueError
+    naming it as ``what``."""
+    # The master regex matches any text: the plain tokens first, then each
+    # scan error.  A "word" is an identifier only if it starts with a letter.
+    m = _TOKEN.match(value)
+    if (m.end(1) or m.end() != len(value)
+            or not (m.lastgroup == "ident" or m.lastgroup == "word" and value[0].isalpha())):
+        raise ValueError(f"{what} {value!r} is not an identifier")
+    return value
+
+
+class _Mentions(dict):
+    """The reference text of each id of one kind.  A missing id is rendered
+    by ``render`` on first use and kept."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, element_id: str) -> str:
+        text = self[element_id] = self.render(element_id)
+        return text
+
+
+class ReferenceTable:
+    """The text that mentions each element of ``model`` in one document, by
+    id: ``agents`` in angle brackets, ``information`` items between bars,
+    ``physical`` resources in square brackets and ``channels`` quoted.
+
+    ``print_model`` fills it from the declaration lines it writes; any
+    other id is rendered from ``model``'s name for it where first read."""
+
+    def __init__(self, model: Model):
+        self.agents = _Mentions(lambda i: format_ref(model.agent_name(i), "agent"))
+        self.information = _Mentions(
+            lambda i: format_ref(model.resource_name(i), "information"))
+        self.physical = _Mentions(lambda i: format_ref(model.resource_name(i), "physical"))
+        self.channels = _Mentions(lambda i: quote(model.channel_name(i)))
+
+
 def print_model(model: Model) -> str:
     """Canonical textual form of a model.
 
@@ -740,23 +799,37 @@ def print_model(model: Model) -> str:
     lines, responsibilities use two-space indentation with one clause per
     line.  The output re-parses to a model equal to the input.
     """
+    refs = ReferenceTable(model)
+    agents, information, physical, channels = (refs.agents, refs.information,
+                                               refs.physical, refs.channels)
     blocks: list[str] = [f"model {quote(model.name)}"]
 
     if model.agents:
-        blocks.append("\n".join(
-            f"agent {format_ref(a.name, 'agent')} kind {a.kind.value}"
-            for a in model.agents))
+        lines = []
+        for agent in model.agents:
+            ref = format_ref(agent.name, "agent")
+            agents.setdefault(agent.id, ref)
+            lines.append(f"agent {ref} kind {_WORDS[agent.kind]}")
+        blocks.append("\n".join(lines))
     if model.resources:
-        blocks.append("\n".join(f"resource {format_ref(r.name, r.kind.value)}"
-                                for r in model.resources))
+        lines = []
+        table_of = {ResourceKind.INFORMATION: information, ResourceKind.PHYSICAL: physical}
+        for resource in model.resources:
+            ref = format_ref(resource.name, _WORDS[resource.kind])
+            if resource.id not in information and resource.id not in physical:
+                table_of[resource.kind][resource.id] = ref
+            lines.append("resource " + ref)
+        blocks.append("\n".join(lines))
     if model.channels:
         lines = []
         for channel in model.channels:
-            line = f"channel {quote(channel.name)}"
-            if channel.medium:
-                line += f" medium {channel.medium}"
+            ref = quote(channel.name)
+            channels.setdefault(channel.id, ref)
+            line = "channel " + ref
+            if channel.medium is not None:
+                line += " medium " + identifier(channel.medium, "medium")
             if channel.backup_of:
-                line += f" backup_of {quote(model.channel_name(channel.backup_of))}"
+                line += " backup_of " + channels[channel.backup_of]
             lines.append(line)
         blocks.append("\n".join(lines))
 
@@ -770,22 +843,21 @@ def print_model(model: Model) -> str:
     for resp in model.responsibilities:
         lines = [f"responsibility {quote(resp.name)} {{"]
         if resp.assigned_to:
-            lines.append("  assigned to " + ", ".join(
-                format_ref(model.agent_name(a), "agent") for a in resp.assigned_to))
+            lines.append("  assigned to " + ", ".join(map(agents.__getitem__,
+                                                          resp.assigned_to)))
         for need in resp.needs:
-            line = "  requires " + format_need_tail(model, need)
+            line = "  requires " + format_need_tail(refs, need)
             if need.criticality is not None:
-                line += f" criticality {need.criticality.token}"
+                line += " criticality " + _WORDS[need.criticality]
             lines.append(line)
         for product in resp.products:
-            lines.append("  produces " + format_product_tail(model, product))
+            lines.append("  produces " + format_product_tail(refs, product))
         for used in resp.uses:
-            lines.append("  uses " + format_ref(model.resource_name(used), "physical"))
+            lines.append("  uses " + physical[used])
         for entry in resp.hazards:
-            line = (f"  hazard {format_ref(model.resource_name(entry.item), 'information')} "
-                    + format_hazard_tail(entry))
-            if entry.mitigation:
-                line += f" mitigated_by {entry.mitigation}"
+            line = f"  hazard {information[entry.item]} {format_hazard_tail(entry)}"
+            if entry.mitigation is not None:
+                line += " mitigated_by " + identifier(entry.mitigation, "mitigation")
             lines.append(line)
         for target in links_by_source.get(resp.id, []):
             lines.append("  precedes " + quote(target))
@@ -801,7 +873,7 @@ def print_requirements(records: list[RequirementRecord]) -> str:
     """Render requirement records back to the ``.reqs`` syntax."""
     blocks = []
     for record in records:
-        lines = [f"requirement {record.id} {{",
+        lines = [f"requirement {identifier(record.id, 'requirement id')} {{",
                  f"  text {quote(record.text)}",
                  f"  rationale {quote(record.rationale)}"]
         for trace in record.traces:

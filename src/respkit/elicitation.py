@@ -53,11 +53,12 @@ def answers_skeleton(model: Model, responsibility: str) -> str:
     for number, (prompt, hint) in enumerate(QUESTIONS, 1):
         lines += [f"# {number}. {prompt}", f"#    ({hint})"]
     lines.append(f"elicitation {dsl.quote(resp.name)} {{")
+    refs = dsl.ReferenceTable(model)  # fills only with what this duty names
     lines.append("  needs {")
-    lines += ["    " + dsl.format_need_tail(model, need) for need in resp.needs]
+    lines += ["    " + dsl.format_need_tail(refs, need) for need in resp.needs]
     lines.append("  }")
     lines.append("  records {")
-    lines += ["    " + dsl.format_product_tail(model, product)
+    lines += ["    " + dsl.format_product_tail(refs, product)
               for product in resp.products]
     lines.append("  }")
     hazards_of: dict[str, list[str]] = {}
@@ -65,8 +66,7 @@ def answers_skeleton(model: Model, responsibility: str) -> str:
         hazards_of.setdefault(entry.item, []).append(
             "    " + dsl.format_hazard_tail(entry))
     for need in resp.needs:
-        item = dsl.format_ref(model.resource_name(need.resource), "information")
-        lines.append(f"  hazards {item} {{")
+        lines.append(f"  hazards {refs.information[need.resource]} {{")
         lines += hazards_of.get(need.resource, ())
         lines.append("  }")
     lines.append("}")

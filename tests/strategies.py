@@ -100,24 +100,37 @@ requirement_records = st.lists(
     max_size=4, unique_by=lambda record: record.id)
 
 
+# The strategies ``declarations()`` draws from with constant arguments,
+# built once here rather than again on every draw.
+_agent_lists = name_list(agent_names, 1, 4)
+_information_lists = name_list(information_names, 0, 3)
+_physical_lists = name_list(physical_names, 0, 2)
+_channel_lists = name_list(names, 0, 3)
+_duty_lists = name_list(names, 1, 4)
+_agent_kinds = st.sampled_from(list(AgentKind))
+_names_or_empty = names | st.just("")
+_criticalities = st.none() | severities
+_rationales = st.none() | names | st.just("")
+_mitigations = st.none() | requirement_ids
+_notes = st.lists(names, max_size=1)
+
+
 @st.composite
 def declarations(draw,
                  agent_pool: list[str] | None = None,
                  resp_pool: list[str] | None = None):
     """One model's declaration list; pools allow correlated model pairs."""
-    agents = (agent_pool if agent_pool is not None
-              else draw(name_list(agent_names, 1, 4)))
+    agents = agent_pool if agent_pool is not None else draw(_agent_lists)
     # Information and physical resources share one id space.
-    info_names = draw(name_list(information_names, 0, 3))
+    info_names = draw(_information_lists)
     taken = {slugify(n) for n in info_names}
-    phys_names = [n for n in draw(name_list(physical_names, 0, 2))
-                  if slugify(n) not in taken]
-    channel_names = draw(name_list(names, 0, 3))
-    resp_names = resp_pool if resp_pool is not None else draw(name_list(names, 1, 4))
+    phys_names = [n for n in draw(_physical_lists) if slugify(n) not in taken]
+    channel_names = draw(_channel_lists)
+    resp_names = resp_pool if resp_pool is not None else draw(_duty_lists)
 
-    decls = [ModelDecl(draw(names | st.just("")), *AT)]
+    decls = [ModelDecl(draw(_names_or_empty), *AT)]
     for agent in agents:
-        decls.append(AgentDecl(agent, draw(st.sampled_from(list(AgentKind))), *AT))
+        decls.append(AgentDecl(agent, draw(_agent_kinds), *AT))
     for info in info_names:
         decls.append(ResourceDecl(info, ResourceKind.INFORMATION, *AT))
     for phys in phys_names:
@@ -150,7 +163,7 @@ def declarations(draw,
                 resource,
                 draw(flow_list(agents)),
                 draw(flow_list(channel_names)),
-                draw(st.none() | severities),
+                draw(_criticalities),
                 *AT,
             ))
         produced = draw(subset(info_names, 2))
@@ -158,7 +171,7 @@ def declarations(draw,
             items.append(ProduceClause(
                 resource,
                 draw(flow_list(channel_names)),
-                draw(st.none() | names | st.just("")),
+                draw(_rationales),
                 *AT,
             ))
         for resource in draw(subset(phys_names, 2)):
@@ -166,12 +179,12 @@ def declarations(draw,
         # Only a needed item has worksheet rows, so only it may carry a hazard.
         for item in draw(subset(needed, 2)):
             items.append(HazardClause(
-                item, draw(guide_words), draw(names | st.just("")),
-                draw(severities), draw(st.none() | requirement_ids), *AT,
+                item, draw(guide_words), draw(_names_or_empty),
+                draw(severities), draw(_mitigations), *AT,
             ))
         for target in draw(subset(resp_names, 2)):
             items.append(PrecedesClause(target, *AT))
-        for note in draw(st.lists(names, max_size=1)):
+        for note in draw(_notes):
             items.append(NoteClause(note, *AT))
         decls.append(ResponsibilityDecl(resp_name, tuple(items), *AT))
     return decls

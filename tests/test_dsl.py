@@ -21,7 +21,9 @@ from respkit.dsl import (
     parse_requirements,
     print_requirements,
 )
-from respkit.model import GuideWord, Model, Responsibility, Severity
+from respkit.model import (Agent, AgentKind, Channel, GuideWord, HazardEntry, InfoNeed,
+                           InfoProduct, Model, RequirementRecord, Resource, ResourceKind,
+                           Responsibility, Severity)
 
 import reference_parser
 import reference_scanner
@@ -433,8 +435,141 @@ class TestPrintModel:
     def test_random_models_round_trip(self, model):
         assert build(print_model(model)) == model
 
+    def test_hand_built_model_names_ids_no_element_holds(self):
+        """Duties name an assigned agent, a need's source, item and channel,
+        a product, a use and a hazard item that no element holds; each is
+        written from its id, the same way each time.  Two agents, two
+        resources and two channels share an id, and the first wins.  A
+        physical resource is required and an information item used: each
+        is written in the brackets of its mention.  A channel backs up one
+        declared after it, which backs up none that exists."""
+        model = Model(
+            name='Plan "A"\\1',
+            agents=(Agent("ops", 'Ops "HQ"', AgentKind.ROLE),
+                    Agent("ops", "Ops twin", AgentKind.PERSON),
+                    Agent("back\\slash", "Back\\slash", AgentKind.SYSTEM)),
+            resources=(Resource("map", "Map\\old", ResourceKind.INFORMATION),
+                       Resource("van", "Van", ResourceKind.PHYSICAL),
+                       Resource("map", "Map twin", ResourceKind.PHYSICAL)),
+            channels=(Channel("radio", 'Radio "1"', medium="vhf", backup_of="phone"),
+                      Channel("phone", "Phone", backup_of="gone\\"),
+                      Channel("radio", "Radio twin")),
+            responsibilities=(
+                Responsibility(
+                    "say", 'Say "when"', assigned_to=("ops", "ghost"),
+                    needs=(InfoNeed("map", sources=("ghost", "nobody\\", "back\\slash"),
+                                    channels=("radio", "lost\\line"),
+                                    criticality=Severity.HIGH),
+                           InfoNeed("lost-item", sources=("ops",)),
+                           InfoNeed("van")),
+                    products=(InfoProduct("made", channels=("phone", "lost\\line"),
+                                          rationale='Why "so"'),),
+                    uses=("van", "tool\\", "map"),
+                    notes=("A \\ note",),
+                    hazards=(HazardEntry("map", GuideWord.LATE, "Stale.",
+                                         Severity.CRITICAL, "REQ-1"),
+                             HazardEntry("unheld", GuideWord.EARLY))),
+                Responsibility("drive", "Drive", assigned_to=("back\\slash", "ghost"),
+                               needs=(InfoNeed("lost-item", channels=("gone\\",)),),
+                               uses=("tool\\",)),
+            ),
+            sequence_links=(("say", "drive"), ("drive", "say")),
+        )
+        assert print_model(model) == r'''model "Plan \"A\"\\1"
+
+agent <Ops "HQ"> kind role
+agent <Ops twin> kind person
+agent <Back\slash> kind system
+
+resource |Map\old|
+resource [Van]
+resource [Map twin]
+
+channel "Radio \"1\"" medium vhf backup_of "Phone"
+channel "Phone" backup_of "gone\\"
+channel "Radio twin"
+
+responsibility "Say \"when\"" {
+  assigned to <Ops "HQ">, <ghost>
+  requires |Map\old| from <ghost>, <nobody\>, <Back\slash> via "Radio \"1\"", "lost\\line" criticality high
+  requires |lost-item| from <Ops "HQ">
+  requires |Van|
+  produces |made| via "Phone", "lost\\line" rationale "Why \"so\""
+  uses [Van]
+  uses [tool\]
+  uses [Map\old]
+  hazard |Map\old| late "Stale." severity critical mitigated_by REQ-1
+  hazard |unheld| early "" severity none
+  precedes "Drive"
+  note "A \\ note"
+}
+
+responsibility "Drive" {
+  assigned to <Back\slash>, <ghost>
+  requires |lost-item| via "gone\\"
+  uses [tool\]
+  precedes "Say \"when\""
+}
+'''
+
+    # Each model holds two unprintable values; the first in print order is
+    # the one reported.
+    @pytest.mark.parametrize("model, message", [
+        (Model(agents=(Agent("ops", "Ops"),),
+               responsibilities=(
+                   Responsibility("a", "A", assigned_to=("ops",),
+                                  needs=(InfoNeed("map", sources=("x>y",)),)),
+                   Responsibility("b", "B", assigned_to=("p>q",)))),
+         "name 'x>y' cannot appear inside <>"),
+        (Model(channels=(Channel("a", "A", backup_of="c"), Channel("c", "C\nD")),
+               responsibilities=(Responsibility("r", "R", notes=("x\ny",)),)),
+         "strings cannot span lines: 'C\\nD'"),
+        (Model(resources=(Resource("kit", "K|it", ResourceKind.PHYSICAL),),
+               responsibilities=(Responsibility("r", "R", needs=(InfoNeed("kit"),),
+                                                uses=("kit",), notes=("x\ny",)),)),
+         "name 'K|it' cannot appear inside ||"),
+        (Model(responsibilities=(Responsibility("a", "A", notes=("x\ny",)),),
+               sequence_links=(("a", "gone"),)),
+         "sequence link ('a', 'gone') must join two responsibilities"),
+    ], ids=["agent-angle", "channel-line-end", "physical-bar-need", "missing-link-target"])
+    def test_first_unprintable_reference_is_reported(self, model, message):
+        with pytest.raises(ValueError) as excinfo:
+            print_model(model)
+        assert str(excinfo.value) == message
+
+    # A medium and a mitigation are written bare, so each must read back as
+    # one identifier token; an empty one would read back as none at all.
+    @pytest.mark.parametrize("model, message", [
+        (Model(name="M", channels=(Channel("c", "C", medium="two words"),)),
+         "medium 'two words' is not an identifier"),
+        (Model(channels=(Channel("c", "C", medium=""),)), "medium '' is not an identifier"),
+        (Model(channels=(Channel("c", "C", medium="1st"),)),
+         "medium '1st' is not an identifier"),
+        (Model(responsibilities=(Responsibility("r", "R", hazards=(
+            HazardEntry("x", GuideWord.LATE, "Slow.", mitigation="REQ 1"),)),)),
+         "mitigation 'REQ 1' is not an identifier"),
+        (Model(responsibilities=(Responsibility("r", "R", hazards=(
+            HazardEntry("x", GuideWord.LATE, "Slow.", mitigation=""),)),)),
+         "mitigation '' is not an identifier"),
+        (Model(responsibilities=(Responsibility("r", "R", hazards=(
+            HazardEntry("x", GuideWord.LATE, "Slow.", mitigation="R#1"),)),)),
+         "mitigation 'R#1' is not an identifier"),
+    ], ids=["medium-two-words", "medium-empty", "medium-digit-first",
+            "mitigation-space", "mitigation-empty", "mitigation-comment"])
+    def test_value_that_cannot_read_back_rejected(self, model, message):
+        with pytest.raises(ValueError) as excinfo:
+            print_model(model)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("word", ["radio", "data-link", "_x", "é2", "Ω-mode"])
+    def test_identifier_medium_and_mitigation_round_trip(self, word):
+        model = build(f'channel "C" medium {word}\n'
+                      f'responsibility "R" {{\n  requires |X| via "C"\n'
+                      f'  hazard |X| late "Slow." mitigated_by {word}\n}}')
+        assert model.channels[0].medium == word
+        assert build(print_model(model)) == model
+
     def test_unprintable_agent_name_rejected(self):
-        from respkit.model import Agent
         model = Model(agents=(Agent("a-b", "a>b"),))
         with pytest.raises(ValueError):
             print_model(model)
@@ -547,6 +682,12 @@ class TestParseRequirements:
     def test_hazard_trace_round_trip(self, evacuation_reqs):
         printed = print_requirements(evacuation_reqs)
         assert parse_requirements(printed) == evacuation_reqs
+
+    @pytest.mark.parametrize("ident", ["REQ 1", "", "1", "Ⅻ", "R,1"])
+    def test_requirement_id_that_cannot_read_back_rejected(self, ident):
+        with pytest.raises(ValueError) as excinfo:
+            print_requirements([RequirementRecord(ident, "a", "b")])
+        assert str(excinfo.value) == f"requirement id {ident!r} is not an identifier"
 
     @settings(max_examples=80, deadline=None)
     @given(requirement_records)

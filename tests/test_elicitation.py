@@ -13,8 +13,8 @@ from respkit import (
     ingest_all,
     print_model,
 )
-from respkit.dsl import (format_need_tail, format_product_tail, parse_answers, parse_model,
-                         quote)
+from respkit.dsl import (ReferenceTable, format_need_tail, format_product_tail, parse_answers,
+                         parse_model, quote)
 from respkit.build import ModelBuildError
 from respkit.elicitation import QUESTIONS, IngestError
 from respkit.model import GuideWord, InfoNeed, Severity, UnknownResponsibility
@@ -61,10 +61,11 @@ class TestQuestionnaire:
         lines = answers_skeleton(evacuation, resp.name).splitlines()
         needs = lines.index("  needs {") + 1
         records = lines.index("  records {") + 1
+        refs = ReferenceTable(evacuation)
         assert lines[needs:lines.index("  }", needs)] == [
-            "    " + format_need_tail(evacuation, need) for need in resp.needs]
+            "    " + format_need_tail(refs, need) for need in resp.needs]
         assert lines[records:lines.index("  }", records)] == [
-            "    " + format_product_tail(evacuation, product) for product in resp.products]
+            "    " + format_product_tail(refs, product) for product in resp.products]
 
     def test_skeleton_reparses(self, evacuation):
         skeleton = answers_skeleton(evacuation, "Evacuate area")
